@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .fields import COMPLEX, REAL, DEFAULT_PRIME, field_from_name
+from .fields import COMPLEX, DEFAULT_PRIME, field_from_name
 from .poly import HomPoly
 from .network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                       forward_binary, forward_recursive, DomainError)
@@ -44,22 +44,12 @@ def _load_json(path: str) -> dict:
         return json.load(f)
 
 
-def _poly_field(obj: dict):
-    terms = obj.get("terms", [])
-    return COMPLEX if any("im" in t for t in terms) else REAL
+def _load_poly(path: str) -> HomPoly:
+    return HomPoly.from_json(COMPLEX, _load_json(path))
 
 
-def _load_poly(path: str, field=None) -> HomPoly:
-    obj = _load_json(path)
-    return HomPoly.from_json(field or _poly_field(obj), obj)
-
-
-def _load_tuple(path: str, field=None) -> RationalTuple:
-    obj = _load_json(path)
-    if field is None:
-        probe = obj["numerators"] + [obj["denominator"]]
-        field = COMPLEX if any("im" in t for p in probe for t in p["terms"]) else REAL
-    return RationalTuple.from_json(field, obj)
+def _load_tuple(path: str) -> RationalTuple:
+    return RationalTuple.from_json(COMPLEX, _load_json(path))
 
 
 def _emit(obj, out: str | None):
@@ -93,7 +83,12 @@ def cmd_forward(args) -> int:
 
 def cmd_eval(args) -> int:
     w = Weights.from_json(_load_json(args.weights))
-    point = [float(v) for v in args.x.split(",")]
+    f = w.field
+    try:
+        # exact fields take integers, float fields any real number
+        point = [f.from_int(int(v)) if f.exact else float(v) for v in args.x.split(",")]
+    except ValueError as ex:
+        raise CliError(f"bad point {args.x!r} for {f.name} weights: {ex}") from ex
     try:
         vec = eval_network(w, point)
     except DomainError as ex:
@@ -103,7 +98,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    p = _load_poly(args.poly, COMPLEX)
+    p = _load_poly(args.poly)
     if args.binary:
         fz = factor_binary_form(p, tol=args.tol)
         _emit({"decomposable": True, **fz.to_json()}, args.out)
@@ -114,7 +109,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    t = _load_tuple(args.tuple, COMPLEX)
+    t = _load_tuple(args.tuple)
     if args.binary:
         if len(t.numerators) != 1:
             raise CliError("binary reconstruction expects a single numerator")
@@ -132,7 +127,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    t = _load_tuple(args.tuple, COMPLEX)
+    t = _load_tuple(args.tuple)
     if args.binary:
         verdict = membership_binary_multioutput(list(t.numerators), t.denominator,
                                                 args.layers, tol=args.tol)
@@ -307,7 +302,7 @@ def main(argv=None) -> int:
     except CliError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as ex:
+    except (OSError, ValueError, KeyError, ArithmeticError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .fields import ScalarField, COMPLEX, ComplexField, RealField
-from .poly import HomPoly, LinearForm, NotDivisibleError
+from .fields import ScalarField, COMPLEX
+from .poly import HomPoly, LinearForm, NotDivisibleError, _as_complex
 from .network import Weights
 
 ROOT_TOL = 1e-10
@@ -128,26 +127,6 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = ROOT_TOL,
     return [complex(r) for r in roots]
 
 
-def _to_cdict(p: HomPoly) -> dict[tuple, complex]:
-    if not isinstance(p.field, (RealField, ComplexField)):
-        raise TypeError("factorization runs over float scalars (real or complex)")
-    return {e: complex(c) for e, c in p.terms.items()}
-
-
-def _cdict_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0j) + c1 * c2
-    return out
-
-
-def _lin_cdict(coeffs: Sequence[complex], nvars: int) -> dict:
-    return {tuple(1 if t == j else 0 for t in range(nvars)): complex(c)
-            for j, c in enumerate(coeffs) if c != 0}
-
-
 def _elem_sym_all(vals: Sequence[complex], kmax: int) -> np.ndarray:
     """e_0..e_kmax of vals, by the one-value-at-a-time update."""
     e = np.zeros(kmax + 1, dtype=complex)
@@ -173,19 +152,19 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0,
     m, n = Q.degree, Q.nvars
     if m < 1 or n < 2:
         raise ValueError("need degree >= 1 and at least 2 variables")
-    qc = _to_cdict(Q)
-    maxmag = max(abs(c) for c in qc.values())
+    Q = _as_complex(Q)
+    maxmag = Q.max_magnitude()
     rng = np.random.default_rng(seed)
     saw_leading = False
     last_failure = FactorFailure.VERIFICATION_FAIL
     for attempt in range(max_retries + 1):
         if attempt == 0:
-            qw, change = qc, None
+            qw, change = Q, None
         else:
             change = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            qw = _substitute(qc, change, n)
+            qw = Q.compose_linear(change.tolist())
         try:
-            got = _factor_attempt(qw, n, m)
+            got = _factor_attempt(qw)
         except NonConvergenceError:
             last_failure = FactorFailure.ROOT_FIND_FAIL
             continue
@@ -196,11 +175,10 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0,
         if change is not None:
             inv = np.linalg.inv(change)
             rows = [tuple(np.asarray(r) @ inv) for r in rows]
-        const, rows = _normalize_factors(const, rows, n)
-        resid = _reassembly_residual(qc, const, rows, n) / maxmag
-        if resid <= tol:
-            factors = [LinearForm(r) for r in rows]
-            fz = LinearFactorization(const, factors, resid)
+        const, rows = _normalize_factors(const, rows)
+        fz = LinearFactorization(const, [LinearForm(r) for r in rows], 0.0)
+        fz.residual = fz.reassemble().sub(Q).max_magnitude() / maxmag
+        if fz.residual <= tol:
             return FactorReport(True, fz, _factors_all_real(const, rows), None)
         last_failure = FactorFailure.VERIFICATION_FAIL
     if not saw_leading:
@@ -208,52 +186,33 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0,
     return FactorReport(False, None, False, last_failure)
 
 
-def _substitute(qc: dict, A: np.ndarray, n: int) -> dict:
-    rows = [_lin_cdict(A[i], n) for i in range(n)]
-    cache: dict[tuple[int, int], dict] = {}
-
-    def powr(i, k):
-        key = (i, k)
-        if key not in cache:
-            p = {(0,) * n: 1.0 + 0j}
-            for _ in range(k):
-                p = _cdict_mul(p, rows[i])
-            cache[key] = p
-        return cache[key]
-
-    out: dict = {}
-    for e, c in qc.items():
-        t = {(0,) * n: c}
-        for i, u in enumerate(e):
-            if u:
-                t = _cdict_mul(t, powr(i, u))
-        for ee, cc in t.items():
-            out[ee] = out.get(ee, 0j) + cc
-    return out
-
-
-def _factor_attempt(qc: dict, n: int, m: int) -> tuple[complex, list[tuple]] | None:
+def _factor_attempt(q: HomPoly) -> tuple[complex, list[tuple]] | None:
     """One pass of the univariate-roots procedure; None if no admissible
     pure power exists in these coordinates."""
-    maxmag = max(abs(c) for c in qc.values())
+    n, m = q.nvars, q.degree
+    maxmag = q.max_magnitude()
+
+    def coeff(*powers: tuple[int, int]) -> complex:
+        """Coefficient of the monomial prod(x_i**u for i, u in powers)."""
+        e = [0] * n
+        for i, u in powers:
+            e[i] += u
+        return q.coefficient(tuple(e))
+
     pivot = None
     for i in range(n):
-        e = tuple(m if t == i else 0 for t in range(n))
-        if abs(qc.get(e, 0j)) > LEADING_TOL * maxmag:
+        if abs(coeff((i, m))) > LEADING_TOL * maxmag:
             pivot = i
             break
     if pivot is None:
         return None
     perm = [pivot] + [i for i in range(n) if i != pivot]
-    qp = {tuple(e[p] for p in perm): c for e, c in qc.items()}
-    c0 = qp[(m,) + (0,) * (n - 1)]
-    qp = {e: c / c0 for e, c in qp.items()}
+    c0 = coeff((pivot, m))
     # univariate polynomial whose roots are the factors' second coordinates
     g = np.zeros(m + 1, dtype=complex)
     g[m] = 1.0  # ascending storage: g[k] multiplies y^k
     for k in range(1, m + 1):
-        e = (m - k, k) + (0,) * (n - 2)
-        g[m - k] = (-1) ** k * qp.get(e, 0j)
+        g[m - k] = (-1) ** k * (coeff((pivot, m - k), (perm[1], k)) / c0)
     second = roots_univariate(g, tol=ROOT_TOL)
     rows = [[1.0 + 0j, a] for a in second]
     # remaining columns: m x m elementary-symmetric systems, min-norm solve
@@ -261,12 +220,9 @@ def _factor_attempt(qc: dict, n: int, m: int) -> tuple[complex, list[tuple]] | N
     # correct assignment for genuinely repeated factors)
     esym_hat = [_elem_sym_all(second[:i] + second[i + 1:], m - 1) for i in range(m)]
     M = np.array([[esym_hat[i][t] for i in range(m)] for t in range(m)], dtype=complex)
-    for var in range(2, n):
-        rhs = np.zeros(m, dtype=complex)
-        for t in range(m):
-            e = [m - 1 - t, t] + [0] * (n - 2)
-            e[var] = 1
-            rhs[t] = qp.get(tuple(e), 0j)
+    for var in perm[2:]:
+        rhs = np.array([coeff((pivot, m - 1 - t), (perm[1], t), (var, 1)) / c0
+                        for t in range(m)], dtype=complex)
         sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
         for i in range(m):
             rows[i].append(sol[i])
@@ -276,7 +232,7 @@ def _factor_attempt(qc: dict, n: int, m: int) -> tuple[complex, list[tuple]] | N
     return c0, [tuple(row[inv[i]] for i in range(n)) for row in rows]
 
 
-def _normalize_factors(const: complex, rows: list[tuple], n: int):
+def _normalize_factors(const: complex, rows: list[tuple]):
     out = []
     for r in rows:
         r = np.asarray(r, dtype=complex)
@@ -287,19 +243,9 @@ def _normalize_factors(const: complex, rows: list[tuple], n: int):
                 break
         if lead is None or lead == 0:
             lead = r[int(np.argmax(np.abs(r)))]
-        out.append(tuple(r / lead))
+        out.append(tuple((r / lead).tolist()))
         const *= lead
-    return const, out
-
-
-def _reassembly_residual(qc: dict, const: complex, rows: list[tuple], n: int) -> float:
-    acc = {(0,) * n: const}
-    for r in rows:
-        acc = _cdict_mul(acc, _lin_cdict(r, n))
-    err = 0.0
-    for e in set(acc) | set(qc):
-        err = max(err, abs(acc.get(e, 0j) - qc.get(e, 0j)))
-    return err
+    return complex(const), out
 
 
 def _factors_all_real(const: complex, rows: list[tuple],
@@ -322,9 +268,9 @@ def factor_binary_form(q: HomPoly, tol: float = REASSEMBLY_TOL) -> LinearFactori
     if q.is_zero():
         raise ValueError("cannot factor the zero form")
     m = q.degree
-    qc = _to_cdict(q)
-    maxmag = max(abs(c) for c in qc.values())
-    coeffs = [qc.get((m - k, k), 0j) for k in range(m + 1)]  # coeff of x1^(m-k) x2^k
+    q = _as_complex(q)
+    maxmag = q.max_magnitude()
+    coeffs = [q.coefficient((m - k, k)) for k in range(m + 1)]  # coeff of x1^(m-k) x2^k
     lead = 0
     while abs(coeffs[lead]) <= LEADING_TOL * maxmag:
         lead += 1
@@ -337,11 +283,7 @@ def factor_binary_form(q: HomPoly, tol: float = REASSEMBLY_TOL) -> LinearFactori
         roots = roots_univariate(asc)
         factors = factors + [LinearForm((1 + 0j, -r)) for r in roots]
     fz = LinearFactorization(complex(const), factors, 0.0)
-    re = fz.reassemble()
-    err = 0.0
-    for e in set(re.terms) | set(qc):
-        err = max(err, abs(complex(re.terms.get(e, 0j)) - qc.get(e, 0j)))
-    fz.residual = err / maxmag
+    fz.residual = fz.reassemble().sub(q).max_magnitude() / maxmag
     if fz.residual > tol:
         raise NonConvergenceError(f"binary factor residual {fz.residual:.3e} above {tol}")
     return fz
@@ -417,21 +359,3 @@ def divides(linform: LinearForm, Q: HomPoly, tol: float = 1e-9) -> bool:
         return True
     except NotDivisibleError:
         return False
-
-
-def sym_contract_reference(field, indices, forms):
-    """Permutation-sum evaluation of the symmetrized contraction, used as an
-    independent oracle for the product-form implementation."""
-    forms = [f.as_poly(field) if isinstance(f, LinearForm) else f for f in forms]
-    idx = list(indices)
-    k = len(idx)
-    nv = forms[0].nvars
-    total = HomPoly.zero(field, nv, k)
-    count = 0
-    for perm in permutations(idx):
-        term = HomPoly.one(field, nv)
-        for j in perm:
-            term = term.mul(forms[j - 1])
-        total = total.add(term)
-        count += 1
-    return total.scale(field.inv(field.from_int(count)))

@@ -72,9 +72,6 @@ class ScalarField:
         """Draw one scalar for randomized constructions (seeded upstream)."""
         raise NotImplementedError
 
-    def to_complex(self, a) -> complex:
-        raise NotImplementedError(f"{self.name} scalars have no complex image")
-
     def coeff_to_json(self, a) -> dict:
         raise NotImplementedError
 
@@ -127,9 +124,6 @@ class RealField(ScalarField):
     def random(self, rng):
         return rng.uniform(-1.0, 1.0)
 
-    def to_complex(self, a):
-        return complex(a)
-
     def coeff_to_json(self, a):
         return {"re": a}
 
@@ -172,9 +166,6 @@ class ComplexField(ScalarField):
 
     def random(self, rng):
         return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-
-    def to_complex(self, a):
-        return complex(a)
 
     def coeff_to_json(self, a):
         return {"re": a.real, "im": a.imag}

@@ -367,8 +367,3 @@ def census_to_csv(reports: Iterable[DimensionReport], fileobj) -> None:
                     r.ambient_dim, r.param_count, r.conjectured_dim,
                     r.match, f"{r.runtime_seconds:.3f}", r.status])
 
-
-def moment_rank_jacobian_claim(n: int, m: int) -> int:
-    """The dimension the rank-2 moment characterization predicts for the
-    (n, 2, m) family."""
-    return 2 * (n + m) - 1

@@ -10,11 +10,12 @@ layout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .fields import ScalarField, FieldMismatchError
+from .fields import COMPLEX, ComplexField, FieldMismatchError, RealField, ScalarField
 
 Exponent = tuple[int, ...]
 
@@ -77,8 +78,9 @@ class HomPoly:
 
     def __post_init__(self):
         cleaned = _cleanup(self.field, self.terms)
+        n, d = self.nvars, self.degree
         for e in cleaned:
-            if len(e) != self.nvars or any(u < 0 for u in e) or sum(e) != self.degree:
+            if len(e) != n or min(e, default=0) < 0 or sum(e) != d:
                 raise ValueError(f"exponent {e} invalid for degree-{self.degree} form in {self.nvars} vars")
         object.__setattr__(self, "terms", cleaned)
 
@@ -165,13 +167,8 @@ class HomPoly:
     def mul(self, other: "HomPoly") -> "HomPoly":
         self._check_compat(other)
         f = self.field
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = f.mul(c1, c2)
-                out[e] = f.add(out[e], v) if e in out else v
-        return HomPoly(f, self.nvars, self.degree + other.degree, out)
+        return HomPoly(f, self.nvars, self.degree + other.degree,
+                       _mul_terms(f, self.terms, other.terms))
 
     def pow(self, k: int) -> "HomPoly":
         if k < 0:
@@ -207,18 +204,22 @@ class HomPoly:
         nout = len(rows[0]) if rows else 0
         if any(len(r) != nout for r in rows):
             raise ValueError("substitution rows have inconsistent lengths")
-        forms = [HomPoly.linear(f, r) for r in rows]
-        # cache powers of each substituted form
-        powers: list[list[HomPoly]] = [[HomPoly.one(f, nout)] for _ in range(self.nvars)]
-        out = HomPoly.zero(f, nout, self.degree)
+        forms = [HomPoly.linear(f, r).terms for r in rows]
+        # powers[i][u] holds the terms of (rows[i] . y)**u, built on demand
+        powers: list[list[dict]] = [[{(0,) * nout: f.one()}] for _ in range(self.nvars)]
+        add = f.add
+        out: dict = {}
         for e, c in self.terms.items():
-            term = HomPoly.constant(f, nout, c)
+            term = {(0,) * nout: c}
             for i, u in enumerate(e):
-                while len(powers[i]) <= u:
-                    powers[i].append(powers[i][-1].mul(forms[i]))
-                term = term.mul(powers[i][u])
-            out = out.add(term)
-        return out
+                if u:
+                    pw = powers[i]
+                    while len(pw) <= u:
+                        pw.append(_mul_terms(f, pw[-1], forms[i]))
+                    term = _mul_terms(f, term, pw[u])
+            for et, v in term.items():
+                out[et] = add(out[et], v) if et in out else v
+        return HomPoly(f, nout, self.degree, out)
 
     def evaluate(self, point: Sequence):
         """Sum of coeff * point**exponent over all stored terms."""
@@ -324,13 +325,31 @@ class HomPoly:
 
 def _cleanup(field: ScalarField, terms: Mapping) -> dict:
     """Drop exact zeros, then float dust below cleanup_rel * max magnitude."""
-    kept = {e: c for e, c in terms.items() if not field.is_zero(c)}
+    mags = list(map(field.magnitude, terms.values()))
     rel = field.cleanup_rel
-    if rel and kept:
-        mx = max(field.magnitude(c) for c in kept.values())
-        thr = rel * mx
-        kept = {e: c for e, c in kept.items() if field.magnitude(c) >= thr}
-    return kept
+    thr = rel * max(mags) if rel and mags else 0.0
+    return {e: c for (e, c), m in zip(terms.items(), mags) if m != 0.0 and m >= thr}
+
+
+def _mul_terms(field: ScalarField, a: Mapping, b: Mapping) -> dict:
+    """Product of two term mappings, without cleanup."""
+    add, mul = field.add, field.mul
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            v = mul(c1, c2)
+            out[e] = add(out[e], v) if e in out else v
+    return out
+
+
+def _as_complex(p: HomPoly) -> HomPoly:
+    """The same form over COMPLEX; TypeError for fields with no complex image."""
+    if p.field == COMPLEX:
+        return p
+    if not isinstance(p.field, (RealField, ComplexField)):
+        raise TypeError(f"{p.field.name} scalars have no complex image")
+    return HomPoly(COMPLEX, p.nvars, p.degree, {e: complex(c) for e, c in p.terms.items()})
 
 
 def product(polys: Sequence[HomPoly]) -> HomPoly:

@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, LinearForm, NotDivisibleError, monomials, deleted_products
+from .poly import (HomPoly, LinearForm, NotDivisibleError, _as_complex, deleted_products,
+                   monomials)
 from .network import Architecture, Weights, RationalTuple, degrees, forward_recursive
 from .factor import (NonConvergenceError, factor_binary_form,
                      factor_multilinear, factor_quadratic_explicit)
@@ -59,24 +60,11 @@ class ReconstructionError(RuntimeError):
         self.verdict = verdict
 
 
-def _to_complex_poly(p: HomPoly) -> HomPoly:
-    if p.field == COMPLEX:
-        return p
-    return HomPoly(COMPLEX, p.nvars, p.degree,
-                   {e: p.field.to_complex(c) for e, c in p.terms.items()})
-
-
-def _tuple_to_complex(t: RationalTuple) -> RationalTuple:
-    return RationalTuple(tuple(_to_complex_poly(p) for p in t.numerators),
-                         _to_complex_poly(t.denominator))
-
-
 def projective_normalize(t: RationalTuple) -> RationalTuple:
     """Scale the tuple so the denominator's grlex-leading coefficient is 1,
     falling back to its largest-magnitude coefficient when that slot is
     (numerically) empty."""
-    t = _tuple_to_complex(t)
-    q = t.denominator
+    q = _as_complex(t.denominator)
     if q.is_zero():
         raise ValueError("denominator is identically zero")
     lead_exp = monomials(q.nvars, q.degree)[0]
@@ -85,7 +73,7 @@ def projective_normalize(t: RationalTuple) -> RationalTuple:
     if abs(pivot) <= 1e-12 * mx:
         pivot = max(q.terms.values(), key=lambda c: abs(complex(c)))
     s = 1.0 / complex(pivot)
-    return RationalTuple(tuple(p.scale(s) for p in t.numerators), q.scale(s))
+    return RationalTuple(tuple(_as_complex(p).scale(s) for p in t.numerators), q.scale(s))
 
 
 def projective_mismatch(a: RationalTuple, b: RationalTuple) -> float:
@@ -95,10 +83,7 @@ def projective_mismatch(a: RationalTuple, b: RationalTuple) -> float:
     if len(a.numerators) != len(b.numerators):
         raise ValueError("tuples have different output counts")
     scale = max(p.max_magnitude() for p in a.all_polys())
-    err = 0.0
-    for pa, pb in zip(a.all_polys(), b.all_polys()):
-        for e in set(pa.terms) | set(pb.terms):
-            err = max(err, abs(complex(pa.coefficient(e)) - complex(pb.coefficient(e))))
+    err = max(pa.sub(pb).max_magnitude() for pa, pb in zip(a.all_polys(), b.all_polys()))
     return err / scale if scale else err
 
 
@@ -120,8 +105,8 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     if (Q.nvars != n or Q.degree != prof.denominator_degree or len(Ps) != k
             or any(p.nvars != n or p.degree != prof.numerator_degree for p in Ps)):
         return _fail(Stage.DEGREE_TEST)
-    Q = _to_complex_poly(Q)
-    Ps = [_to_complex_poly(p) for p in Ps]
+    Q = _as_complex(Q)
+    Ps = [_as_complex(p) for p in Ps]
 
     report = factor_multilinear(Q, tol=min(tol, 1e-8), seed=seed)
     if not report.decomposable or (require_real and not report.all_real):
@@ -169,8 +154,8 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
     if (P.nvars != 2 or Q.nvars != 2 or P.degree != prof.numerator_degree
             or Q.degree != prof.denominator_degree):
         return _fail(Stage.DEGREE_TEST)
-    P = _to_complex_poly(P)
-    Q = _to_complex_poly(Q)
+    P = _as_complex(P)
+    Q = _as_complex(Q)
     try:
         mats = _binary_rec(P, Q, layers, tol)
     except _BinaryStageError as ex:
@@ -267,7 +252,7 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
     pairwise resultant vanishes.  Passing is not sufficient."""
     if any(p.nvars != 2 for p in Ps) or Q.nvars != 2:
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
-    Ps = [_to_complex_poly(p) for p in Ps]
+    Ps = [_as_complex(p) for p in Ps]
     worst = 0.0
     for i in range(len(Ps)):
         for j in range(i + 1, len(Ps)):
@@ -292,7 +277,7 @@ def reconstruct_auto(t: RationalTuple, arch: Architecture, tol: float = 1e-6,
 def round_trip_residual(w: Weights, tol: float = 1e-6, seed: int = 0) -> float:
     """Forward map, reconstruct, forward map again; max relative coefficient
     error between the two tuples after projective normalization."""
-    target = _tuple_to_complex(forward_recursive(w))
+    target = forward_recursive(w)
     verdict = reconstruct_auto(target, w.arch, tol=float("inf"), seed=seed)
     if verdict.weights is None:
         raise ReconstructionError(verdict)

@@ -12,8 +12,7 @@ from ratnets.network import (Architecture, DomainError, Weights, ambient_dim,
                              apply_symmetry, degrees, eval_network, forward_binary,
                              forward_recursive, param_count)
 from ratnets.poly import HomPoly, monomials, product, sym_contract
-from ratnets.factor import (build_H, factor_binary_form, factor_multilinear,
-                            h_slices, sym_contract_reference)
+from ratnets.factor import build_H, factor_binary_form, factor_multilinear, h_slices
 from ratnets.geometry import (build_moment_matrix, enumerate_architectures,
                               jacobian_rank_mod_p, numerical_rank)
 from ratnets.reconstruct import (membership_binary_multioutput,
@@ -276,7 +275,7 @@ def test_criterion_11_training_experiment():
         assert summary.n_partial >= 5, summary.n_partial
 
 
-def test_criterion_12_property_suites():
+def test_criterion_12_property_suites(sym_contract_reference):
     with criterion(12, "algebra laws, symmetries, product-form slices, resultants"):
         rng = random.Random(404)
 

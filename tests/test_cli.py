@@ -3,8 +3,8 @@ import json
 import pytest
 
 from ratnets.cli import main
-from ratnets.fields import COMPLEX, REAL
-from ratnets.network import Architecture, Weights, forward_recursive
+from ratnets.fields import COMPLEX, REAL, PrimeField
+from ratnets.network import Architecture, Weights, eval_network, forward_recursive
 from ratnets.poly import HomPoly, product
 
 
@@ -62,6 +62,32 @@ def test_forward_and_eval(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", "--weights", str(wfile2), "--x", "1,2")
     assert code == 0
     assert json.loads(out)[0] == pytest.approx(1.5)
+
+
+def test_eval_gfp_weights_takes_integer_points(tmp_path, capsys):
+    w = Weights.random(Architecture((2, 2, 1)), PrimeField(), seed=3)
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(w.to_json()))
+    code, out, _ = run(capsys, "eval", "--weights", str(wfile), "--x", "1,2")
+    assert code == 0
+    assert json.loads(out) == eval_network(w, [1, 2])
+    assert all(isinstance(v, int) for v in json.loads(out))
+
+    code, out, err = run(capsys, "eval", "--weights", str(wfile), "--x", "1.5,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_arithmetic_failure_is_one_line_error(tmp_path, capsys):
+    # no residual meets a negative tolerance, so the binary split raises
+    # NonConvergenceError
+    q = product([lin(1, 2), lin(1, -1)])
+    code, out, err = run(capsys, "factor", "--binary", "--tol", "-1",
+                         "--poly", write_poly(tmp_path / "q.json", q))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_forward_binary_flag_matches(tmp_path, capsys):

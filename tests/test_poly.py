@@ -1,11 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.poly import (HomPoly, LinearForm, NotDivisibleError, deleted_products,
                           monomials, product, sym_contract)
-from ratnets.factor import sym_contract_reference
 
 GF = PrimeField(2147483647)
 
@@ -24,6 +24,16 @@ def random_poly(field, nvars, deg, rng, density=0.7):
     if not terms:
         terms = {monomials(nvars, deg)[0]: field.one()}
     return HomPoly(field, nvars, deg, terms)
+
+
+gf_scalars = st.integers(0, GF.p - 1)
+
+
+@st.composite
+def gf_forms(draw, nvars, degree):
+    mons = monomials(nvars, degree)
+    coeffs = draw(st.lists(gf_scalars, min_size=len(mons), max_size=len(mons)))
+    return HomPoly(GF, nvars, degree, dict(zip(mons, coeffs)))
 
 
 def coeffs_close(p, q, tol=1e-12):
@@ -100,6 +110,16 @@ class TestComposeLinear:
         assert coeffs_close(p.compose_linear(A).compose_linear(B),
                             p.compose_linear(AB), 1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), nout=st.integers(1, 3), d=st.integers(0, 4))
+    def test_pointwise_oracle_exact_over_gfp(self, data, n, nout, d):
+        p = data.draw(gf_forms(n, d))
+        A = data.draw(st.lists(st.lists(gf_scalars, min_size=nout, max_size=nout),
+                               min_size=n, max_size=n))
+        y = data.draw(st.lists(gf_scalars, min_size=nout, max_size=nout))
+        ay = [sum(a * b for a, b in zip(row, y)) % GF.p for row in A]
+        assert p.compose_linear(A).evaluate(y) == p.evaluate(ay)
+
     def test_shape_mismatch(self):
         p = random_poly(REAL, 3, 2, random.Random(0))
         with pytest.raises(ValueError):
@@ -107,6 +127,13 @@ class TestComposeLinear:
 
 
 class TestExactDivide:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), d=st.integers(0, 4))
+    def test_divides_product_exactly_over_gfp(self, data, n, d):
+        p = data.draw(gf_forms(n, d))
+        l = data.draw(gf_forms(n, 1).filter(lambda f: not f.is_zero()))
+        assert p.mul(l).exact_divide(l) == p
+
     def test_difference_of_squares(self):
         p = lf(REAL, 1, 1).mul(lf(REAL, 1, -1))
         q = p.exact_divide(LinearForm((1.0, -1.0)))
@@ -173,7 +200,7 @@ class TestSymContract:
         got = sym_contract(REAL, [2, 3], forms)
         assert coeffs_close(got, forms[1].mul(forms[2]))
 
-    def test_permutation_sum_oracle(self):
+    def test_permutation_sum_oracle(self, sym_contract_reference):
         rng = random.Random(10)
         forms = [random_poly(REAL, 3, 1, rng) for _ in range(3)]
         for idx in ([1, 2, 3], [1, 1, 2], [3, 3, 3]):
@@ -197,6 +224,13 @@ class TestHousekeeping:
     def test_cleanup_drops_dust(self):
         p = HomPoly(REAL, 2, 2, {(2, 0): 1.0, (0, 2): 1e-16})
         assert p.terms == {(2, 0): 1.0}
+        # exact zeros go; dust is judged against the largest term (4e3 here,
+        # threshold 4e-10), which always stays
+        q = HomPoly(COMPLEX, 3, 2, {(2, 0, 0): 0j, (1, 1, 0): -4e3j,
+                                    (0, 2, 0): 3.9e-10 + 0j, (0, 0, 2): 4.1e-10j})
+        assert q.terms == {(1, 1, 0): -4e3j, (0, 0, 2): 4.1e-10j}
+        g = HomPoly(GF, 2, 2, {(2, 0): 0, (1, 1): 1, (0, 2): GF.p})
+        assert g.terms == {(1, 1): 1}
 
     def test_invariant_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
