@@ -10,8 +10,8 @@ small networks to locate the poles of a meromorphic target.
 
 __version__ = "0.1.0"
 
-from .fields import (COMPLEX, DEFAULT_PRIME, REAL, ComplexField, DualField,
-                     PrimeField, RealField, ScalarField)
+from .fields import (COMPLEX, DEFAULT_PRIME, REAL, ComplexField, PrimeField,
+                     RealField, ScalarField)
 from .poly import HomPoly, LinearForm, NotDivisibleError, monomials, sym_contract
 from .network import (Architecture, ArchitectureError, DegreeProfile, DomainError,
                       RationalTuple, Weights, ambient_dim, apply_symmetry, degrees,

@@ -44,12 +44,25 @@ def _load_json(path: str) -> dict:
         return json.load(f)
 
 
+def _load(path: str, parse):
+    """parse(JSON object of the file); a wrongly shaped object is a CliError."""
+    obj = _load_json(path)
+    try:
+        return parse(obj)
+    except TypeError as ex:
+        raise CliError(f"malformed {path}: {ex}") from ex
+
+
 def _load_poly(path: str) -> HomPoly:
-    return HomPoly.from_json(COMPLEX, _load_json(path))
+    return _load(path, lambda obj: HomPoly.from_json(COMPLEX, obj))
 
 
 def _load_tuple(path: str) -> RationalTuple:
-    return RationalTuple.from_json(COMPLEX, _load_json(path))
+    return _load(path, lambda obj: RationalTuple.from_json(COMPLEX, obj))
+
+
+def _load_weights(path: str) -> Weights:
+    return _load(path, Weights.from_json)
 
 
 def _emit(obj, out: str | None):
@@ -70,7 +83,7 @@ def cmd_degrees(args) -> int:
 def cmd_forward(args) -> int:
     arch = _parse_arch(args.arch)
     if args.weights:
-        w = Weights.from_json(_load_json(args.weights))
+        w = _load_weights(args.weights)
         if w.arch != arch:
             raise CliError("weights file does not match --arch")
     else:
@@ -82,7 +95,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    w = Weights.from_json(_load_json(args.weights))
+    w = _load_weights(args.weights)
     f = w.field
     try:
         # exact fields take integers, float fields any real number
@@ -168,11 +181,14 @@ def cmd_census(args) -> int:
             census_to_csv(reports, f)
     else:
         census_to_csv(reports, sys.stdout)
+    timeouts = sum(r.status == "timeout" for r in reports)
+    if timeouts:
+        print(f"warning: {timeouts} of {len(reports)} architectures timed out", file=sys.stderr)
     return 0
 
 
 def cmd_hpoly(args) -> int:
-    w = Weights.from_json(_load_json(args.weights))
+    w = _load_weights(args.weights)
     H = build_H(w)
     obj = H.to_json()
     if args.slices:

@@ -1,14 +1,16 @@
 """Pluggable scalar arithmetic for polynomial and network computations.
 
-Four scalar kinds are supported, all represented by plain Python values so
+Three field kinds are supported, all represented by plain Python values so
 polynomial dictionaries stay lightweight:
 
   * ``RealField``      -- float
   * ``ComplexField``   -- complex
   * ``PrimeField(p)``  -- int in [0, p), arithmetic mod a prime p
-  * ``DualField(base)``-- pair (a, b) meaning a + b*eps with eps**2 = 0,
-                          over any of the other fields (forward-mode
-                          differentiation)
+
+``PrimeField`` extends ``IntegerModRing(n)``, the ring Z/nZ without
+inverses.  The ring is enough for the forward map, which uses only ring
+operations with integer coefficients; the Jacobian code runs it mod p**2
+to read exact derivatives mod p (see ``ratnets.geometry``).
 
 A field object owns every operation on its scalars; callers never assume a
 concrete representation.  ``magnitude`` maps a scalar to a float used for
@@ -198,16 +200,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField(ScalarField):
-    """GF(p) with scalars stored as ints in [0, p)."""
+class IntegerModRing(ScalarField):
+    """Z/nZ with scalars stored as ints in [0, n); no inverses."""
 
     exact = True
 
-    def __init__(self, p: int = DEFAULT_PRIME):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-        self.name = f"gf({p})"
+    def __init__(self, n: int):
+        self.n = n
+        self.name = f"z/{n}"
 
     def zero(self):
         return 0
@@ -216,27 +216,38 @@ class PrimeField(ScalarField):
         return 1
 
     def from_int(self, n):
-        return n % self.p
+        return n % self.n
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.n
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        return (a - b) % self.n
 
     def neg(self, a):
-        return (-a) % self.p
+        return (-a) % self.n
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        return (a * b) % self.n
+
+    def magnitude(self, a):
+        return 0.0 if a % self.n == 0 else 1.0
+
+
+class PrimeField(IntegerModRing):
+    """GF(p) with scalars stored as ints in [0, p)."""
+
+    def __init__(self, p: int = DEFAULT_PRIME):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        super().__init__(p)
+        self.p = p
+        self.name = f"gf({p})"
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, -1, self.p)
-
-    def magnitude(self, a):
-        return 0.0 if a % self.p == 0 else 1.0
 
     def random(self, rng):
         # nonzero draw: zero weights create degenerate networks
@@ -247,67 +258,6 @@ class PrimeField(ScalarField):
 
     def coeff_from_json(self, obj):
         return int(obj["re"]) % self.p
-
-
-class DualField(ScalarField):
-    """First-order dual numbers (a, b) ~ a + b*eps over a base field."""
-
-    def __init__(self, base: ScalarField):
-        if isinstance(base, DualField):
-            raise ValueError("nested dual fields are not supported")
-        self.base = base
-        self.name = f"dual({base.name})"
-        self.exact = base.exact
-        self.cleanup_rel = base.cleanup_rel
-
-    def lift(self, a):
-        """Embed a base scalar with zero derivative part."""
-        return (a, self.base.zero())
-
-    def seed(self, a):
-        """Embed a base scalar with unit derivative part."""
-        return (a, self.base.one())
-
-    def value(self, x):
-        return x[0]
-
-    def deriv(self, x):
-        return x[1]
-
-    def zero(self):
-        z = self.base.zero()
-        return (z, z)
-
-    def one(self):
-        return (self.base.one(), self.base.zero())
-
-    def from_int(self, n):
-        return (self.base.from_int(n), self.base.zero())
-
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        return (self.base.sub(a[0], b[0]), self.base.sub(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
-        f = self.base
-        return (f.mul(a[0], b[0]), f.add(f.mul(a[0], b[1]), f.mul(a[1], b[0])))
-
-    def inv(self, a):
-        # 1/(a + b eps) = 1/a - (b/a^2) eps
-        f = self.base
-        ia = f.inv(a[0])
-        return (ia, f.neg(f.mul(a[1], f.mul(ia, ia))))
-
-    def magnitude(self, a):
-        return max(self.base.magnitude(a[0]), self.base.magnitude(a[1]))
-
-    def random(self, rng):
-        return (self.base.random(rng), self.base.zero())
 
 
 REAL = RealField()

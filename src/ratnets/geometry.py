@@ -2,9 +2,11 @@
 
 The dimension of the closure of the forward map's image equals the generic
 rank of the map's Jacobian.  We evaluate that rank exactly over a large
-prime field: one forward pass per parameter with dual-number scalars reads
-off a full Jacobian row, and Gaussian elimination mod p gives the rank with
-no numerical tolerance.  A float/SVD variant cross-checks small cases.
+prime field.  The forward map is an integer polynomial, so a forward pass
+over Z/p^2 with one weight bumped by p differs from the base pass by p times
+that weight's Jacobian row; Gaussian elimination mod p then gives the rank
+with no numerical tolerance.  A float/SVD variant cross-checks small cases,
+reading its rows by the complex step (one weight bumped by i*h).
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import DEFAULT_PRIME, DualField, PrimeField, RealField, is_prime
+from .fields import COMPLEX, DEFAULT_PRIME, REAL, IntegerModRing, PrimeField, is_prime
 from .network import (Architecture, Weights, ambient_dim, degrees,
                       forward_recursive, param_count)
 from .poly import HomPoly, monomials
+
+
+COMPLEX_STEP = 1e-20
 
 
 class CensusTimeout(Exception):
@@ -102,28 +107,63 @@ def _param_slots(arch: Architecture) -> list[tuple[int, int, int]]:
             for i in range(rows) for j in range(cols)]
 
 
-def _jacobian_rows_dual(arch: Architecture, base_mats, dual, deadline=None):
-    """One forward pass per parameter; rows hold the derivative parts of
-    every output coefficient on the fixed ambient monomial basis."""
+def _coefficients(w: Weights, basis) -> list:
+    """Forward-map output flattened on the ambient monomial basis: each
+    numerator in turn, then the denominator."""
+    mon_n, mon_m = basis
+    out = forward_recursive(w)
+    zero = w.field.zero()
+    vec = []
+    for pnum in out.numerators:
+        vec.extend(pnum.terms.get(e, zero) for e in mon_n)
+    vec.extend(out.denominator.terms.get(e, zero) for e in mon_m)
+    return vec
+
+
+def _ambient_basis(arch: Architecture):
     prof = degrees(arch)
-    mon_n = monomials(arch.d0, prof.numerator_degree)
-    mon_m = monomials(arch.d0, prof.denominator_degree)
-    zero = dual.zero()
-    rows = []
-    for slot in _param_slots(arch):
+    return monomials(arch.d0, prof.numerator_degree), monomials(arch.d0, prof.denominator_degree)
+
+
+def _bumped(mats: tuple, slot, delta) -> tuple:
+    """The weight matrices with delta added at one (k, i, j) slot."""
+    k, i, j = slot
+    m = [list(row) for row in mats[k]]
+    m[i][j] += delta
+    return mats[:k] + (m,) + mats[k + 1:]
+
+
+def _jacobian_rows_mod_p(arch: Architecture, base_mats, p: int, deadline=None):
+    """Exact Jacobian rows mod p at integer weights in [0, p).
+
+    The forward map is an integer polynomial F, so over Z/p^2
+    F(W + p e_s) = F(W) + p dF/dw_s(W); each row entry is therefore
+    ((F(W + p e_s) - F(W)) mod p^2) // p.  One base pass, then one pass per
+    parameter.
+    """
+    p2 = p * p
+    ring = IntegerModRing(p2)
+    basis = _ambient_basis(arch)
+
+    def coefficients(mats):
         if deadline is not None and time.monotonic() > deadline:
             raise CensusTimeout
-        mats = tuple(tuple(tuple(
-            (dual.seed if (k, i, j) == slot else dual.lift)(base_mats[k][i][j])
-            for j in range(arch.dims[k])) for i in range(arch.dims[k + 1]))
-            for k in range(arch.layers))
-        out = forward_recursive(Weights(arch, dual, mats))
-        row = []
-        for pnum in out.numerators:
-            row.extend(dual.deriv(pnum.terms.get(e, zero)) for e in mon_n)
-        row.extend(dual.deriv(out.denominator.terms.get(e, zero)) for e in mon_m)
-        rows.append(row)
-    return rows
+        return _coefficients(Weights(arch, ring, mats), basis)
+
+    base = coefficients(base_mats)
+    return [[(a - b) % p2 // p for a, b in zip(coefficients(_bumped(base_mats, s, p)), base)]
+            for s in _param_slots(arch)]
+
+
+def _jacobian_rows_complex_step(arch: Architecture, base_mats):
+    """Float Jacobian rows at real weights by the complex step: bumping one
+    weight by i*h leaves h dF/dw_s in every imaginary part, with no
+    subtractive cancellation."""
+    basis = _ambient_basis(arch)
+    h = COMPLEX_STEP
+    return [[c.imag / h for c in
+             _coefficients(Weights(arch, COMPLEX, _bumped(base_mats, s, 1j * h)), basis)]
+            for s in _param_slots(arch)]
 
 
 def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
@@ -139,13 +179,11 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     if not is_prime(p) or p <= 10 ** 6:
         raise ValueError("modulus must be a prime above 10^6")
     gf = PrimeField(p)
-    dual = DualField(gf)
     t0 = time.monotonic()
 
     def rank_at(point_seed: int) -> int:
         base = Weights.random(arch, gf, seed=point_seed)
-        rows = _jacobian_rows_dual(arch, base.mats, dual, deadline)
-        return gf_rank(rows, p)
+        return gf_rank(_jacobian_rows_mod_p(arch, base.mats, p, deadline), p)
 
     ranks = [rank_at(seed + 104729 * t) for t in range(max(1, samples))]
     if len(set(ranks)) > 1:
@@ -160,10 +198,8 @@ def jacobian_rank_float(arch, seed: int = 0, tol: float = 1e-8) -> int:
     """SVD rank of the same Jacobian at a random real point (cross-check)."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
-    real = RealField()
-    dual = DualField(real)
-    base = Weights.random(arch, real, seed=seed)
-    rows = _jacobian_rows_dual(arch, base.mats, dual)
+    base = Weights.random(arch, REAL, seed=seed)
+    rows = _jacobian_rows_complex_step(arch, base.mats)
     return numerical_rank(np.array(rows, dtype=float), tol)
 
 

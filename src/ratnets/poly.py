@@ -4,8 +4,8 @@ A polynomial is a mapping from exponent tuples (one entry per variable) to
 nonzero scalars.  Every stored exponent tuple sums to the polynomial's
 degree; the zero polynomial keeps an explicit (nvars, degree) signature so
 arithmetic stays well-typed.  The canonical term order is graded
-lexicographic, descending, which fixes serialization and coefficient-vector
-layout.
+lexicographic, descending, which fixes serialization and the order of the
+monomial basis.
 """
 
 from __future__ import annotations
@@ -117,20 +117,8 @@ class HomPoly:
             return 0.0
         return max(self.field.magnitude(c) for c in self.terms.values())
 
-    def leading(self) -> tuple[Exponent, object]:
-        """Grlex-leading (exponent, coefficient); raises on the zero form."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def coefficient(self, exponent: Exponent):
         return self.terms.get(tuple(exponent), self.field.zero())
-
-    def coefficient_vector(self) -> list:
-        """Dense coefficients over all degree-d monomials, canonical order."""
-        z = self.field.zero()
-        return [self.terms.get(e, z) for e in monomials(self.nvars, self.degree)]
 
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)

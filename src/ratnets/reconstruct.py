@@ -195,8 +195,7 @@ def _binary_rec(P: HomPoly, Q: HomPoly, layers: int, tol: float) -> list:
         raise _BinaryStageError(Stage.REPEATED_FACTORS)
     W1 = np.array(pair, dtype=complex)
     B = SWAP @ W1  # the peeled subnetwork sees coordinates composed with one swap
-    Binv = np.linalg.inv(B)
-    rows = [tuple(Binv[i]) for i in range(2)]
+    rows = np.linalg.inv(B).tolist()
     Psub = P.compose_linear(rows)
     Qsub = Q.compose_linear(rows)
     try:

@@ -41,7 +41,6 @@ class TrainConfig:
     lr: float = 1e-3
     epochs: int = 20000
     seed: int = 0
-    init: str = "xavier"
     clip: float | None = None
     snapshot_every: int | None = None  # extra weight snapshots every k epochs
 

@@ -90,6 +90,34 @@ def test_arithmetic_failure_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def _assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_factor_malformed_terms_is_one_line_error(tmp_path, capsys):
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps({"nvars": 2, "degree": 1, "terms": 5}))
+    _assert_one_line_error(*run(capsys, "factor", "--poly", str(f)))
+
+
+def test_reconstruct_malformed_numerators_is_one_line_error(tmp_path, capsys):
+    t = forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=1)).to_json()
+    t["numerators"] = 3
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(t))
+    _assert_one_line_error(*run(capsys, "reconstruct", "--tuple", str(f), "--arch", "2,2,1"))
+
+
+def test_eval_malformed_mats_is_one_line_error(tmp_path, capsys):
+    w = Weights.random(Architecture((2, 2, 1)), REAL, seed=1).to_json()
+    w["mats"] = 5
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(w))
+    _assert_one_line_error(*run(capsys, "eval", "--weights", str(f), "--x", "1,2"))
+
+
 def test_forward_binary_flag_matches(tmp_path, capsys):
     code, out1, _ = run(capsys, "forward", "--arch", "2,2,2,1", "--seed", "5")
     code2, out2, _ = run(capsys, "forward", "--arch", "2,2,2,1", "--seed", "5", "--binary")
@@ -176,6 +204,15 @@ def test_census_count_only_and_csv(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0].startswith("arch,jacobian_rank")
     assert len(lines) > 1
+
+
+def test_census_warns_on_timeouts(capsys):
+    code, out, err = run(capsys, "census", "--max-params", "8", "--max-layers", "2",
+                         "--timeout", "1e-9")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert rows and all(r.endswith(",timeout") for r in rows)
+    assert err.strip() == f"warning: {len(rows)} of {len(rows)} architectures timed out"
 
 
 def test_hpoly_slices(tmp_path, capsys):

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from ratnets.fields import COMPLEX
-from ratnets.geometry import (build_moment_matrix,
+from ratnets.fields import COMPLEX, REAL, IntegerModRing, PrimeField
+from ratnets.geometry import (_jacobian_rows_complex_step, _jacobian_rows_mod_p,
+                              build_moment_matrix,
                               census, census_to_csv, enumerate_architectures,
                               expected_dim, fiber_upper_bound, filling_binary,
                               filling_shallow, gf_rank, jacobian_rank_float,
@@ -81,6 +82,39 @@ class TestJacobianRank:
             jacobian_rank_mod_p(Architecture((2, 2, 1)), p=1009)  # too small
         with pytest.raises(ValueError):
             jacobian_rank_mod_p(Architecture((2, 2, 1)), p=2 ** 31)  # composite
+
+
+ROW_ARCHS = [(2, 2, 1), (3, 3, 1), (2, 2, 2, 1), (2, 3, 2, 1)]
+
+
+class TestJacobianRows:
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+    @pytest.mark.parametrize("dims", ROW_ARCHS)
+    def test_mod_p_rows_equal_dual_oracle(self, dims, p, dual_field, dual_jacobian_rows):
+        arch = Architecture(dims)
+        gf = PrimeField(p)
+        for seed in (0, 1):
+            base = Weights.random(arch, gf, seed=seed)
+            want = dual_jacobian_rows(arch, base.mats, dual_field(gf))
+            assert _jacobian_rows_mod_p(arch, base.mats, p) == want
+
+    @pytest.mark.parametrize("dims", ROW_ARCHS)
+    def test_complex_step_rows_match_dual_oracle(self, dims, dual_field, dual_jacobian_rows):
+        arch = Architecture(dims)
+        for seed in (0, 1):
+            base = Weights.random(arch, REAL, seed=seed)
+            got = np.array(_jacobian_rows_complex_step(arch, base.mats))
+            want = np.array(dual_jacobian_rows(arch, base.mats, dual_field(REAL)))
+            assert got.shape == want.shape == (param_count(arch), ambient_dim(arch))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_ring_mod_p_squared_keeps_the_first_order_term(self):
+        # (w + p)^3 = w^3 + 3 p w^2 (mod p^2): the p-multiple carries d/dw
+        p = 101
+        ring = IntegerModRing(p * p)
+        w = 17
+        cube = ring.mul(ring.mul(w + p, w + p), w + p)
+        assert ring.sub(cube, pow(w, 3, p * p)) // p == 3 * w * w % p
 
 
 class TestFilling:
