@@ -16,8 +16,7 @@ from .poly import HomPoly
 from .network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                       forward_binary, forward_recursive, DomainError)
 from .factor import build_H, factor_binary_form, factor_multilinear, h_slices
-from .reconstruct import (membership_binary_multioutput, reconstruct_binary,
-                          reconstruct_shallow)
+from .reconstruct import membership_binary_multioutput, reconstruct_auto
 from .geometry import (census, census_to_csv, enumerate_architectures,
                        jacobian_rank_mod_p, rank_test_membership)
 from .train import TrainConfig, run_experiment, sample_lattice
@@ -126,15 +125,13 @@ def cmd_reconstruct(args) -> int:
     if args.binary:
         if len(t.numerators) != 1:
             raise CliError("binary reconstruction expects a single numerator")
-        verdict = reconstruct_binary(t.numerators[0], t.denominator,
-                                     args.layers, tol=args.tol)
-    else:
-        if not args.arch:
-            raise CliError("--arch is required unless --binary is given")
+        arch = Architecture((2,) * args.layers + (1,))
+    elif args.arch:
         arch = _parse_arch(args.arch)
-        verdict = reconstruct_shallow(list(t.numerators), t.denominator, arch,
-                                      tol=args.tol, seed=args.seed,
-                                      require_real=args.real_only)
+    else:
+        raise CliError("--arch is required unless --binary is given")
+    verdict = reconstruct_auto(t, arch, tol=args.tol, seed=args.seed,
+                               require_real=args.real_only)
     _emit(verdict.to_json(), args.out)
     return 0 if verdict.in_model else 2
 

@@ -103,7 +103,8 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = ROOT_TOL,
         return []
     scale = np.max(np.abs(c))
     try:
-        roots = np.roots(c[::-1])
+        # complex even when np.roots finds only real roots (all-zero ones included)
+        roots = np.roots(c[::-1]).astype(complex)
     except np.linalg.LinAlgError as ex:
         raise NonConvergenceError(str(ex)) from ex
     dc = c[1:] * np.arange(1, deg + 1)

@@ -195,7 +195,10 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
 
 
 def jacobian_rank_float(arch, seed: int = 0, tol: float = 1e-8) -> int:
-    """SVD rank of the same Jacobian at a random real point (cross-check)."""
+    """SVD rank of the same Jacobian at a random real point: a cross-check for
+    small architectures only, since on deeper or wider ones the singular values
+    decay smoothly through tol and the rank undershoots (19, not 24, on
+    (2, 3, 4, 3) with seed 2)."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
     base = Weights.random(arch, REAL, seed=seed)

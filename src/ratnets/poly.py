@@ -351,7 +351,8 @@ def product(polys: Sequence[HomPoly]) -> HomPoly:
 
 def deleted_products(polys: Sequence[HomPoly]) -> tuple[list[HomPoly], HomPoly]:
     """For inputs (g_1..g_n): all products with one factor removed, plus the
-    full product, via prefix/suffix passes (2n multiplications total)."""
+    full product, via prefix/suffix passes and one product per removed factor
+    (3n multiplications total)."""
     n = len(polys)
     f = polys[0].field
     nv = polys[0].nvars

@@ -4,10 +4,10 @@ Shallow route: factor the denominator into linear forms (rows of the first
 matrix), then solve one least-squares system per numerator for the second
 matrix.  Deep binary route: peel one layer at a time by factoring the
 appropriate binary form, substituting the two chosen factor directions to
-canonical coordinates, and recursing; the base case is an explicit quadratic
-split.  Recovered weights are only ever compared through the forward map,
-never entrywise, since permutation and diagonal reparametrizations leave the
-function unchanged.
+canonical coordinates and dividing them out, down to a linear numerator over
+a constant denominator.  Recovered weights are only ever compared through the
+forward map, never entrywise, since permutation and diagonal
+reparametrizations leave the function unchanged.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .fields import COMPLEX
 from .poly import (HomPoly, LinearForm, NotDivisibleError, _as_complex, deleted_products,
                    monomials)
 from .network import Architecture, Weights, RationalTuple, degrees, forward_recursive
-from .factor import (NonConvergenceError, factor_binary_form,
-                     factor_multilinear, factor_quadratic_explicit)
+from .factor import NonConvergenceError, factor_binary_form, factor_multilinear
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PROPORTIONAL_TOL = 1e-7
@@ -67,8 +66,7 @@ def projective_normalize(t: RationalTuple) -> RationalTuple:
     q = _as_complex(t.denominator)
     if q.is_zero():
         raise ValueError("denominator is identically zero")
-    lead_exp = monomials(q.nvars, q.degree)[0]
-    pivot = complex(q.coefficient(lead_exp))
+    pivot = complex(q.coefficient((q.degree,) + (0,) * (q.nvars - 1)))
     mx = q.max_magnitude()
     if abs(pivot) <= 1e-12 * mx:
         pivot = max(q.terms.values(), key=lambda c: abs(complex(c)))
@@ -105,6 +103,8 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     if (Q.nvars != n or Q.degree != prof.denominator_degree or len(Ps) != k
             or any(p.nvars != n or p.degree != prof.numerator_degree for p in Ps)):
         return _fail(Stage.DEGREE_TEST)
+    if Q.is_zero():
+        return _fail(Stage.FACTOR_TEST)
     Q = _as_complex(Q)
     Ps = [_as_complex(p) for p in Ps]
 
@@ -139,14 +139,12 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     return MembershipVerdict(True, Stage.NONE, w, mism)
 
 
-class _BinaryStageError(Exception):
-    def __init__(self, stage: Stage):
-        self.stage = stage
-
-
 def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
                        tol: float = 1e-6) -> MembershipVerdict:
-    """Recover (2, ..., 2, 1) weights from a single-output binary pair."""
+    """Recover (2, ..., 2, 1) weights from a single-output binary pair: one
+    peel per layer from depth L down to 2, each factoring the denominator
+    (even depth) or the numerator (odd depth); the last matrix is the linear
+    numerator left over the constant denominator."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
     arch = Architecture((2,) * layers + (1,))
@@ -154,59 +152,40 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
     if (P.nvars != 2 or Q.nvars != 2 or P.degree != prof.numerator_degree
             or Q.degree != prof.denominator_degree):
         return _fail(Stage.DEGREE_TEST)
-    P = _as_complex(P)
-    Q = _as_complex(Q)
-    try:
-        mats = _binary_rec(P, Q, layers, tol)
-    except _BinaryStageError as ex:
-        return _fail(ex.stage)
-    w = Weights(arch, COMPLEX, tuple(tuple(tuple(row) for row in m) for m in mats))
+    P, Q = _as_complex(P), _as_complex(Q)
     target = RationalTuple((P,), Q)
+    x1, x2 = LinearForm((1 + 0j, 0j)), LinearForm((0j, 1 + 0j))
+    mats = []
+    for depth in range(layers, 1, -1):
+        even = depth % 2 == 0
+        try:
+            # loose reassembly bound: clustered (near-multiple) roots cannot
+            # meet a tight one, and soundness rests on the final forward-map check
+            fz = factor_binary_form(Q if even else P, tol=1e-4)
+        except (NonConvergenceError, ValueError):
+            return _fail(Stage.FACTOR_TEST)
+        pair = _most_independent_pair([np.asarray(f.coeffs, dtype=complex) for f in fz.factors])
+        if pair is None:
+            return _fail(Stage.REPEATED_FACTORS)
+        W1 = np.array(pair, dtype=complex)
+        # the peeled subnetwork sees coordinates composed with one swap
+        rows = np.linalg.inv(SWAP @ W1).tolist()
+        P, Q = P.compose_linear(rows), Q.compose_linear(rows)
+        try:
+            if even:
+                Q = Q.exact_divide(x1, tol).exact_divide(x2, tol)
+            else:
+                P = P.exact_divide(x1, tol).exact_divide(x2, tol)
+        except NotDivisibleError:
+            return _fail(Stage.VERIFICATION_FAIL)
+        mats.append(W1.tolist())
+    c = complex(Q.coefficient((0, 0)))
+    mats.append([[complex(P.coefficient((1, 0))) / c, complex(P.coefficient((0, 1))) / c]])
+    w = Weights(arch, COMPLEX, tuple(tuple(tuple(row) for row in m) for m in mats))
     mism = projective_mismatch(forward_recursive(w), target)
     if mism > tol:
         return _fail(Stage.VERIFICATION_FAIL, mism)
     return MembershipVerdict(True, Stage.NONE, w, mism)
-
-
-def _binary_rec(P: HomPoly, Q: HomPoly, layers: int, tol: float) -> list:
-    if layers == 2:
-        c11 = complex(Q.coefficient((2, 0)))
-        c12 = complex(Q.coefficient((1, 1))) / 2.0
-        c22 = complex(Q.coefficient((0, 2)))
-        if Q.is_zero():
-            raise _BinaryStageError(Stage.FACTOR_TEST)
-        l1, l2 = factor_quadratic_explicit(c11, c12, c22)
-        W1 = np.array([l1.coeffs, l2.coeffs], dtype=complex)
-        if abs(np.linalg.det(W1)) < PROPORTIONAL_TOL * max(np.max(np.abs(W1)) ** 2, 1e-300):
-            raise _BinaryStageError(Stage.REPEATED_FACTORS)
-        cp = np.array([complex(P.coefficient((1, 0))), complex(P.coefficient((0, 1)))])
-        W2 = cp @ np.linalg.inv(W1) @ SWAP
-        return [W1.tolist(), [W2.tolist()]]
-    even = layers % 2 == 0
-    src = Q if even else P
-    try:
-        # loose reassembly bound: clustered (near-multiple) roots cannot meet
-        # a tight one, and soundness rests on the final forward-map check
-        fz = factor_binary_form(src, tol=1e-4)
-    except (NonConvergenceError, ValueError) as ex:
-        raise _BinaryStageError(Stage.FACTOR_TEST) from ex
-    pair = _most_independent_pair([np.asarray(f.coeffs, dtype=complex) for f in fz.factors])
-    if pair is None:
-        raise _BinaryStageError(Stage.REPEATED_FACTORS)
-    W1 = np.array(pair, dtype=complex)
-    B = SWAP @ W1  # the peeled subnetwork sees coordinates composed with one swap
-    rows = np.linalg.inv(B).tolist()
-    Psub = P.compose_linear(rows)
-    Qsub = Q.compose_linear(rows)
-    try:
-        if even:
-            Qsub = Qsub.exact_divide(LinearForm((1 + 0j, 0j)), tol).exact_divide(LinearForm((0j, 1 + 0j)), tol)
-        else:
-            Psub = Psub.exact_divide(LinearForm((1 + 0j, 0j)), tol).exact_divide(LinearForm((0j, 1 + 0j)), tol)
-    except NotDivisibleError as ex:
-        raise _BinaryStageError(Stage.VERIFICATION_FAIL) from ex
-    sub = _binary_rec(Psub, Qsub, layers - 1, tol)
-    return [W1.tolist()] + sub
 
 
 def _most_independent_pair(vecs: list[np.ndarray]):
@@ -249,7 +228,11 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
     """Necessary-condition screen for multi-output binary architectures:
     numerators must pairwise share all but one linear factor, so every
     pairwise resultant vanishes.  Passing is not sufficient."""
-    if any(p.nvars != 2 for p in Ps) or Q.nvars != 2:
+    if layers < 1 or not Ps:
+        return _fail(Stage.DEGREE_TEST, necessary_only=True)
+    prof = degrees(Architecture((2,) * layers + (len(Ps),)))
+    if (Q.nvars != 2 or Q.degree != prof.denominator_degree
+            or any(p.nvars != 2 or p.degree != prof.numerator_degree for p in Ps)):
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
     Ps = [_as_complex(p) for p in Ps]
     worst = 0.0
@@ -264,16 +247,22 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
 
 
 def reconstruct_auto(t: RationalTuple, arch: Architecture, tol: float = 1e-6,
-                     seed: int = 0) -> MembershipVerdict:
-    """Dispatch to the shallow or deep-binary procedure for this shape."""
+                     seed: int = 0, require_real: bool = False) -> MembershipVerdict:
+    """Dispatch to the shallow or deep-binary procedure for this shape;
+    require_real is for the shallow one only (ValueError on a binary tower)."""
     if arch.is_shallow():
-        return reconstruct_shallow(list(t.numerators), t.denominator, arch, tol=tol, seed=seed)
+        return reconstruct_shallow(list(t.numerators), t.denominator, arch, tol=tol, seed=seed,
+                                   require_real=require_real)
     if arch.is_binary() and arch.dL == 1:
+        if require_real:
+            raise ValueError("real-only reconstruction needs a one-hidden-layer architecture")
+        if len(t.numerators) != 1:
+            return _fail(Stage.DEGREE_TEST)
         return reconstruct_binary(t.numerators[0], t.denominator, arch.layers, tol=tol)
     raise ValueError(f"no reconstruction procedure for architecture {arch}")
 
 
-def round_trip_residual(w: Weights, tol: float = 1e-6, seed: int = 0) -> float:
+def round_trip_residual(w: Weights, seed: int = 0) -> float:
     """Forward map, reconstruct, forward map again; max relative coefficient
     error between the two tuples after projective normalization."""
     target = forward_recursive(w)

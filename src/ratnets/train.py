@@ -44,6 +44,10 @@ class TrainConfig:
     clip: float | None = None
     snapshot_every: int | None = None  # extra weight snapshots every k epochs
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"need at least one epoch, got {self.epochs}")
+
 
 @dataclass
 class TrainResult:
@@ -65,6 +69,9 @@ def sample_lattice(exclusion_radius: float = 0.0, grid_points: int = 21) -> Data
     singular line (radius 0 removes exactly the on-line points)."""
     if not 0 <= exclusion_radius < 1:
         raise ValueError("exclusion radius must be in [0, 1)")
+    if grid_points < 3 or grid_points % 2 == 0:
+        # an even count steps past x = 1, and fewer than 3 points divide by zero
+        raise ValueError(f"grid must be odd and at least 3, got {grid_points}")
     half = (grid_points - 1) // 2
     axis = np.array([(i - half) / half for i in range(grid_points)])
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
@@ -72,6 +79,8 @@ def sample_lattice(exclusion_radius: float = 0.0, grid_points: int = 21) -> Data
     y = ys.ravel()
     dist = np.minimum(np.abs(x + y), np.abs(x - y)) / math.sqrt(2.0)
     keep = dist > exclusion_radius
+    if not keep.any():
+        raise ValueError(f"no lattice point lies farther than {exclusion_radius} from a pole line")
     pts = np.stack([x[keep], y[keep]], axis=1)
     return Dataset(pts, target_g(pts[:, 0], pts[:, 1]), exclusion_radius)
 
@@ -211,9 +220,8 @@ def train_run(config: TrainConfig, dataset: Dataset, run_seed,
         state = adam_step(state, grads, config.lr)
     final = state.params
     angles = singularity_recovery_score(final[0])
-    final_loss = float(losses[-1]) if config.epochs else float("inf")
     return TrainResult(losses, skipped, initial_mats, final,
-                       angles, final_loss < success_loss, snaps)
+                       angles, float(losses[-1]) < success_loss, snaps)
 
 
 @dataclass

@@ -162,6 +162,24 @@ def test_reconstruct_round_trip_via_files(tmp_path, capsys):
     assert json.loads(out)["in_model"] is True
 
 
+def test_reconstruct_binary_tower_real_only_is_one_line_error(tmp_path, capsys):
+    t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), COMPLEX, seed=12))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    _assert_one_line_error(*run(capsys, "reconstruct", "--tuple", tfile, "--binary",
+                                "--layers", "3", "--real-only"))
+
+
+def test_reconstruct_binary_depth_two(tmp_path, capsys):
+    w = Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=13)
+    tfile = write_tuple(tmp_path / "t.json", forward_recursive(w))
+    code, out, _ = run(capsys, "reconstruct", "--tuple", tfile, "--binary", "--layers", "2")
+    assert code == 0
+    blob = json.loads(out)
+    assert set(blob) == {"in_model", "stage_failed", "residual", "necessary_only", "weights"}
+    assert blob["in_model"] is True
+    assert blob["residual"] <= 1e-6
+
+
 def test_membership_moment_and_resultant(tmp_path, capsys):
     w = Weights.random(Architecture((4, 2, 2)), COMPLEX, seed=3)
     t = forward_recursive(w)
@@ -232,3 +250,15 @@ def test_train_small(tmp_path, capsys):
     assert code == 0
     assert "runs=2" in out
     assert (tmp_path / "runs" / "aggregate.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--epochs", "0"),
+    ("--grid", "0"),
+    ("--grid", "1"),
+    ("--grid", "2"),
+    ("--grid", "4"),
+    ("--grid", "3", "--exclusion-radius", "0.9"),
+])
+def test_train_bad_input_is_one_line_error(capsys, argv):
+    _assert_one_line_error(*run(capsys, "train", "--inits", "1", "--epochs", "5", *argv))

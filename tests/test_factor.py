@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ class TestRootsUnivariate:
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):
             roots_univariate([1.0, 2.0, 0.0])
+
+    def test_all_zero_roots_are_complex(self):
+        # np.roots returns float64 when every root is 0; Newton polishing
+        # must not cast its complex steps onto it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = roots_univariate([0, 2])
+        assert roots == [0j]
+        assert isinstance(roots[0], complex)
 
 
 class TestFactorMultilinear:

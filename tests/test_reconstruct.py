@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from ratnets.fields import COMPLEX
-from ratnets.network import Architecture, Weights, forward_recursive
+from ratnets.network import Architecture, RationalTuple, Weights, forward_recursive
 from ratnets.poly import HomPoly, product
 from ratnets.reconstruct import (ReconstructionError, Stage,
                                  membership_binary_multioutput, projective_mismatch,
-                                 projective_normalize, reconstruct_binary,
-                                 reconstruct_shallow, resultant_binary,
+                                 projective_normalize, reconstruct_auto,
+                                 reconstruct_binary, reconstruct_shallow, resultant_binary,
                                  round_trip_residual)
 
 
@@ -74,6 +74,11 @@ class TestReconstructShallow:
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.FACTOR_TEST
 
+    def test_zero_denominator_fails_factor_test(self):
+        Q = HomPoly(COMPLEX, 2, 2, {})
+        verdict = reconstruct_shallow([lin(1, 0)], Q, (2, 2, 1))
+        assert verdict.stage_failed == Stage.FACTOR_TEST
+
     @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 3, 1), (4, 3, 3)])
     def test_round_trip_random(self, dims):
         for seed in range(5):
@@ -116,6 +121,21 @@ class TestReconstructBinary:
                                          tol=1e-6)
             assert verdict.in_model, verdict.stage_failed
             assert verdict.residual <= 1e-6
+
+    def test_unbalanced_depth_two_pair(self):
+        # a large scale on distinct factors is no sign of a repeated factor
+        P = lin(1, 2)
+        Q = lin(1, 1).mul(lin(1, -1)).scale(1e8)
+        verdict = reconstruct_binary(P, Q, 2, tol=1e-9)
+        assert verdict.in_model, verdict.stage_failed
+        assert verdict.residual < 1e-9
+
+    def test_depth_six_tower_with_unbalanced_last_peel(self):
+        w = random_complex_weights((2,) * 6 + (1,), 11434421)
+        t = forward_recursive(w)
+        verdict = reconstruct_binary(t.numerators[0], t.denominator, 6)
+        assert verdict.in_model, verdict.stage_failed
+        assert verdict.residual <= 1e-6
 
     def test_repeated_factor_rejected(self):
         # denominator a 4th power: every factor proportional
@@ -174,6 +194,16 @@ class TestResultantScreen:
         verdict = membership_binary_multioutput(Ps, Q, 3)
         assert not verdict.in_model
 
+    def test_layers_fix_the_degrees(self):
+        rng = random.Random(92)
+        Ps = [HomPoly(COMPLEX, 2, 7, {(7 - k, k): complex(rng.uniform(-1, 1))
+                                      for k in range(8)}) for _ in range(2)]
+        Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j, (0, 2): 1 + 0j})
+        verdict = membership_binary_multioutput(Ps, Q, 3)
+        assert not verdict.in_model
+        assert verdict.stage_failed == Stage.DEGREE_TEST
+        assert membership_binary_multioutput([], Q, 3).stage_failed == Stage.DEGREE_TEST
+
     def test_single_output_vacuous(self):
         P = HomPoly(COMPLEX, 2, 3, {(3, 0): 1 + 0j})
         Q = HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j})
@@ -205,6 +235,24 @@ class TestRoundTrip:
             except ReconstructionError:
                 pass
         assert ok >= 19
+
+    def test_auto_passes_real_only_to_shallow(self):
+        Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j, (0, 2): 1 + 0j})
+        P = HomPoly(COMPLEX, 2, 1, {(1, 0): 1 + 0j})
+        t = RationalTuple((P,), Q)
+        arch = Architecture((2, 2, 1))
+        assert reconstruct_auto(t, arch).in_model
+        bad = reconstruct_auto(t, arch, require_real=True)
+        assert bad.stage_failed == Stage.FACTOR_TEST
+
+    def test_auto_binary_tower(self):
+        w = random_complex_weights((2, 2, 2, 1), 7)
+        t = forward_recursive(w)
+        assert reconstruct_auto(t, w.arch).in_model
+        with pytest.raises(ValueError):
+            reconstruct_auto(t, w.arch, require_real=True)
+        two = RationalTuple(t.numerators * 2, t.denominator)
+        assert reconstruct_auto(two, w.arch).stage_failed == Stage.DEGREE_TEST
 
     def test_unsupported_architecture(self):
         w = random_complex_weights((2, 2, 3, 1), 5)

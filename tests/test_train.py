@@ -30,6 +30,20 @@ class TestLattice:
         with pytest.raises(ValueError):
             sample_lattice(1.0)
 
+    @pytest.mark.parametrize("grid", [-1, 0, 1, 2, 4, 20])
+    def test_grid_must_be_odd_and_at_least_three(self, grid):
+        with pytest.raises(ValueError):
+            sample_lattice(0.0, grid)
+
+    def test_small_odd_grid_stays_in_square(self):
+        ds = sample_lattice(0.0, 5)
+        assert len(ds.inputs) == 16  # 25 grid points minus 9 on the lines
+        assert np.abs(ds.inputs).max() == 1.0
+
+    def test_empty_lattice_rejected(self):
+        with pytest.raises(ValueError):
+            sample_lattice(0.9, 3)
+
 
 class TestXavier:
     def test_deterministic(self):
@@ -199,6 +213,10 @@ class TestTraining:
         assert (tmp_path / "run0001_weights.json").exists()
         header = (tmp_path / "run0000.csv").read_text().splitlines()[0]
         assert header == "epoch,loss,skipped"
+
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=0)
 
     def test_loss_curve_length_matches_epochs(self):
         config = TrainConfig(epochs=35, seed=1)
