@@ -5,8 +5,18 @@ The target 1/(x+y) + 1/(x-y) is sampled on a 21x21 lattice over [-1,1]^2
 with the two singular lines removed.  Full-batch Adam training on a
 (2, 2, 1) network is run from many seeded initializations; a run counts as a
 full success when the loss drops below threshold and as a partial success
-when some first-layer row aligns with a true pole normal.  Everything is
-deterministic given the seed, independent of worker count.
+when some first-layer row aligns with a true pole normal.
+
+The runs train as one stack: every weight matrix carries a leading run
+axis, shape (R, d_out, d_in), and each epoch is one loss-and-gradient pass
+(`forward_backward_stack`) and one in-place Adam update (`adam_step`) over
+all R runs.  Each run masks its own pole points and keeps its own point
+count, loss, skip count and Adam step count; a run whose every point sits
+at a pole skips that epoch's update.  A single run is the R = 1 case
+(`train_run`, `forward_backward`).  Run i of an experiment draws its
+initialization from (seed, i) and its results depend on nothing else, so
+they are bit-identical however the runs are grouped into stacks or worker
+processes.
 """
 
 from __future__ import annotations
@@ -15,13 +25,18 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
 POLE_NORMALS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 POLE_GUARD = 1e-9
+# Largest per-layer temporary of one kernel call, in floats (125 KiB): below
+# glibc's 128 KiB mmap threshold an epoch reuses heap memory, above it every
+# temporary page-faults in fresh memory, which doubles the cost per run.
+# Larger stacks go through the kernel in blocks of runs.
+BLOCK_FLOATS = 16000
 
 
 class AllPointsSkippedError(ArithmeticError):
@@ -47,6 +62,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"need at least one epoch, got {self.epochs}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if self.clip is not None and not self.clip > 0:
+            raise ValueError(f"gradient clip must be positive, got {self.clip}")
 
 
 @dataclass
@@ -102,79 +121,151 @@ def interpolating_weights() -> list[np.ndarray]:
     return [np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[1.0, 1.0]])]
 
 
+def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Per-layer (R, d_out, d_in) views of an (R, P) array holding each
+    run's matrices flattened in layer order."""
+    views, off = [], 0
+    for rows, cols in shapes:
+        views.append(flat[:, off:off + rows * cols].reshape(-1, rows, cols))
+        off += rows * cols
+    return views
+
+
+def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+                           pole_tol: float = POLE_GUARD):
+    """Full-batch MSE losses and exact gradients of R runs at once, by
+    reverse accumulation.
+
+    mats[k] has shape (R, d_{k+1}, d_k); x (d0, B) and y (B,) or (dL, B) are
+    shared by every run.  A point driving any intermediate coordinate of run
+    r below pole_tol, or to a non-finite value, is masked out of run r's loss
+    and gradient for this step and counted.  Returns (loss, grads, skipped):
+    loss (R,), inf for a run with no surviving point; grads (R, P), each
+    run's gradient matrices flattened in layer order, zero for such a run;
+    skipped (R,) ints.  Each run's results depend only on its own weights,
+    not on the other runs of the stack, so a stack too large for one pass
+    under BLOCK_FLOATS goes through in blocks of runs.
+    """
+    count, total = len(mats[0]), x.shape[1]
+    width = max(max(w.shape[1:]) for w in mats)
+    blocks = -(-count * width * total // BLOCK_FLOATS)
+    if blocks < 2:
+        return _forward_backward_block(mats, x, y, pole_tol)
+    size = -(-count // blocks)
+    parts = [_forward_backward_block([w[lo:lo + size] for w in mats], x, y, pole_tol)
+             for lo in range(0, count, size)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _forward_backward_block(mats, x, y, pole_tol):
+    total = x.shape[1]
+    count = len(mats[0])
+    acts, us = [x], []
+    keep = None  # (R, B) surviving points; None while every point survives
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for w in mats[:-1]:
+            u = w @ acts[-1]
+            mag = np.abs(u)
+            if not (mag.size and mag.min() >= pole_tol and mag.max() < np.inf):
+                ok = ((mag >= pole_tol) & (mag < np.inf)).all(axis=1)
+                keep = ok if keep is None else keep & ok
+            us.append(u)
+            acts.append(1.0 / u)
+        r = mats[-1] @ acts[-1] - y
+    b = total
+    if keep is not None:
+        kept = keep.sum(axis=1)
+        # in the runs that lost points, unit pre-activations and zero
+        # activations and residuals keep those points out of every sum below
+        hit = np.flatnonzero(kept < total)
+        cut = ~keep[hit, None, :]
+        for u, a in zip(us, acts[1:]):
+            u[hit] = np.where(cut, 1.0, u[hit])
+            a[hit] = np.where(cut, 0.0, a[hit])
+        r[hit] = np.where(cut, 0.0, r[hit])
+        b = np.maximum(kept, 1)[:, None, None]
+    loss = ((r * r).sum(axis=(1, 2), keepdims=True) / b).reshape(count)
+
+    grads = np.empty((count, sum(w[0].size for w in mats)))
+    views = _flat_views(grads, [w.shape[1:] for w in mats])
+    dout = r
+    dout *= 2.0
+    dout /= b
+    np.matmul(dout, acts[-1].swapaxes(-1, -2), out=views[-1])
+    da = mats[-1].swapaxes(-1, -2) @ dout
+    for k in range(len(mats) - 2, -1, -1):
+        du = da
+        du /= np.square(us[k], out=us[k])
+        np.negative(du, out=du)
+        np.matmul(du, acts[k].swapaxes(-1, -2), out=views[k])
+        if k > 0:
+            da = mats[k].swapaxes(-1, -2) @ du
+    if keep is None:
+        return loss, grads, np.zeros(count, dtype=int)
+    loss[kept == 0] = np.inf
+    return loss, grads, total - kept
+
+
 def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray,
                      pole_tol: float = POLE_GUARD):
-    """Full-batch MSE loss and exact gradients by reverse accumulation.
+    """Full-batch MSE loss and exact gradients of one run: the R = 1 case
+    of forward_backward_stack.
 
     x has shape (d0, B); points driving any intermediate coordinate below
-    pole_tol are skipped for this step and counted.  Raises
-    AllPointsSkippedError when nothing survives.
+    pole_tol are skipped for this step and counted.  Returns (loss, grads,
+    skipped) with grads one matrix per layer.  Raises AllPointsSkippedError
+    when nothing survives.
     """
-    L = len(mats)
+    stack = [np.asarray(m, dtype=float)[None] for m in mats]
+    loss, grads, skipped = forward_backward_stack(stack, x, y, pole_tol)
     total = x.shape[1]
-    mask = np.ones(total, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = x
-        for k in range(L - 1):
-            u = mats[k] @ a
-            mask &= np.all(np.abs(u) >= pole_tol, axis=0) & np.all(np.isfinite(u), axis=0)
-            a = 1.0 / u
-    if not mask.any():
+    if skipped[0] == total:
         raise AllPointsSkippedError(f"all {total} points near a pole")
-    xb = x[:, mask]
-    yb = np.atleast_2d(y)[:, mask]
-    b = xb.shape[1]
-
-    acts = [xb]
-    us = []
-    for k in range(L - 1):
-        u = mats[k] @ acts[-1]
-        us.append(u)
-        acts.append(1.0 / u)
-    out = mats[-1] @ acts[-1]
-    r = out - yb
-    loss = float((r * r).sum(axis=0).mean())
-
-    grads = [np.zeros_like(m) for m in mats]
-    dout = 2.0 * r / b
-    grads[-1] = dout @ acts[-1].T
-    da = mats[-1].T @ dout
-    for k in range(L - 2, -1, -1):
-        du = -da / (us[k] * us[k])
-        grads[k] = du @ acts[k].T
-        if k > 0:
-            da = mats[k].T @ du
-    return loss, grads, total - b
+    shapes = [m.shape[1:] for m in stack]
+    return float(loss[0]), [g[0] for g in _flat_views(grads, shapes)], int(skipped[0])
 
 
 @dataclass
 class AdamState:
-    params: list[np.ndarray]
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    t: int = 0
+    """Adam state of a stack of R runs: row r of params, m and v holds run
+    r's weights and moments flattened in layer order, t[r] its step count."""
+    params: np.ndarray
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    t: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in self.params]
-        if not self.v:
-            self.v = [np.zeros_like(p) for p in self.params]
+        if self.m is None:
+            self.m = np.zeros_like(self.params)
+        if self.v is None:
+            self.v = np.zeros_like(self.params)
+        if self.t is None:
+            self.t = np.zeros(len(self.params), dtype=int)
 
 
-def adam_step(state: AdamState, grads: list[np.ndarray], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """One standard update with bias correction; returns a fresh state."""
-    t = state.t + 1
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(state.params, grads, state.m, state.v):
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        new_p.append(p - lr * mhat / (np.sqrt(vhat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return AdamState(new_p, new_m, new_v, t)
+def adam_step(state: AdamState, grads: np.ndarray, lr: float, active: np.ndarray | None = None,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One standard update with per-run bias correction, in place.
+
+    Only the runs flagged in active (default: all) step; the others keep
+    their weights, moments and step count.
+    """
+    if active is not None and not active.all():
+        sub = AdamState(state.params[active], state.m[active], state.v[active], state.t[active])
+        adam_step(sub, grads[active], lr, None, beta1, beta2, eps)
+        state.params[active], state.m[active], state.v[active], state.t[active] = \
+            sub.params, sub.m, sub.v, sub.t
+        return
+    state.t += 1
+    # Python's pow, not numpy's, which differs in the last bit for some t
+    steps = state.t.tolist()
+    state.m *= beta1
+    state.m += (1 - beta1) * grads
+    state.v *= beta2
+    state.v += (1 - beta2) * grads * grads
+    mhat = state.m / np.array([1 - beta1 ** t for t in steps])[:, None]
+    vhat = state.v / np.array([1 - beta2 ** t for t in steps])[:, None]
+    state.params -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def singularity_recovery_score(w1: np.ndarray, normals: np.ndarray = POLE_NORMALS
@@ -190,38 +281,52 @@ def singularity_recovery_score(w1: np.ndarray, normals: np.ndarray = POLE_NORMAL
     return angles
 
 
-def train_run(config: TrainConfig, dataset: Dataset, run_seed,
-              initial: list[np.ndarray] | None = None,
-              success_loss: float = 1e-3) -> TrainResult:
-    """One full training run; the loss curve records pre-update losses."""
-    mats = [m.copy() for m in initial] if initial is not None else xavier_init(config.arch, run_seed)
-    initial_mats = [m.copy() for m in mats]
+def train_stack(config: TrainConfig, dataset: Dataset, initial: list[np.ndarray],
+                success_loss: float = 1e-3) -> list[TrainResult]:
+    """Train R runs as one stack from initial[k] of shape (R, d_{k+1}, d_k);
+    one result per run.  Loss curves record pre-update losses; a run whose
+    every point sits at a pole in an epoch records loss inf and skips that
+    epoch's update while the rest of the stack trains on."""
+    shapes = [m.shape[1:] for m in initial]
+    count = len(initial[0])
+    state = AdamState(np.concatenate([np.asarray(m, dtype=float).reshape(count, -1)
+                                      for m in initial], axis=1))
+    mats = _flat_views(state.params, shapes)
     x = dataset.inputs.T
     y = dataset.targets
-    state = AdamState([m.copy() for m in mats])
-    losses = np.empty(config.epochs)
-    skipped = np.zeros(config.epochs, dtype=int)
+    total = x.shape[1]
+    losses = np.empty((count, config.epochs))
+    skipped = np.empty((count, config.epochs), dtype=int)
     snaps = [] if config.snapshot_every else None
     for epoch in range(config.epochs):
         if snaps is not None and epoch % config.snapshot_every == 0:
-            snaps.append((epoch, [m.copy() for m in state.params]))
-        try:
-            loss, grads, n_skip = forward_backward(state.params, x, y)
-        except AllPointsSkippedError:
-            losses[epoch] = np.inf
-            skipped[epoch] = x.shape[1]
-            continue
-        losses[epoch] = loss
-        skipped[epoch] = n_skip
+            snaps.append((epoch, [m.copy() for m in mats]))
+        loss, grads, n_skip = forward_backward_stack(mats, x, y)
+        losses[:, epoch] = loss
+        skipped[:, epoch] = n_skip
         if config.clip is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
-            if norm > config.clip:
-                grads = [g * (config.clip / norm) for g in grads]
-        state = adam_step(state, grads, config.lr)
-    final = state.params
-    angles = singularity_recovery_score(final[0])
-    return TrainResult(losses, skipped, initial_mats, final,
-                       angles, float(losses[-1]) < success_loss, snaps)
+            norm = np.sqrt((grads * grads).sum(axis=1))
+            over = norm > config.clip
+            if over.any():
+                grads[over] *= (config.clip / norm[over])[:, None]
+        adam_step(state, grads, config.lr, n_skip < total)
+    results = []
+    for r in range(count):
+        final = [m[r].copy() for m in mats]
+        results.append(TrainResult(
+            losses[r].copy(), skipped[r].copy(), [m[r].copy() for m in initial], final,
+            singularity_recovery_score(final[0]), float(losses[r, -1]) < success_loss,
+            None if snaps is None else [(e, [m[r].copy() for m in s]) for e, s in snaps]))
+    return results
+
+
+def train_run(config: TrainConfig, dataset: Dataset, run_seed,
+              initial: list[np.ndarray] | None = None,
+              success_loss: float = 1e-3) -> TrainResult:
+    """One full training run: a stack of one."""
+    mats = initial if initial is not None else xavier_init(config.arch, run_seed)
+    return train_stack(config, dataset, [np.array(m, dtype=float)[None] for m in mats],
+                       success_loss)[0]
 
 
 @dataclass
@@ -241,10 +346,11 @@ class ExperimentSummary:
     n_partial: int
 
 
-def _experiment_worker(args):
-    config, dataset, idx, success_loss = args
-    result = train_run(config, dataset, (config.seed, idx), success_loss=success_loss)
-    return result
+def _train_chunk(args):
+    config, dataset, runs, success_loss = args
+    inits = [xavier_init(config.arch, (config.seed, i)) for i in runs]
+    return train_stack(config, dataset, [np.stack(layer) for layer in zip(*inits)],
+                       success_loss)
 
 
 def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset | None = None,
@@ -253,19 +359,22 @@ def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset | None = 
                    ) -> ExperimentSummary:
     """Train n_inits independent seeded runs and aggregate success counts.
 
-    Run i draws its initialization from (config.seed, i), so results are
-    bit-identical for any worker count.
+    The runs train as one stack, or as one contiguous chunk per Pool worker
+    when workers > 1.  Run i draws its initialization from (config.seed, i),
+    so results are bit-identical for any worker count.
     """
     if n_inits < 1:
         raise ValueError("need at least one initialization")
     if dataset is None:
         dataset = sample_lattice()
-    jobs = [(config, dataset, i, success_loss) for i in range(n_inits)]
-    if workers > 1:
-        with Pool(workers) as pool:
-            results = pool.map(_experiment_worker, jobs)
+    chunks = np.array_split(np.arange(n_inits), min(max(workers, 1), n_inits))
+    jobs = [(config, dataset, chunk.tolist(), success_loss) for chunk in chunks]
+    if len(jobs) > 1:
+        with Pool(len(jobs)) as pool:
+            parts = pool.map(_train_chunk, jobs)
     else:
-        results = [_experiment_worker(j) for j in jobs]
+        parts = [_train_chunk(jobs[0])]
+    results = [res for part in parts for res in part]
 
     records = []
     for i, res in enumerate(results):

@@ -1,10 +1,15 @@
+import math
+from dataclasses import dataclass, field
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from ratnets.fields import ScalarField
 from ratnets.network import Weights, degrees, forward_recursive
 from ratnets.poly import HomPoly, LinearForm, monomials
+from ratnets.train import (POLE_GUARD, AllPointsSkippedError, Dataset, TrainConfig, TrainResult,
+                           singularity_recovery_score, xavier_init)
 
 
 def _sym_contract_reference(field, indices, forms):
@@ -124,3 +129,128 @@ def dual_field():
 @pytest.fixture
 def dual_jacobian_rows():
     return _jacobian_rows_dual
+
+
+# -- single-run training oracle -------------------------------------------------
+#
+# The single-run loss-and-gradient pass, Adam update and training loop that
+# ratnets.train replaced by stacked training, kept unchanged as an
+# independent oracle for it.
+
+def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+                     pole_tol: float = POLE_GUARD):
+    """Full-batch MSE loss and exact gradients by reverse accumulation.
+
+    x has shape (d0, B); points driving any intermediate coordinate below
+    pole_tol are skipped for this step and counted.  Raises
+    AllPointsSkippedError when nothing survives.
+    """
+    L = len(mats)
+    total = x.shape[1]
+    mask = np.ones(total, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = x
+        for k in range(L - 1):
+            u = mats[k] @ a
+            mask &= np.all(np.abs(u) >= pole_tol, axis=0) & np.all(np.isfinite(u), axis=0)
+            a = 1.0 / u
+    if not mask.any():
+        raise AllPointsSkippedError(f"all {total} points near a pole")
+    xb = x[:, mask]
+    yb = np.atleast_2d(y)[:, mask]
+    b = xb.shape[1]
+
+    acts = [xb]
+    us = []
+    for k in range(L - 1):
+        u = mats[k] @ acts[-1]
+        us.append(u)
+        acts.append(1.0 / u)
+    out = mats[-1] @ acts[-1]
+    r = out - yb
+    loss = float((r * r).sum(axis=0).mean())
+
+    grads = [np.zeros_like(m) for m in mats]
+    dout = 2.0 * r / b
+    grads[-1] = dout @ acts[-1].T
+    da = mats[-1].T @ dout
+    for k in range(L - 2, -1, -1):
+        du = -da / (us[k] * us[k])
+        grads[k] = du @ acts[k].T
+        if k > 0:
+            da = mats[k].T @ du
+    return loss, grads, total - b
+
+
+@dataclass
+class AdamState:
+    params: list[np.ndarray]
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
+    t: int = 0
+
+    def __post_init__(self):
+        if not self.m:
+            self.m = [np.zeros_like(p) for p in self.params]
+        if not self.v:
+            self.v = [np.zeros_like(p) for p in self.params]
+
+
+def adam_step(state: AdamState, grads: list[np.ndarray], lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+    """One standard update with bias correction; returns a fresh state."""
+    t = state.t + 1
+    new_p, new_m, new_v = [], [], []
+    for p, g, m, v in zip(state.params, grads, state.m, state.v):
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        mhat = m / (1 - beta1 ** t)
+        vhat = v / (1 - beta2 ** t)
+        new_p.append(p - lr * mhat / (np.sqrt(vhat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return AdamState(new_p, new_m, new_v, t)
+
+
+def train_run(config: TrainConfig, dataset: Dataset, run_seed,
+              initial: list[np.ndarray] | None = None,
+              success_loss: float = 1e-3) -> TrainResult:
+    """One full training run; the loss curve records pre-update losses."""
+    mats = [m.copy() for m in initial] if initial is not None else xavier_init(config.arch, run_seed)
+    initial_mats = [m.copy() for m in mats]
+    x = dataset.inputs.T
+    y = dataset.targets
+    state = AdamState([m.copy() for m in mats])
+    losses = np.empty(config.epochs)
+    skipped = np.zeros(config.epochs, dtype=int)
+    snaps = [] if config.snapshot_every else None
+    for epoch in range(config.epochs):
+        if snaps is not None and epoch % config.snapshot_every == 0:
+            snaps.append((epoch, [m.copy() for m in state.params]))
+        try:
+            loss, grads, n_skip = forward_backward(state.params, x, y)
+        except AllPointsSkippedError:
+            losses[epoch] = np.inf
+            skipped[epoch] = x.shape[1]
+            continue
+        losses[epoch] = loss
+        skipped[epoch] = n_skip
+        if config.clip is not None:
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+            if norm > config.clip:
+                grads = [g * (config.clip / norm) for g in grads]
+        state = adam_step(state, grads, config.lr)
+    final = state.params
+    angles = singularity_recovery_score(final[0])
+    return TrainResult(losses, skipped, initial_mats, final,
+                       angles, float(losses[-1]) < success_loss, snaps)
+
+
+@pytest.fixture
+def oracle_forward_backward():
+    return forward_backward
+
+
+@pytest.fixture
+def oracle_train_run():
+    return train_run

@@ -259,6 +259,9 @@ def test_train_small(tmp_path, capsys):
     ("--grid", "2"),
     ("--grid", "4"),
     ("--grid", "3", "--exclusion-radius", "0.9"),
+    ("--clip", "-1"),
+    ("--clip", "0"),
+    ("--lr", "0"),
 ])
 def test_train_bad_input_is_one_line_error(capsys, argv):
     _assert_one_line_error(*run(capsys, "train", "--inits", "1", "--epochs", "5", *argv))

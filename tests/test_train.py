@@ -6,9 +6,10 @@ import pytest
 
 from ratnets.network import Architecture, Weights, apply_symmetry
 from ratnets.train import (AdamState, AllPointsSkippedError, TrainConfig, adam_step,
-                           forward_backward, interpolating_weights, run_experiment,
-                           sample_lattice, singularity_recovery_score, target_g,
-                           train_run, write_aggregate_csv, xavier_init)
+                           forward_backward, forward_backward_stack, interpolating_weights,
+                           run_experiment, sample_lattice, singularity_recovery_score,
+                           target_g, train_run, train_stack, write_aggregate_csv,
+                           xavier_init)
 
 
 class TestLattice:
@@ -124,30 +125,75 @@ class TestForwardBackward:
         with pytest.raises(AllPointsSkippedError):
             forward_backward(mats, np.ones((2, 3)), np.ones(3))
 
+    def test_matches_single_run_oracle(self, oracle_forward_backward):
+        ds = sample_lattice()
+        x, y = ds.inputs.T, ds.targets
+        for seed in range(20):
+            mats = xavier_init((2, 2, 1), seed)
+            if seed == 0:
+                mats[0][0] = [1.0, 0.0]  # hits the x = 0 column
+            loss, grads, skipped = forward_backward(mats, x, y)
+            want_loss, want_grads, want_skipped = oracle_forward_backward(mats, x, y)
+            assert skipped == want_skipped and isinstance(skipped, int)
+            assert isinstance(loss, float)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            for g, w in zip(grads, want_grads):
+                assert g.shape == w.shape
+                assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    def test_stack_rows_are_independent_runs(self):
+        ds = sample_lattice()
+        x, y = ds.inputs.T, ds.targets
+        runs = [xavier_init((2, 2, 1), s) for s in range(5)]
+        runs[3] = [np.zeros((2, 2)), np.ones((1, 2))]
+        loss, grads, skipped = forward_backward_stack(
+            [np.stack(layer) for layer in zip(*runs)], x, y)
+        assert loss.shape == skipped.shape == (5,) and grads.shape == (5, 6)
+        assert loss[3] == np.inf and skipped[3] == x.shape[1] and not grads[3].any()
+        for r in (0, 1, 2, 4):
+            one_loss, one_grads, one_skipped = forward_backward(runs[r], x, y)
+            assert loss[r] == one_loss and skipped[r] == one_skipped
+            assert (grads[r] == np.concatenate([g.ravel() for g in one_grads])).all()
+
 
 class TestAdam:
     def test_zero_grads_leave_params(self):
-        state = AdamState([np.ones((2, 2))])
-        new = adam_step(state, [np.zeros((2, 2))], lr=1e-3)
-        assert (new.params[0] == state.params[0]).all()
+        state = AdamState(np.ones((1, 4)))
+        adam_step(state, np.zeros((1, 4)), lr=1e-3)
+        assert (state.params == 1.0).all()
 
     def test_first_step_closed_form(self):
-        g = np.array([[0.3, -0.7], [1.1, 0.05]])
-        state = AdamState([np.zeros((2, 2))])
-        new = adam_step(state, [g], lr=1e-3)
+        g = np.array([[0.3, -0.7, 1.1, 0.05]])
+        state = AdamState(np.zeros((1, 4)))
+        adam_step(state, g, lr=1e-3)
         want = -1e-3 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(new.params[0], want, atol=1e-9)
+        assert np.allclose(state.params, want, atol=1e-9)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
         g = np.array([[0.5]])
-        state = AdamState([np.zeros((1, 1))])
-        prev = state.params[0].copy()
+        state = AdamState(np.zeros((1, 1)))
         for _ in range(3000):
-            state = adam_step(state, [g], lr=1e-3)
-        step = state.params[0] - prev  # last-iterate drift over many steps
-        state2 = adam_step(state, [g], lr=1e-3)
-        last = float((state2.params[0] - state.params[0])[0, 0])
+            adam_step(state, g, lr=1e-3)
+        prev = state.params.copy()
+        adam_step(state, g, lr=1e-3)
+        last = float((state.params - prev)[0, 0])
         assert abs(abs(last) - 1e-3) < 5e-5
+
+    def test_inactive_runs_keep_their_state_and_step_count(self):
+        rng = np.random.default_rng(3)
+        grads = rng.normal(size=(5, 3, 6))
+        state = AdamState(rng.normal(size=(3, 6)))
+        alone = AdamState(state.params[2:].copy())
+        for step, g in enumerate(grads):
+            active = np.array([True, step % 2 == 0, True])
+            before = [a[1].copy() for a in (state.params, state.m, state.v)]
+            adam_step(state, g, 1e-2, active)
+            kept = all((a[1] == b).all() for a, b in zip((state.params, state.m, state.v), before))
+            assert kept == (not active[1])
+            adam_step(alone, g[2:], 1e-2)
+        assert state.t.tolist() == [5, 3, 5]
+        # a run's update never depends on the other runs of the stack
+        assert (state.params[2:] == alone.params).all()
 
 
 class TestRecoveryScore:
@@ -204,6 +250,43 @@ class TestTraining:
         write_aggregate_csv(s1, a)
         write_aggregate_csv(s2, b)
         assert a.getvalue() == b.getvalue()
+        # uneven chunks, and more workers than runs
+        for n_inits, workers in ((5, 3), (3, 8)):
+            one = tmp_path / f"{n_inits}-1"
+            many = tmp_path / f"{n_inits}-{workers}"
+            run_experiment(config, n_inits, dataset=ds, workers=1, out_dir=str(one))
+            run_experiment(config, n_inits, dataset=ds, workers=workers, out_dir=str(many))
+            assert (one / "aggregate.csv").read_bytes() == (many / "aggregate.csv").read_bytes()
+            for i in range(n_inits):
+                curve = train_run(config, ds, (config.seed, i)).loss_curve
+                want = [f"{e},{float(v)!r}" for e, v in enumerate(curve)]
+                for out in (one, many):
+                    lines = (out / f"run{i:04d}.csv").read_text().splitlines()[1:]
+                    assert [line.rsplit(",", 1)[0] for line in lines] == want
+
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    def test_stack_matches_single_run_oracle(self, oracle_train_run, clip):
+        ds = sample_lattice()
+        config = TrainConfig(epochs=50, seed=4, clip=clip)
+        inits = [xavier_init(config.arch, (config.seed, i)) for i in range(6)]
+        # a first-layer row (1, 0) puts the lattice's x = 0 column on a pole
+        inits.append([np.array([[1.0, 0.0], [0.37, 0.81]]), np.array([[0.5, -0.4]])])
+        # a zero first matrix puts every point on a pole in every epoch
+        inits.append([np.zeros((2, 2)), np.array([[1.0, 1.0]])])
+        results = train_stack(config, ds, [np.stack(layer) for layer in zip(*inits)])
+        total = len(ds.inputs)
+        for res, init in zip(results, inits):
+            want = oracle_train_run(config, ds, None, initial=init)
+            assert (res.skipped == want.skipped).all()
+            finite = np.isfinite(want.loss_curve)
+            assert (np.isfinite(res.loss_curve) == finite).all()
+            rel = np.abs(res.loss_curve[finite] - want.loss_curve[finite]) \
+                / want.loss_curve[finite]
+            assert rel.max(initial=0.0) <= 1e-9
+        assert results[6].skipped[0] == 20  # of the 21 x = 0 points, (0, 0) is off the lattice
+        dead = results[7]
+        assert (dead.loss_curve == np.inf).all() and (dead.skipped == total).all()
+        assert all((f == i).all() for f, i in zip(dead.final_weights, inits[7]))
 
     def test_run_files_written(self, tmp_path):
         config = TrainConfig(epochs=20, seed=9)
@@ -217,6 +300,14 @@ class TestTraining:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": 0.0}, {"lr": -1e-3}, {"lr": math.inf}, {"lr": math.nan},
+        {"clip": 0.0}, {"clip": -1.0}, {"clip": math.nan},
+    ])
+    def test_bad_step_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
 
     def test_loss_curve_length_matches_epochs(self):
         config = TrainConfig(epochs=35, seed=1)
