@@ -7,11 +7,6 @@ polynomial dictionaries stay lightweight:
   * ``ComplexField``   -- complex
   * ``PrimeField(p)``  -- int in [0, p), arithmetic mod a prime p
 
-``PrimeField`` extends ``IntegerModRing(n)``, the ring Z/nZ without
-inverses.  The ring is enough for the forward map, which uses only ring
-operations with integer coefficients; the Jacobian code runs it mod p**2
-to read exact derivatives mod p (see ``ratnets.geometry``).
-
 A field object owns every operation on its scalars; callers never assume a
 concrete representation.  ``magnitude`` maps a scalar to a float used for
 tolerance checks and term cleanup; for exact fields it is a 0/1 indicator,
@@ -200,14 +195,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class IntegerModRing(ScalarField):
-    """Z/nZ with scalars stored as ints in [0, n); no inverses."""
+class PrimeField(ScalarField):
+    """GF(p) with scalars stored as ints in [0, p)."""
 
     exact = True
 
-    def __init__(self, n: int):
-        self.n = n
-        self.name = f"z/{n}"
+    def __init__(self, p: int = DEFAULT_PRIME):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.p = p
+        self.name = f"gf({p})"
 
     def zero(self):
         return 0
@@ -216,33 +213,22 @@ class IntegerModRing(ScalarField):
         return 1
 
     def from_int(self, n):
-        return n % self.n
+        return n % self.p
 
     def add(self, a, b):
-        return (a + b) % self.n
+        return (a + b) % self.p
 
     def sub(self, a, b):
-        return (a - b) % self.n
+        return (a - b) % self.p
 
     def neg(self, a):
-        return (-a) % self.n
+        return (-a) % self.p
 
     def mul(self, a, b):
-        return (a * b) % self.n
+        return (a * b) % self.p
 
     def magnitude(self, a):
-        return 0.0 if a % self.n == 0 else 1.0
-
-
-class PrimeField(IntegerModRing):
-    """GF(p) with scalars stored as ints in [0, p)."""
-
-    def __init__(self, p: int = DEFAULT_PRIME):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        super().__init__(p)
-        self.p = p
-        self.name = f"gf({p})"
+        return 0.0 if a % self.p == 0 else 1.0
 
     def inv(self, a):
         if a % self.p == 0:

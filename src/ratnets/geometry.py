@@ -2,16 +2,18 @@
 
 The dimension of the closure of the forward map's image equals the generic
 rank of the map's Jacobian.  We evaluate that rank exactly over a large
-prime field.  The forward map is an integer polynomial, so a forward pass
-over Z/p^2 with one weight bumped by p differs from the base pass by p times
-that weight's Jacobian row; Gaussian elimination mod p then gives the rank
-with no numerical tolerance.  A float/SVD variant cross-checks small cases,
-reading its rows by the complex step (one weight bumped by i*h).
+prime field with no polynomial built: the layer recursion runs on scalars
+at random input points, each value carrying its tangent in every weight.
+That Jacobian is the coefficient Jacobian times Vandermonde blocks, which
+keep its rank at enough generic points; elimination mod p then gives the
+rank with no numerical tolerance.  A float/SVD variant runs the same
+tangents unreduced to cross-check small cases.
 """
 
 from __future__ import annotations
 
 import csv
+import random
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -21,17 +23,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import COMPLEX, DEFAULT_PRIME, REAL, IntegerModRing, PrimeField, is_prime
-from .network import (Architecture, Weights, ambient_dim, degrees,
-                      forward_recursive, param_count)
-from .poly import HomPoly, monomials
+from .fields import DEFAULT_PRIME, REAL, PrimeField, is_prime
+from .network import Architecture, Weights, ambient_dim, degrees, param_count
+from .poly import HomPoly, monomial_count
 
-
-COMPLEX_STEP = 1e-20
-
-
-class CensusTimeout(Exception):
-    """Cooperative per-architecture deadline expired."""
+SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
+SPARE_POINTS = 4  # evaluation points beyond the count generic points need
 
 
 @dataclass
@@ -46,6 +43,7 @@ class DimensionReport:
     seed: int
     runtime_seconds: float
     status: str = "ok"
+    sample_ranks: tuple[int, ...] = ()
 
     @property
     def match(self) -> bool:
@@ -73,137 +71,154 @@ def expected_dim(arch: Architecture) -> int:
     return min(fiber_upper_bound(arch), ambient_dim(arch))
 
 
-def gf_rank(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination rank over GF(p); mutates a local copy."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if m == 0:
+def gf_rank(rows, p: int) -> int:
+    """Rank over GF(p) of a list of integer rows (lists or 1-D arrays), by
+    vectorized elimination along the shorter side: int64 below 2^31, where a
+    product of two residues fits, Python ints above."""
+    if len(rows) == 0:
         return 0
-    n = len(rows[0])
+    small = p < SMALL_PRIME_LIMIT
+    try:
+        a = np.array(rows, dtype=np.int64 if small else object) % p
+    except OverflowError:  # entries beyond int64
+        a = (np.array(rows, dtype=object) % p).astype(np.int64)
+    if a.shape[0] < a.shape[1]:
+        a = a.T
     rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if rows[i][col] % p:
-                piv = i
-                break
-        if piv is None:
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col] % p, -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(rank + 1, m):
-            f = rows[i][col] % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        piv = rank + nonzero[0]
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        below = a[rank + 1:, col:]
+        below -= below[:, :1] * a[rank, col:] % p
+        below %= p
         rank += 1
-        if rank == m:
+        if rank == a.shape[0]:
             break
     return rank
 
 
-def _param_slots(arch: Architecture) -> list[tuple[int, int, int]]:
-    return [(k, i, j) for k, (rows, cols) in enumerate(arch.shapes())
-            for i in range(rows) for j in range(cols)]
-
-
-def _coefficients(w: Weights, basis) -> list:
-    """Forward-map output flattened on the ambient monomial basis: each
-    numerator in turn, then the denominator."""
-    mon_n, mon_m = basis
-    out = forward_recursive(w)
-    zero = w.field.zero()
-    vec = []
-    for pnum in out.numerators:
-        vec.extend(pnum.terms.get(e, zero) for e in mon_n)
-    vec.extend(out.denominator.terms.get(e, zero) for e in mon_m)
-    return vec
-
-
-def _ambient_basis(arch: Architecture):
+def _point_count(arch: Architecture) -> int:
+    """N = min(P, largest monomial count) + SPARE_POINTS: an r-dimensional
+    space of polynomial tuples (r <= P) stays injective under evaluation at
+    r generic points, and so does each component at its monomial count."""
     prof = degrees(arch)
-    return monomials(arch.d0, prof.numerator_degree), monomials(arch.d0, prof.denominator_degree)
+    return SPARE_POINTS + min(param_count(arch), max(
+        monomial_count(arch.d0, d) for d in (prof.numerator_degree, prof.denominator_degree)))
 
 
-def _bumped(mats: tuple, slot, delta) -> tuple:
-    """The weight matrices with delta added at one (k, i, j) slot."""
-    k, i, j = slot
-    m = [list(row) for row in mats[k]]
-    m[i][j] += delta
-    return mats[:k] + (m,) + mats[k + 1:]
+def _point_jacobian(arch: Architecture, mats, points, p: int | None = None) -> np.ndarray:
+    """P x (d_L + 1)N Jacobian of the output components at N points, by
+    forward-mode tangents through the scalar layer recursion.
 
-
-def _jacobian_rows_mod_p(arch: Architecture, base_mats, p: int, deadline=None):
-    """Exact Jacobian rows mod p at integer weights in [0, p).
-
-    The forward map is an integer polynomial F, so over Z/p^2
-    F(W + p e_s) = F(W) + p dF/dw_s(W); each row entry is therefore
-    ((F(W + p e_s) - F(W)) mod p^2) // p.  One base pass, then one pass per
-    parameter.
+    Row s is weight s (row-major, layer by layer); column c*N + t is
+    component c (numerators, then the denominator) at points[t].  This is
+    the coefficient Jacobian times a block-diagonal matrix of monomials at
+    the points.  Exact mod a prime p (int64 below 2^31, reduced after every
+    product; Python ints above), floating point for p None.
     """
-    p2 = p * p
-    ring = IntegerModRing(p2)
-    basis = _ambient_basis(arch)
+    dtype = None if p is None else np.int64 if p < SMALL_PRIME_LIMIT else object
+    red = (lambda a: a) if p is None else (lambda a: a % p)
+    dims, nparams = arch.dims, param_count(arch)
+    ins = np.array(points, dtype=dtype).T
 
-    def coefficients(mats):
-        if deadline is not None and time.monotonic() > deadline:
-            raise CensusTimeout
-        return _coefficients(Weights(arch, ring, mats), basis)
+    def apply(w, v):  # rows of w against the stacked values v
+        w = np.array(w, dtype=dtype)
+        return red(red(w.reshape(w.shape + (1,) * (v.ndim - 1)) * v).sum(axis=1))
 
-    base = coefficients(base_mats)
-    return [[(a - b) % p2 // p for a, b in zip(coefficients(_bumped(base_mats, s, p)), base)]
-            for s in _param_slots(arch)]
+    def mul(a, b):  # (value, tangent) pairs of shapes (N,), (N, P); None is one
+        if a is None or b is None:
+            return b if a is None else a
+        (av, at), (bv, bt) = a, b
+        return red(av * bv), red(red(av[:, None] * bt) + red(bv[:, None] * at))
 
+    qs, offset = [None, None], 0  # product forms, indexed as in network.forward_layers
+    for k, w in enumerate(mats):
+        if k:  # the deleted products of the previous layer, by prefix and suffix
+            d, layer = dims[k], list(zip(vals, tans))
+            prefix, suffix = [None], [None]  # products of the first / last j entries
+            for j in range(d):
+                prefix.append(mul(prefix[-1], layer[j]))
+            for j in range(d - 1, 0, -1):
+                suffix.append(mul(layer[j], suffix[-1]))
+            dels = [mul(prefix[j], suffix[d - 1 - j]) for j in range(d)]
+            qs.append(prefix[d])
+            ins, in_tans = np.stack([v for v, _ in dels]), np.stack([t for _, t in dels])
+        vals = apply(w, ins)
+        tans = apply(w, in_tans) if k else np.zeros(vals.shape + (nparams,), dtype=vals.dtype)
+        for i in range(dims[k + 1]):  # the derivative in w[i][j] is ins[j]
+            tans[i, :, offset + i * dims[k]:offset + (i + 1) * dims[k]] = ins.T
+        offset += dims[k + 1] * dims[k]
 
-def _jacobian_rows_complex_step(arch: Architecture, base_mats):
-    """Float Jacobian rows at real weights by the complex step: bumping one
-    weight by i*h leaves h dF/dw_s in every imaginary part, with no
-    subtractive cancellation."""
-    basis = _ambient_basis(arch)
-    h = COMPLEX_STEP
-    return [[c.imag / h for c in
-             _coefficients(Weights(arch, COMPLEX, _bumped(base_mats, s, 1j * h)), basis)]
-            for s in _param_slots(arch)]
+    def alternating(top):
+        acc = None
+        for t in range(top, 1, -2):
+            acc = mul(acc, qs[t])
+        return acc
+
+    num_factor, den = alternating(arch.layers - 1), alternating(arch.layers)
+    outs = [mul(pair, num_factor)[1] for pair in zip(vals, tans)] + [den[1]]
+    return np.stack(outs).transpose(2, 0, 1).reshape(nparams, -1)
 
 
 def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
                         samples: int = 2, deadline: float | None = None) -> DimensionReport:
     """Exact Jacobian rank of the parameter-to-coefficients map over GF(p).
 
-    The rank at a random point can only undershoot the generic rank, so the
-    computation is repeated at ``samples`` points (a disagreement triggers
-    one extra point) and the maximum is reported.
+    Each sample draws the weights and _point_count(arch) input points from
+    one seeded stream.  Its rank undershoots the generic rank r only where a
+    fixed nonzero r x r minor, a polynomial in weights and points jointly,
+    vanishes: by Schwartz-Zippel, with probability at most deg(minor)/(p-1).
+    So ``samples`` samples are ranked (a disagreement adds one), the maximum
+    is reported and ``sample_ranks`` lists them all.  A ``deadline`` (on
+    time.monotonic) passed before a sample starts gives status "timeout".
     """
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
     if not is_prime(p) or p <= 10 ** 6:
         raise ValueError("modulus must be a prime above 10^6")
     gf = PrimeField(p)
+    n_points = _point_count(arch)
     t0 = time.monotonic()
 
-    def rank_at(point_seed: int) -> int:
-        base = Weights.random(arch, gf, seed=point_seed)
-        return gf_rank(_jacobian_rows_mod_p(arch, base.mats, p, deadline), p)
+    def rank_at(t: int) -> int:
+        rng = random.Random(seed + 104729 * t)
+        mats = [[[gf.random(rng) for _ in range(cols)] for _ in range(rows)]
+                for rows, cols in arch.shapes()]
+        points = [[gf.random(rng) for _ in range(arch.d0)] for _ in range(n_points)]
+        return gf_rank(list(_point_jacobian(arch, mats, points, p)), p)
 
-    ranks = [rank_at(seed + 104729 * t) for t in range(max(1, samples))]
-    if len(set(ranks)) > 1:
-        ranks.append(rank_at(seed + 104729 * len(ranks)))
-    rank = max(ranks)
-    return DimensionReport(arch.dims, rank, ambient_dim(arch), param_count(arch),
-                           expected_dim(arch), fiber_upper_bound(arch), p, seed,
-                           time.monotonic() - t0)
+    def report(rank, status="ok"):
+        return DimensionReport(arch.dims, rank, ambient_dim(arch), param_count(arch),
+                               expected_dim(arch), fiber_upper_bound(arch), p, seed,
+                               time.monotonic() - t0, status, tuple(ranks))
+
+    ranks, n = [], max(1, samples)
+    for t in range(n + 1):  # one extra sample when the first n disagree
+        if t == n and len(set(ranks)) == 1:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            return report(None, "timeout")
+        ranks.append(rank_at(t))
+    return report(max(ranks))
 
 
 def jacobian_rank_float(arch, seed: int = 0, tol: float = 1e-8) -> int:
-    """SVD rank of the same Jacobian at a random real point: a cross-check for
-    small architectures only, since on deeper or wider ones the singular values
-    decay smoothly through tol and the rank undershoots (19, not 24, on
-    (2, 3, 4, 3) with seed 2)."""
+    """SVD rank of the same pointwise Jacobian at random real weights and
+    random complex unit-norm points, each column scaled to a maximum of 1.
+    A cross-check for small architectures only: on deeper or wider ones the
+    singular values decay smoothly through tol and the rank can undershoot
+    (8, not 14, on (2, 2, 2, 3, 2, 1) with seed 1)."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
-    base = Weights.random(arch, REAL, seed=seed)
-    rows = _jacobian_rows_complex_step(arch, base.mats)
-    return numerical_rank(np.array(rows, dtype=float), tol)
+    z = np.random.default_rng(seed).standard_normal((_point_count(arch), arch.d0, 2)) @ [1, 1j]
+    jac = _point_jacobian(arch, Weights.random(arch, REAL, seed=seed).mats,
+                          z / np.linalg.norm(z, axis=1, keepdims=True))
+    scale = np.abs(jac).max(axis=0)
+    return numerical_rank(jac / np.where(scale > 0, scale, 1.0), tol)
 
 
 def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
@@ -300,6 +315,8 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> MomentMatrix
     if not arch.is_shallow():
         raise ValueError("moment matrix is defined for one-hidden-layer shapes")
     d0, d1, d2 = arch.dims
+    if any(f.nvars != d0 for f in (*Ps, Q)):
+        raise ValueError(f"tuple variable counts do not match the input width {d0}")
     if Q.degree != d1 or any(p.degree != d1 - 1 for p in Ps) or len(Ps) != d2:
         raise ValueError("tuple degrees do not match the architecture")
     rows = list(combinations_with_replacement(range(d0), d1 - 1))
@@ -324,7 +341,8 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> MomentMatrix
 
 def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
                          tol: float = 1e-10) -> MomentRank:
-    """True when the moment matrix has numerical rank at most the hidden
+    """True when the denominator is nonzero (a zero one defines no rational
+    function) and the moment matrix has numerical rank at most the hidden
     width.  Exact membership characterization for hidden width 2; for wider
     hidden layers a necessary condition only."""
     if not isinstance(arch, Architecture):
@@ -332,7 +350,7 @@ def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     mm = build_moment_matrix(Ps, Q, arch)
     rank = numerical_rank(mm.array, tol)
     d1 = arch.dims[1]
-    return MomentRank(rank <= d1, rank, d1 >= 3)
+    return MomentRank(rank <= d1 and not Q.is_zero(), rank, d1 >= 3)
 
 
 # -- census --------------------------------------------------------------------
@@ -365,15 +383,8 @@ def enumerate_architectures(max_params: int = 30, max_layers: int = 5,
 
 def _census_entry(args) -> DimensionReport:
     dims, seed, p, timeout_s, samples = args
-    arch = Architecture(dims)
-    t0 = time.monotonic()
-    try:
-        deadline = t0 + timeout_s if timeout_s else None
-        return jacobian_rank_mod_p(arch, seed=seed, p=p, samples=samples, deadline=deadline)
-    except CensusTimeout:
-        return DimensionReport(arch.dims, None, ambient_dim(arch), param_count(arch),
-                               expected_dim(arch), fiber_upper_bound(arch), p, seed,
-                               time.monotonic() - t0, status="timeout")
+    deadline = time.monotonic() + timeout_s if timeout_s else None
+    return jacobian_rank_mod_p(dims, seed=seed, p=p, samples=samples, deadline=deadline)
 
 
 def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
@@ -382,8 +393,11 @@ def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
     """Jacobian-rank dimension for every architecture within the bounds.
 
     Per-architecture seeds derive from (seed, position) so the output is
-    identical for any worker count; rows keep enumeration order.
+    identical for any worker count; rows keep enumeration order.  Each row
+    has a deadline of timeout_s seconds (0 for none).
     """
+    if timeout_s < 0:
+        raise ValueError(f"timeout must be >= 0 seconds (0 for none), got {timeout_s}")
     archs = enumerate_architectures(max_params, max_layers, max_width)
     jobs = [(a.dims, seed + 1000003 * idx, p, timeout_s, samples)
             for idx, a in enumerate(archs)]

@@ -12,11 +12,10 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .fields import ScalarField, field_from_name, field_json_name, PrimeField
-from .poly import HomPoly, deleted_products
+from .poly import HomPoly, deleted_products, monomial_count
 
 POLE_GUARD = 1e-12
 
@@ -122,8 +121,8 @@ def ambient_dim(arch: Architecture) -> int:
     """Coefficient count of the output tuple's ambient space."""
     prof = degrees(arch)
     n0 = arch.d0
-    return (arch.dL * comb(n0 + prof.numerator_degree - 1, prof.numerator_degree)
-            + comb(n0 + prof.denominator_degree - 1, prof.denominator_degree))
+    return (arch.dL * monomial_count(n0, prof.numerator_degree)
+            + monomial_count(n0, prof.denominator_degree))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,42 @@ def dual_jacobian_rows():
     return _jacobian_rows_dual
 
 
+def gf_rank(rows: list[list[int]], p: int) -> int:
+    """Gaussian elimination rank over GF(p); mutates a local copy.  The
+    pure-Python elimination that ratnets.geometry.gf_rank vectorized, kept
+    unchanged as its oracle."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    if m == 0:
+        return 0
+    n = len(rows[0])
+    rank = 0
+    for col in range(n):
+        piv = None
+        for i in range(rank, m):
+            if rows[i][col] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col] % p, -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for i in range(rank + 1, m):
+            f = rows[i][col] % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+@pytest.fixture(scope="session")
+def gf_rank_oracle():
+    return gf_rank
+
+
 # -- single-run training oracle -------------------------------------------------
 #
 # The single-run loss-and-gradient pass, Adam update and training loop that

@@ -4,7 +4,8 @@ import pytest
 
 from ratnets.cli import main
 from ratnets.fields import COMPLEX, REAL, PrimeField
-from ratnets.network import Architecture, Weights, eval_network, forward_recursive
+from ratnets.network import (Architecture, RationalTuple, Weights, eval_network,
+                             forward_recursive)
 from ratnets.poly import HomPoly, product
 
 
@@ -199,6 +200,20 @@ def test_membership_moment_and_resultant(tmp_path, capsys):
     assert code == 2
 
 
+def test_membership_variable_count_mismatch_is_one_line_error(tmp_path, capsys):
+    t = RationalTuple((lin(1, 2, 3),), lin(1, 1).mul(lin(1, -1)))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    _assert_one_line_error(*run(capsys, "membership", "--tuple", tfile, "--arch", "2,2,1"))
+
+
+def test_membership_zero_denominator_is_not_in_model(tmp_path, capsys):
+    t = RationalTuple((lin(1, 2),), HomPoly.zero(COMPLEX, 2, 2))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, _ = run(capsys, "membership", "--tuple", tfile, "--arch", "2,2,1")
+    assert code == 2
+    assert json.loads(out)["in_model"] is False
+
+
 def test_dim_prints_rank(capsys):
     code, out, _ = run(capsys, "dim", "--arch", "2,2,1", "--seed", "7")
     assert code == 0
@@ -231,6 +246,11 @@ def test_census_warns_on_timeouts(capsys):
     rows = out.strip().splitlines()[1:]
     assert rows and all(r.endswith(",timeout") for r in rows)
     assert err.strip() == f"warning: {len(rows)} of {len(rows)} architectures timed out"
+
+
+def test_census_negative_timeout_is_one_line_error(capsys):
+    _assert_one_line_error(*run(capsys, "census", "--max-params", "6", "--max-layers", "2",
+                                "--timeout", "-1"))
 
 
 def test_hpoly_slices(tmp_path, capsys):

@@ -1,19 +1,20 @@
 import io
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ratnets.fields import COMPLEX, REAL, IntegerModRing, PrimeField
-from ratnets.geometry import (_jacobian_rows_complex_step, _jacobian_rows_mod_p,
-                              build_moment_matrix,
+from ratnets.fields import COMPLEX, REAL, PrimeField
+from ratnets.geometry import (_point_count, _point_jacobian, build_moment_matrix,
                               census, census_to_csv, enumerate_architectures,
                               expected_dim, fiber_upper_bound, filling_binary,
                               filling_shallow, gf_rank, jacobian_rank_float,
                               jacobian_rank_mod_p, numerical_rank,
                               rank_test_membership)
-from ratnets.network import (Architecture, Weights, ambient_dim, forward_recursive,
-                             param_count)
+from ratnets.network import (Architecture, Weights, ambient_dim, degrees,
+                             forward_recursive, param_count)
 from ratnets.poly import HomPoly, monomials
 
 
@@ -32,6 +33,21 @@ class TestGfRank:
             r = rng.integers(1, 5)
             a = rng.integers(0, 50, size=(6, r)) @ rng.integers(0, 50, size=(r, 7))
             assert gf_rank([[int(v) for v in row] for row in a], p) == np.linalg.matrix_rank(a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2 ** 31 - 1, 2 ** 61 - 1]),
+           m=st.integers(0, 7), n=st.integers(0, 7), inner=st.integers(0, 4))
+    def test_matches_pure_python_oracle(self, gf_rank_oracle, data, p, m, n, inner):
+        # entries from tiny to far beyond int64, and low-rank products
+        entry = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                          st.sampled_from([p, p - 1, 2 * p + 1]))
+        mat = lambda r, c: [[data.draw(entry) for _ in range(c)] for _ in range(r)]
+        rows = mat(m, n)
+        if data.draw(st.booleans()):
+            b, c = mat(m, inner), mat(inner, n)
+            rows = [[sum(b[i][t] * c[t][j] for t in range(inner)) for j in range(n)]
+                    for i in range(m)]
+        assert gf_rank(rows, p) == gf_rank_oracle(rows, p)
 
 
 class TestExpectedDim:
@@ -55,6 +71,7 @@ class TestJacobianRank:
     def test_tiny_filling_case(self):
         rep = jacobian_rank_mod_p(Architecture((2, 2, 1)), seed=3)
         assert rep.jacobian_rank == 5
+        assert rep.sample_ranks == (5, 5)
         assert rep.ambient_dim == 5
         assert rep.param_count == 6
 
@@ -87,7 +104,28 @@ class TestJacobianRank:
 ROW_ARCHS = [(2, 2, 1), (3, 3, 1), (2, 2, 2, 1), (2, 3, 2, 1)]
 
 
+def coefficient_rows_at(rows, arch, points, p=None):
+    """J_coeff . blockdiag(V): coefficient-space Jacobian rows evaluated at
+    the points, one monomial block per numerator and one for the
+    denominator."""
+    prof = degrees(arch)
+    blocks = ([monomials(arch.d0, prof.numerator_degree)] * arch.dL
+              + [monomials(arch.d0, prof.denominator_degree)])
+    jac = np.array(rows, dtype=object if p else complex)
+    pieces, col = [], 0
+    for mons in blocks:
+        vander = np.array([[math.prod(x ** k for x, k in zip(pt, e)) for pt in points]
+                           for e in mons], dtype=jac.dtype)
+        pieces.append(jac[:, col:col + len(mons)] @ vander)
+        col += len(mons)
+    out = np.concatenate(pieces, axis=1)
+    return out % p if p else out
+
+
 class TestJacobianRows:
+    """The pointwise tangents equal the dual-number coefficient rows of the
+    conftest oracle times the monomials evaluated at the points."""
+
     @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
     @pytest.mark.parametrize("dims", ROW_ARCHS)
     def test_mod_p_rows_equal_dual_oracle(self, dims, p, dual_field, dual_jacobian_rows):
@@ -95,26 +133,43 @@ class TestJacobianRows:
         gf = PrimeField(p)
         for seed in (0, 1):
             base = Weights.random(arch, gf, seed=seed)
-            want = dual_jacobian_rows(arch, base.mats, dual_field(gf))
-            assert _jacobian_rows_mod_p(arch, base.mats, p) == want
+            rng = random.Random(seed)
+            points = [[rng.randrange(p) for _ in range(arch.d0)]
+                      for _ in range(_point_count(arch))]
+            want = coefficient_rows_at(dual_jacobian_rows(arch, base.mats, dual_field(gf)),
+                                       arch, points, p)
+            got = _point_jacobian(arch, base.mats, points, p)
+            assert got.shape == (param_count(arch), (arch.dL + 1) * len(points))
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("dims", ROW_ARCHS)
+    def test_mod_p_rows_equal_dual_oracle_near_p(self, dims, dual_field, dual_jacobian_rows):
+        # residues just below p: a sum of unreduced int64 products would wrap
+        p = 2 ** 31 - 1
+        arch = Architecture(dims)
+        rng = random.Random(7)
+        near = lambda: p - rng.randrange(1, 64)
+        mats = tuple(tuple(tuple(near() for _ in range(c)) for _ in range(r))
+                     for r, c in arch.shapes())
+        points = [[near() for _ in range(arch.d0)] for _ in range(_point_count(arch))]
+        want = coefficient_rows_at(dual_jacobian_rows(arch, mats, dual_field(PrimeField(p))),
+                                   arch, points, p)
+        assert _point_jacobian(arch, mats, points, p).tolist() == want.tolist()
 
     @pytest.mark.parametrize("dims", ROW_ARCHS)
     def test_complex_step_rows_match_dual_oracle(self, dims, dual_field, dual_jacobian_rows):
+        # float rows at real weights and complex unit-norm points
         arch = Architecture(dims)
         for seed in (0, 1):
             base = Weights.random(arch, REAL, seed=seed)
-            got = np.array(_jacobian_rows_complex_step(arch, base.mats))
-            want = np.array(dual_jacobian_rows(arch, base.mats, dual_field(REAL)))
-            assert got.shape == want.shape == (param_count(arch), ambient_dim(arch))
+            z = np.random.default_rng(seed).standard_normal((_point_count(arch), arch.d0, 2))
+            points = z @ np.array([1, 1j])
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+            got = _point_jacobian(arch, base.mats, points)
+            want = coefficient_rows_at(dual_jacobian_rows(arch, base.mats, dual_field(REAL)),
+                                       arch, points.tolist())
+            assert got.shape == want.shape == (param_count(arch), (arch.dL + 1) * len(points))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_ring_mod_p_squared_keeps_the_first_order_term(self):
-        # (w + p)^3 = w^3 + 3 p w^2 (mod p^2): the p-multiple carries d/dw
-        p = 101
-        ring = IntegerModRing(p * p)
-        w = 17
-        cube = ring.mul(ring.mul(w + p, w + p), w + p)
-        assert ring.sub(cube, pow(w, 3, p * p)) // p == 3 * w * w % p
 
 
 class TestFilling:

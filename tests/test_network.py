@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.network import (Architecture, ArchitectureError, DomainError, Weights,
@@ -138,6 +139,13 @@ class TestForwardBinary:
         assert a.denominator.terms == b.denominator.terms
         for pa, pb in zip(a.numerators, b.numerators):
             assert pa.terms == pb.terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(layers=st.integers(2, 6), d_out=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+    def test_agrees_with_recursion_over_gf_property(self, layers, d_out, seed):
+        w = Weights.random(Architecture((2,) * layers + (d_out,)), GF, seed=seed)
+        a, b = forward_binary(w), forward_recursive(w)
+        assert [p.terms for p in a.all_polys()] == [p.terms for p in b.all_polys()]
 
     def test_agrees_with_recursion_float(self):
         w = real_weights((2, 2, 2, 1), seed=9)
