@@ -16,7 +16,7 @@ from .poly import HomPoly, LinearForm, NotDivisibleError, monomials, sym_contrac
 from .network import (Architecture, ArchitectureError, DegreeProfile, DomainError,
                       RationalTuple, Weights, ambient_dim, apply_symmetry, degrees,
                       eval_network, forward_binary, forward_recursive, param_count)
-from .factor import (FactorReport, LinearFactorization, build_H, divides,
+from .factor import (FactorReport, LinearFactorization, build_H,
                      factor_binary_form, factor_multilinear,
                      factor_quadratic_explicit, h_slices, roots_univariate)
 from .reconstruct import (MembershipVerdict, Stage, membership_binary_multioutput,

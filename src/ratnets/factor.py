@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import ScalarField, COMPLEX
-from .poly import HomPoly, LinearForm, NotDivisibleError, _as_complex
+from .poly import HomPoly, LinearForm, _as_complex
 from .network import Weights
 
 ROOT_TOL = 1e-10
@@ -308,15 +308,6 @@ def factor_quadratic_explicit(c11: complex, c12: complex, c22: complex
     return (LinearForm((1.0 + 0j, 0j)), LinearForm((0j, 2 * c12)))
 
 
-def quadratic_all_real(c11, c12, c22, reality_tol: float = REALITY_TOL) -> bool:
-    """Real splitting test for c11*x^2 + 2*c12*x*y + c22*y^2."""
-    if abs(complex(c11).imag) > reality_tol or abs(complex(c12).imag) > reality_tol \
-            or abs(complex(c22).imag) > reality_tol:
-        return False
-    disc = (complex(c12) ** 2 - complex(c11) * complex(c22)).real
-    return disc >= -reality_tol
-
-
 def build_H(w: Weights) -> HomPoly:
     """Product of the per-neuron affine slices for a one-hidden-layer net.
 
@@ -351,12 +342,3 @@ def h_slices(H: HomPoly, n: int, k: int) -> tuple[list[HomPoly], HomPoly]:
         elif zdeg == 1:
             nums[ztail.index(1)][e[:n]] = c
     return ([HomPoly(f, n, m - 1, t) for t in nums], HomPoly(f, n, m, den))
-
-
-def divides(linform: LinearForm, Q: HomPoly, tol: float = 1e-9) -> bool:
-    """Divisibility check by attempted exact division."""
-    try:
-        Q.exact_divide(linform, tol)
-        return True
-    except NotDivisibleError:
-        return False

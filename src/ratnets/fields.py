@@ -9,16 +9,23 @@ polynomial dictionaries stay lightweight:
 
 A field object owns every operation on its scalars; callers never assume a
 concrete representation.  ``magnitude`` maps a scalar to a float used for
-tolerance checks and term cleanup; for exact fields it is a 0/1 indicator,
-so a "magnitude below threshold" test degenerates to an exact zero test.
+tolerance checks; for exact fields it is a 0/1 indicator, so a "magnitude
+below threshold" test degenerates to an exact zero test.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 
 DEFAULT_PRIME = 2147483647  # Mersenne, fits in 32 bits
-FLOAT_CLEANUP_REL = 1e-13
+
+
+def _finite(a):
+    """a itself; ValueError for a NaN or infinite scalar read from outside."""
+    if not cmath.isfinite(a):
+        raise ValueError(f"non-finite coefficient {a}")
+    return a
 
 
 class FieldMismatchError(ValueError):
@@ -30,7 +37,6 @@ class ScalarField:
 
     name: str = "abstract"
     exact: bool = False
-    cleanup_rel: float = 0.0
 
     def zero(self):
         raise NotImplementedError
@@ -88,9 +94,6 @@ class ScalarField:
 class RealField(ScalarField):
     name = "real"
 
-    def __init__(self, cleanup_rel: float = FLOAT_CLEANUP_REL):
-        self.cleanup_rel = cleanup_rel
-
     def zero(self):
         return 0.0
 
@@ -125,14 +128,11 @@ class RealField(ScalarField):
         return {"re": a}
 
     def coeff_from_json(self, obj):
-        return float(obj["re"])
+        return _finite(float(obj["re"]))
 
 
 class ComplexField(ScalarField):
     name = "complex"
-
-    def __init__(self, cleanup_rel: float = FLOAT_CLEANUP_REL):
-        self.cleanup_rel = cleanup_rel
 
     def zero(self):
         return 0j
@@ -168,7 +168,7 @@ class ComplexField(ScalarField):
         return {"re": a.real, "im": a.imag}
 
     def coeff_from_json(self, obj):
-        return complex(obj["re"], obj.get("im", 0.0))
+        return _finite(complex(obj["re"], obj.get("im", 0.0)))
 
 
 def is_prime(n: int) -> bool:
@@ -252,9 +252,9 @@ COMPLEX = ComplexField()
 
 def field_from_name(name: str, p: int | None = None) -> ScalarField:
     if name == "real":
-        return RealField()
+        return REAL
     if name == "complex":
-        return ComplexField()
+        return COMPLEX
     if name == "gfp":
         return PrimeField(p if p is not None else DEFAULT_PRIME)
     raise ValueError(f"unknown field name {name!r}")

@@ -180,6 +180,8 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         arch = Architecture(tuple(arch))
     if not is_prime(p) or p <= 10 ** 6:
         raise ValueError("modulus must be a prime above 10^6")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     gf = PrimeField(p)
     n_points = _point_count(arch)
     t0 = time.monotonic()
@@ -196,9 +198,9 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
                                expected_dim(arch), fiber_upper_bound(arch), p, seed,
                                time.monotonic() - t0, status, tuple(ranks))
 
-    ranks, n = [], max(1, samples)
-    for t in range(n + 1):  # one extra sample when the first n disagree
-        if t == n and len(set(ranks)) == 1:
+    ranks = []
+    for t in range(samples + 1):  # one extra sample when the first ones disagree
+        if t == samples and len(set(ranks)) == 1:
             break
         if deadline is not None and time.monotonic() > deadline:
             return report(None, "timeout")
@@ -396,8 +398,10 @@ def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
     identical for any worker count; rows keep enumeration order.  Each row
     has a deadline of timeout_s seconds (0 for none).
     """
-    if timeout_s < 0:
+    if not timeout_s >= 0:  # NaN fails too
         raise ValueError(f"timeout must be >= 0 seconds (0 for none), got {timeout_s}")
+    if samples < 1:  # checked here too: a bound may leave no architecture
+        raise ValueError(f"samples must be >= 1, got {samples}")
     archs = enumerate_architectures(max_params, max_layers, max_width)
     jobs = [(a.dims, seed + 1000003 * idx, p, timeout_s, samples)
             for idx, a in enumerate(archs)]

@@ -1,9 +1,10 @@
 """Sparse homogeneous multivariate polynomials over a pluggable scalar field.
 
 A polynomial is a mapping from exponent tuples (one entry per variable) to
-nonzero scalars.  Every stored exponent tuple sums to the polynomial's
-degree; the zero polynomial keeps an explicit (nvars, degree) signature so
-arithmetic stays well-typed.  The canonical term order is graded
+nonzero scalars: construction drops exact zeros only, so float coefficients
+are kept as computed, however small.  Every stored exponent tuple sums to the
+polynomial's degree; the zero polynomial keeps an explicit (nvars, degree)
+signature so arithmetic stays well-typed.  The canonical term order is graded
 lexicographic, descending, which fixes serialization and the order of the
 monomial basis.
 """
@@ -59,12 +60,9 @@ class LinearForm:
         return len(self.coeffs)
 
     def as_poly(self, field: ScalarField) -> "HomPoly":
-        terms = {}
         n = self.nvars
-        for j, c in enumerate(self.coeffs):
-            if not field.is_zero(c):
-                terms[tuple(1 if t == j else 0 for t in range(n))] = c
-        return HomPoly(field, n, 1, terms)
+        return HomPoly(field, n, 1, {tuple(1 if t == j else 0 for t in range(n)): c
+                                     for j, c in enumerate(self.coeffs)})
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,8 @@ class HomPoly:
     terms: Mapping[Exponent, object] = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = _cleanup(self.field, self.terms)
+        is_zero = self.field.is_zero
+        cleaned = {e: c for e, c in self.terms.items() if not is_zero(c)}
         n, d = self.nvars, self.degree
         for e in cleaned:
             if len(e) != n or min(e, default=0) < 0 or sum(e) != d:
@@ -272,13 +271,12 @@ class HomPoly:
                 eq[s] -= 1
                 layer[tuple(eq)] = q
             quot.update(layer)
-            nxt = dict(by_pow.get(j - 1, {}))
+            carry = dict(by_pow.get(j - 1, {}))
             for eq, q in layer.items():
                 for er, vr in rest.items():
                     e = tuple(a + b for a, b in zip(eq, er))
                     w = f.mul(q, vr)
-                    nxt[e] = f.sub(nxt[e], w) if e in nxt else f.neg(w)
-            carry = _cleanup(f, nxt)
+                    carry[e] = f.sub(carry[e], w) if e in carry else f.neg(w)
         rem_mag = max((f.magnitude(v) for v in carry.values()), default=0.0)
         bound = 0.0 if f.exact else tol * max(self.max_magnitude(), 1e-300)
         if rem_mag > bound:
@@ -311,16 +309,8 @@ class HomPoly:
         return " + ".join(bits)
 
 
-def _cleanup(field: ScalarField, terms: Mapping) -> dict:
-    """Drop exact zeros, then float dust below cleanup_rel * max magnitude."""
-    mags = list(map(field.magnitude, terms.values()))
-    rel = field.cleanup_rel
-    thr = rel * max(mags) if rel and mags else 0.0
-    return {e: c for (e, c), m in zip(terms.items(), mags) if m != 0.0 and m >= thr}
-
-
 def _mul_terms(field: ScalarField, a: Mapping, b: Mapping) -> dict:
-    """Product of two term mappings, without cleanup."""
+    """Product of two term mappings; exact zeros are kept."""
     add, mul = field.add, field.mul
     out: dict = {}
     for e1, c1 in a.items():

@@ -234,6 +234,8 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
     if (Q.nvars != 2 or Q.degree != prof.denominator_degree
             or any(p.nvars != 2 or p.degree != prof.numerator_degree for p in Ps)):
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
+    if Q.is_zero():  # res(P, 0) = 0 would pass the screen below
+        return _fail(Stage.FACTOR_TEST, necessary_only=True)
     Ps = [_as_complex(p) for p in Ps]
     worst = 0.0
     for i in range(len(Ps)):

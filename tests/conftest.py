@@ -35,6 +35,21 @@ def sym_contract_reference():
     return _sym_contract_reference
 
 
+def _quadratic_all_real(c11, c12, c22, reality_tol: float = 1e-7) -> bool:
+    """Real splitting test for c11*x^2 + 2*c12*x*y + c22*y^2 from the
+    discriminant, an oracle for the factorization's reality flag."""
+    if abs(complex(c11).imag) > reality_tol or abs(complex(c12).imag) > reality_tol \
+            or abs(complex(c22).imag) > reality_tol:
+        return False
+    disc = (complex(c12) ** 2 - complex(c11) * complex(c22)).real
+    return disc >= -reality_tol
+
+
+@pytest.fixture
+def quadratic_all_real():
+    return _quadratic_all_real
+
+
 class DualField(ScalarField):
     """First-order dual numbers (a, b) ~ a + b*eps over a base field."""
 
@@ -44,7 +59,6 @@ class DualField(ScalarField):
         self.base = base
         self.name = f"dual({base.name})"
         self.exact = base.exact
-        self.cleanup_rel = base.cleanup_rel
 
     def lift(self, a):
         """Embed a base scalar with zero derivative part."""

@@ -4,7 +4,7 @@ import pytest
 
 from ratnets.cli import main
 from ratnets.fields import COMPLEX, REAL, PrimeField
-from ratnets.network import (Architecture, RationalTuple, Weights, eval_network,
+from ratnets.network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                              forward_recursive)
 from ratnets.poly import HomPoly, product
 
@@ -111,6 +111,19 @@ def test_reconstruct_malformed_numerators_is_one_line_error(tmp_path, capsys):
     _assert_one_line_error(*run(capsys, "reconstruct", "--tuple", str(f), "--arch", "2,2,1"))
 
 
+def test_non_finite_input_is_one_line_error(tmp_path, capsys):
+    w = Weights.random(Architecture((2, 2, 1)), REAL, seed=1)
+    t = forward_recursive(w).to_json()
+    t["numerators"][0]["terms"][0]["re"] = float("nan")
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(t))
+    _assert_one_line_error(*run(capsys, "reconstruct", "--tuple", str(f), "--arch", "2,2,1"))
+    wj = w.to_json()
+    wj["mats"][0][0][0] = float("inf")
+    f.write_text(json.dumps(wj))
+    _assert_one_line_error(*run(capsys, "forward", "--arch", "2,2,1", "--weights", str(f)))
+
+
 def test_eval_malformed_mats_is_one_line_error(tmp_path, capsys):
     w = Weights.random(Architecture((2, 2, 1)), REAL, seed=1).to_json()
     w["mats"] = 5
@@ -214,6 +227,20 @@ def test_membership_zero_denominator_is_not_in_model(tmp_path, capsys):
     assert json.loads(out)["in_model"] is False
 
 
+@pytest.mark.parametrize("layers", [2, 3])
+def test_membership_binary_zero_denominator_is_not_in_model(tmp_path, capsys, layers):
+    prof = degrees(Architecture((2,) * layers + (1,)))
+    num = product([lin(1, k) for k in range(1, prof.numerator_degree + 1)])
+    t = RationalTuple((num,), HomPoly.zero(COMPLEX, 2, prof.denominator_degree))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, _ = run(capsys, "membership", "--tuple", tfile, "--binary",
+                       "--layers", str(layers))
+    assert code == 2
+    verdict = json.loads(out)
+    assert verdict["in_model"] is False and verdict["necessary_only"] is True
+    assert verdict["stage_failed"] == "FactorTest"
+
+
 def test_dim_prints_rank(capsys):
     code, out, _ = run(capsys, "dim", "--arch", "2,2,1", "--seed", "7")
     assert code == 0
@@ -249,8 +276,18 @@ def test_census_warns_on_timeouts(capsys):
 
 
 def test_census_negative_timeout_is_one_line_error(capsys):
-    _assert_one_line_error(*run(capsys, "census", "--max-params", "6", "--max-layers", "2",
-                                "--timeout", "-1"))
+    for timeout in ("-1", "nan"):
+        _assert_one_line_error(*run(capsys, "census", "--max-params", "6", "--max-layers", "2",
+                                    "--timeout", timeout))
+
+
+@pytest.mark.parametrize("argv", [("dim", "--arch", "2,2,1", "--samples", "0"),
+                                  ("dim", "--arch", "2,2,1", "--samples", "-3"),
+                                  ("census", "--max-params", "6", "--max-layers", "2",
+                                   "--samples", "0"),
+                                  ("census", "--max-params", "3", "--samples", "0")])
+def test_samples_below_one_is_one_line_error(capsys, argv):
+    _assert_one_line_error(*run(capsys, *argv))
 
 
 def test_hpoly_slices(tmp_path, capsys):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from ratnets.fields import COMPLEX, REAL
-from ratnets.factor import (FactorFailure, build_H, divides, factor_binary_form,
+from ratnets.factor import (FactorFailure, build_H, factor_binary_form,
                             factor_multilinear, factor_quadratic_explicit,
-                            h_slices, quadratic_all_real, roots_univariate)
+                            h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
-from ratnets.poly import HomPoly, LinearForm, product
+from ratnets.poly import HomPoly, LinearForm, NotDivisibleError, product
 
 EX37_COLUMN = [-0.8566, complex(-0.1500, -0.8974), complex(-0.1500, 0.8974),
                complex(1.0783, -0.4969), complex(1.0783, 0.4969)]
@@ -160,7 +160,7 @@ class TestFactorMultilinear:
         b = sorted(fz.zero_line_ratios(), key=lambda z: (z.real, z.imag))
         assert all(abs(x - y) < 1e-6 for x, y in zip(a, b))
 
-    def test_reality_flag_tracks_discriminant(self):
+    def test_reality_flag_tracks_discriminant(self, quadratic_all_real):
         rng = random.Random(26)
         for _ in range(40):
             c11, c12, c22 = (rng.uniform(-1, 1) for _ in range(3))
@@ -201,7 +201,7 @@ class TestFactorBinaryForm:
 
 
 class TestFactorQuadraticExplicit:
-    def test_real_split(self):
+    def test_real_split(self, quadratic_all_real):
         l1, l2 = factor_quadratic_explicit(1, 0, -1)  # x^2 - y^2
         got = l1.as_poly(COMPLEX).mul(l2.as_poly(COMPLEX))
         assert abs(got.coefficient((2, 0)) - 1) < 1e-14
@@ -209,7 +209,7 @@ class TestFactorQuadraticExplicit:
         assert abs(got.coefficient((0, 2)) + 1) < 1e-14
         assert quadratic_all_real(1, 0, -1)
 
-    def test_complex_split(self):
+    def test_complex_split(self, quadratic_all_real):
         l1, l2 = factor_quadratic_explicit(1, 0, 1)  # x^2 + y^2
         got = l1.as_poly(COMPLEX).mul(l2.as_poly(COMPLEX))
         assert abs(got.coefficient((2, 0)) - 1) < 1e-14
@@ -261,6 +261,7 @@ class TestBuildH:
 class TestDivides:
     def test_divisor_accepted_nondivisor_rejected(self):
         q = example_cubic()
-        assert divides(LinearForm((1 + 0j, 1 + 0j, 1 + 0j)), q)
-        assert divides(LinearForm((1 + 0j, -1 + 0j, 0j)), q)
-        assert not divides(LinearForm((1 + 0j, 1 + 0j, 0j)), q)
+        q.exact_divide(LinearForm((1 + 0j, 1 + 0j, 1 + 0j)))
+        q.exact_divide(LinearForm((1 + 0j, -1 + 0j, 0j)))
+        with pytest.raises(NotDivisibleError):
+            q.exact_divide(LinearForm((1 + 0j, 1 + 0j, 0j)))

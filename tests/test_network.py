@@ -129,6 +129,26 @@ class TestForwardRecursive:
         assert cmf[0] >= 2  # numerators and denominator share a power of t
 
 
+def assert_real_support_equals_gf_support(dims, seed):
+    a = Architecture(dims)
+    r = forward_recursive(Weights.random(a, REAL, seed=seed))
+    g = forward_recursive(Weights.random(a, GF, seed=seed))
+    assert [set(x.terms) for x in r.all_polys()] == [set(y.terms) for y in g.all_polys()]
+
+
+class TestRealSupport:
+    def test_tiny_generic_coefficient_is_kept(self):
+        # the x1^19 coefficient of the first numerator is 3.6e-14 of the
+        # largest one; it is generically nonzero, as over GF(p)
+        assert_real_support_equals_gf_support((2, 3, 3, 2, 3, 1), 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.lists(st.integers(2, 3), min_size=3, max_size=5),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_gf_support_property(self, dims, seed):
+        assert_real_support_equals_gf_support(tuple(dims), seed)
+
+
 class TestForwardBinary:
     @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 2, 1), (2, 2, 2, 2, 3),
                                       (2, 2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2, 1)])

@@ -221,14 +221,13 @@ class TestSymContract:
 
 
 class TestHousekeeping:
-    def test_cleanup_drops_dust(self):
-        p = HomPoly(REAL, 2, 2, {(2, 0): 1.0, (0, 2): 1e-16})
-        assert p.terms == {(2, 0): 1.0}
-        # exact zeros go; dust is judged against the largest term (4e3 here,
-        # threshold 4e-10), which always stays
+    def test_construction_drops_exact_zeros_only(self):
+        p = HomPoly(REAL, 2, 2, {(2, 0): 1.0, (1, 1): 0.0, (0, 2): 1e-16})
+        assert p.terms == {(2, 0): 1.0, (0, 2): 1e-16}
         q = HomPoly(COMPLEX, 3, 2, {(2, 0, 0): 0j, (1, 1, 0): -4e3j,
-                                    (0, 2, 0): 3.9e-10 + 0j, (0, 0, 2): 4.1e-10j})
-        assert q.terms == {(1, 1, 0): -4e3j, (0, 0, 2): 4.1e-10j}
+                                    (0, 2, 0): 3.9e-10 + 0j, (0, 0, 2): 1e-300j})
+        assert q.terms == {(1, 1, 0): -4e3j, (0, 2, 0): 3.9e-10 + 0j, (0, 0, 2): 1e-300j}
+        # residues congruent to 0 mod p are exact zeros
         g = HomPoly(GF, 2, 2, {(2, 0): 0, (1, 1): 1, (0, 2): GF.p})
         assert g.terms == {(1, 1): 1}
 
