@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ScalarField, COMPLEX
+from .fields import COMPLEX
 from .poly import HomPoly, LinearForm, _as_complex
 from .network import Weights
 
@@ -26,6 +26,7 @@ REASSEMBLY_TOL = 1e-8
 REALITY_TOL = 1e-7
 LEADING_TOL = 1e-10
 MAX_RETRIES = 5
+NEWTON_STEPS = 12
 
 
 class NonConvergenceError(ArithmeticError):
@@ -47,12 +48,11 @@ class LinearFactorization:
     factors: list[LinearForm]
     residual: float
 
-    def reassemble(self, field: ScalarField | None = None) -> HomPoly:
-        field = field or COMPLEX
+    def reassemble(self) -> HomPoly:
         nvars = self.factors[0].nvars if self.factors else 0
-        acc = HomPoly.constant(field, nvars, self.constant)
+        acc = HomPoly.constant(COMPLEX, nvars, self.constant)
         for f in self.factors:
-            acc = acc.mul(f.as_poly(field))
+            acc = acc.mul(f.as_poly(COMPLEX))
         return acc
 
     def zero_line_ratios(self) -> list[complex]:
@@ -88,12 +88,12 @@ class FactorReport:
         return obj
 
 
-def roots_univariate(coeffs: Sequence[complex], tol: float = ROOT_TOL,
-                     newton_steps: int = 12) -> list[complex]:
+def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     """Roots (with multiplicity) of sum(coeffs[k] * y**k).
 
-    Companion-matrix eigenvalues followed by Newton polishing; every root r
-    must satisfy |p(r)| <= tol * max|coeffs| * max(1, |r|)**deg.
+    Companion-matrix eigenvalues followed by up to NEWTON_STEPS Newton
+    polishing steps; every root r must satisfy
+    |p(r)| <= ROOT_TOL * max|coeffs| * max(1, |r|)**deg.
     """
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size == 0 or c[-1] == 0:
@@ -108,7 +108,7 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = ROOT_TOL,
     except np.linalg.LinAlgError as ex:
         raise NonConvergenceError(str(ex)) from ex
     dc = c[1:] * np.arange(1, deg + 1)
-    for _ in range(newton_steps):
+    for _ in range(NEWTON_STEPS):
         pv = np.polyval(c[::-1], roots)
         dv = np.polyval(dc[::-1], roots)
         safe = np.abs(dv) > 1e-300
@@ -119,10 +119,10 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = ROOT_TOL,
         step[big] /= np.abs(step[big])
         roots = roots - step
         if np.all(np.abs(np.polyval(c[::-1], roots))
-                  <= tol * scale * np.maximum(1.0, np.abs(roots)) ** deg):
+                  <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg):
             break
     resid = np.abs(np.polyval(c[::-1], roots))
-    bound = tol * scale * np.maximum(1.0, np.abs(roots)) ** deg
+    bound = ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg
     if np.any(resid > bound):
         raise NonConvergenceError(f"max residual {resid.max():.3e} above bound")
     return [complex(r) for r in roots]
@@ -138,13 +138,12 @@ def _elem_sym_all(vals: Sequence[complex], kmax: int) -> np.ndarray:
     return e
 
 
-def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0,
-                       max_retries: int = MAX_RETRIES) -> FactorReport:
+def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -> FactorReport:
     """Decide whether Q is a product of linear forms, and produce one.
 
     A direct attempt runs the univariate-roots procedure in the original
     coordinates; if it fails to verify (or no variable carries a pure m-th
-    power), up to max_retries seeded random linear changes of variables are
+    power), up to MAX_RETRIES seeded random linear changes of variables are
     tried and the recovered factors mapped back.  Soundness rests on the
     final expansion check, never on the intermediate solves.
     """
@@ -158,7 +157,7 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0,
     rng = np.random.default_rng(seed)
     saw_leading = False
     last_failure = FactorFailure.VERIFICATION_FAIL
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         if attempt == 0:
             qw, change = Q, None
         else:
@@ -214,7 +213,7 @@ def _factor_attempt(q: HomPoly) -> tuple[complex, list[tuple]] | None:
     g[m] = 1.0  # ascending storage: g[k] multiplies y^k
     for k in range(1, m + 1):
         g[m - k] = (-1) ** k * (coeff((pivot, m - k), (perm[1], k)) / c0)
-    second = roots_univariate(g, tol=ROOT_TOL)
+    second = roots_univariate(g)
     rows = [[1.0 + 0j, a] for a in second]
     # remaining columns: m x m elementary-symmetric systems, min-norm solve
     # (repeated roots give identical columns; equal weight split is the
@@ -249,12 +248,11 @@ def _normalize_factors(const: complex, rows: list[tuple]):
     return complex(const), out
 
 
-def _factors_all_real(const: complex, rows: list[tuple],
-                      reality_tol: float = REALITY_TOL) -> bool:
+def _factors_all_real(const: complex, rows: list[tuple]) -> bool:
     scale = max(max(abs(complex(v)) for v in r) for r in rows)
-    if abs(const.imag) > reality_tol * max(abs(const), 1.0):
+    if abs(const.imag) > REALITY_TOL * max(abs(const), 1.0):
         return False
-    return all(abs(complex(v).imag) <= reality_tol * max(scale, 1.0)
+    return all(abs(complex(v).imag) <= REALITY_TOL * max(scale, 1.0)
                for r in rows for v in r)
 
 

@@ -91,7 +91,29 @@ class ScalarField:
         return hash((type(self).__name__, tuple(sorted(self.__dict__.items()))))
 
 
-class RealField(ScalarField):
+class _FloatField(ScalarField):
+    """Arithmetic shared by the float fields: Python's own operators."""
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return 1.0 / a
+
+    def magnitude(self, a):
+        return abs(a)
+
+
+class RealField(_FloatField):
     name = "real"
 
     def zero(self):
@@ -103,24 +125,6 @@ class RealField(ScalarField):
     def from_int(self, n):
         return float(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1.0 / a
-
-    def magnitude(self, a):
-        return abs(a)
-
     def random(self, rng):
         return rng.uniform(-1.0, 1.0)
 
@@ -131,7 +135,7 @@ class RealField(ScalarField):
         return _finite(float(obj["re"]))
 
 
-class ComplexField(ScalarField):
+class ComplexField(_FloatField):
     name = "complex"
 
     def zero(self):
@@ -142,24 +146,6 @@ class ComplexField(ScalarField):
 
     def from_int(self, n):
         return complex(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1.0 / a
-
-    def magnitude(self, a):
-        return abs(a)
 
     def random(self, rng):
         return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))

@@ -208,19 +208,19 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     return report(max(ranks))
 
 
-def jacobian_rank_float(arch, seed: int = 0, tol: float = 1e-8) -> int:
+def jacobian_rank_float(arch, seed: int = 0) -> int:
     """SVD rank of the same pointwise Jacobian at random real weights and
     random complex unit-norm points, each column scaled to a maximum of 1.
     A cross-check for small architectures only: on deeper or wider ones the
-    singular values decay smoothly through tol and the rank can undershoot
-    (8, not 14, on (2, 2, 2, 3, 2, 1) with seed 1)."""
+    singular values decay smoothly through the 1e-8 cutoff and the rank can
+    undershoot (8, not 14, on (2, 2, 2, 3, 2, 1) with seed 1)."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
     z = np.random.default_rng(seed).standard_normal((_point_count(arch), arch.d0, 2)) @ [1, 1j]
     jac = _point_jacobian(arch, Weights.random(arch, REAL, seed=seed).mats,
                           z / np.linalg.norm(z, axis=1, keepdims=True))
     scale = np.abs(jac).max(axis=0)
-    return numerical_rank(jac / np.where(scale > 0, scale, 1.0), tol)
+    return numerical_rank(jac / np.where(scale > 0, scale, 1.0), 1e-8)
 
 
 def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
@@ -405,8 +405,9 @@ def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
     archs = enumerate_architectures(max_params, max_layers, max_width)
     jobs = [(a.dims, seed + 1000003 * idx, p, timeout_s, samples)
             for idx, a in enumerate(archs)]
-    if workers > 1:
-        with Pool(workers) as pool:
+    procs = min(workers, len(jobs))
+    if procs > 1:
+        with Pool(procs) as pool:
             return pool.map(_census_entry, jobs)
     return [_census_entry(j) for j in jobs]
 

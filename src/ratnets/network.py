@@ -9,6 +9,7 @@ to the output tuple.
 
 from __future__ import annotations
 
+import operator
 import random
 import warnings
 from dataclasses import dataclass
@@ -46,7 +47,10 @@ class Architecture:
     diagnostic: bool = False
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError as ex:
+            raise ArchitectureError(f"widths must be integers, got {self.dims}") from ex
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise ArchitectureError("need at least an input and an output layer")
@@ -139,6 +143,9 @@ class Weights:
         shapes = [(len(m), len(m[0]) if m else 0) for m in mats]
         if shapes != self.arch.shapes():
             raise ArchitectureError(f"matrix shapes {shapes} do not match {self.arch.shapes()}")
+        for k, (m, (_, cols)) in enumerate(zip(mats, shapes)):
+            if any(len(row) != cols for row in m):
+                raise ArchitectureError(f"matrix {k + 1} has rows of unequal length")
 
     @classmethod
     def random(cls, arch: Architecture, field: ScalarField, seed: int = 0) -> "Weights":
@@ -331,8 +338,10 @@ def _alternating_product_list(qs, top, f):
 # -- numeric evaluation and symmetries ----------------------------------------
 
 
-def eval_network(w: Weights, x: Sequence, pole_tol: float = POLE_GUARD) -> list:
-    """Numeric forward pass applying the entrywise reciprocal between layers."""
+def eval_network(w: Weights, x: Sequence) -> list:
+    """Numeric forward pass applying the entrywise reciprocal between layers;
+    DomainError when an intermediate coordinate's magnitude falls below
+    POLE_GUARD."""
     arch, f = w.arch, w.field
     if len(x) != arch.d0:
         raise ValueError(f"input has {len(x)} coordinates, need {arch.d0}")
@@ -341,7 +350,7 @@ def eval_network(w: Weights, x: Sequence, pole_tol: float = POLE_GUARD) -> list:
         vec = [_dot(f, row, vec) for row in w.mats[k]]
         if k < arch.layers - 1:
             for v in vec:
-                if f.magnitude(v) < pole_tol:
+                if f.magnitude(v) < POLE_GUARD:
                     raise DomainError(f"intermediate coordinate vanished at layer {k + 1}")
             vec = [f.inv(v) for v in vec]
     return vec

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .fields import COMPLEX, ComplexField, FieldMismatchError, RealField, ScalarField
+from .fields import COMPLEX, FieldMismatchError, ScalarField, _FloatField
 
 Exponent = tuple[int, ...]
 
@@ -165,18 +165,6 @@ class HomPoly:
             result = result.mul(self)
         return result
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def __neg__(self):
-        return self.neg()
-
     # -- substitution and evaluation ----------------------------------------
 
     def compose_linear(self, rows: Sequence[Sequence]) -> "HomPoly":
@@ -295,8 +283,10 @@ class HomPoly:
 
     @classmethod
     def from_json(cls, field: ScalarField, obj: dict) -> "HomPoly":
-        terms = {tuple(t["exp"]): field.coeff_from_json(t) for t in obj["terms"]}
-        return cls(field, int(obj["nvars"]), int(obj["degree"]), terms)
+        """TypeError for a non-integral exponent, nvars or degree."""
+        index = operator.index
+        terms = {tuple(map(index, t["exp"])): field.coeff_from_json(t) for t in obj["terms"]}
+        return cls(field, index(obj["nvars"]), index(obj["degree"]), terms)
 
     def __str__(self):
         if not self.terms:
@@ -325,7 +315,7 @@ def _as_complex(p: HomPoly) -> HomPoly:
     """The same form over COMPLEX; TypeError for fields with no complex image."""
     if p.field == COMPLEX:
         return p
-    if not isinstance(p.field, (RealField, ComplexField)):
+    if not isinstance(p.field, _FloatField):
         raise TypeError(f"{p.field.name} scalars have no complex image")
     return HomPoly(COMPLEX, p.nvars, p.degree, {e: complex(c) for e, c in p.terms.items()})
 

@@ -32,6 +32,7 @@ import numpy as np
 
 POLE_NORMALS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 POLE_GUARD = 1e-9
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Largest per-layer temporary of one kernel call, in floats (125 KiB): below
 # glibc's 128 KiB mmap threshold an epoch reuses heap memory, above it every
 # temporary page-faults in fresh memory, which doubles the cost per run.
@@ -131,15 +132,14 @@ def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray,
-                           pole_tol: float = POLE_GUARD):
+def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     """Full-batch MSE losses and exact gradients of R runs at once, by
     reverse accumulation.
 
     mats[k] has shape (R, d_{k+1}, d_k); x (d0, B) and y (B,) or (dL, B) are
     shared by every run.  A point driving any intermediate coordinate of run
-    r below pole_tol, or to a non-finite value, is masked out of run r's loss
-    and gradient for this step and counted.  Returns (loss, grads, skipped):
+    r below POLE_GUARD, or to a non-finite value, is masked out of run r's
+    loss and gradient for this step and counted.  Returns (loss, grads, skipped):
     loss (R,), inf for a run with no surviving point; grads (R, P), each
     run's gradient matrices flattened in layer order, zero for such a run;
     skipped (R,) ints.  Each run's results depend only on its own weights,
@@ -150,14 +150,14 @@ def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray,
     width = max(max(w.shape[1:]) for w in mats)
     blocks = -(-count * width * total // BLOCK_FLOATS)
     if blocks < 2:
-        return _forward_backward_block(mats, x, y, pole_tol)
+        return _forward_backward_block(mats, x, y)
     size = -(-count // blocks)
-    parts = [_forward_backward_block([w[lo:lo + size] for w in mats], x, y, pole_tol)
+    parts = [_forward_backward_block([w[lo:lo + size] for w in mats], x, y)
              for lo in range(0, count, size)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _forward_backward_block(mats, x, y, pole_tol):
+def _forward_backward_block(mats, x, y):
     total = x.shape[1]
     count = len(mats[0])
     acts, us = [x], []
@@ -166,8 +166,8 @@ def _forward_backward_block(mats, x, y, pole_tol):
         for w in mats[:-1]:
             u = w @ acts[-1]
             mag = np.abs(u)
-            if not (mag.size and mag.min() >= pole_tol and mag.max() < np.inf):
-                ok = ((mag >= pole_tol) & (mag < np.inf)).all(axis=1)
+            if not (mag.size and mag.min() >= POLE_GUARD and mag.max() < np.inf):
+                ok = ((mag >= POLE_GUARD) & (mag < np.inf)).all(axis=1)
                 keep = ok if keep is None else keep & ok
             us.append(u)
             acts.append(1.0 / u)
@@ -206,18 +206,17 @@ def _forward_backward_block(mats, x, y, pole_tol):
     return loss, grads, total - kept
 
 
-def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray,
-                     pole_tol: float = POLE_GUARD):
+def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     """Full-batch MSE loss and exact gradients of one run: the R = 1 case
     of forward_backward_stack.
 
     x has shape (d0, B); points driving any intermediate coordinate below
-    pole_tol are skipped for this step and counted.  Returns (loss, grads,
+    POLE_GUARD are skipped for this step and counted.  Returns (loss, grads,
     skipped) with grads one matrix per layer.  Raises AllPointsSkippedError
     when nothing survives.
     """
     stack = [np.asarray(m, dtype=float)[None] for m in mats]
-    loss, grads, skipped = forward_backward_stack(stack, x, y, pole_tol)
+    loss, grads, skipped = forward_backward_stack(stack, x, y)
     total = x.shape[1]
     if skipped[0] == total:
         raise AllPointsSkippedError(f"all {total} points near a pole")
@@ -243,39 +242,39 @@ class AdamState:
             self.t = np.zeros(len(self.params), dtype=int)
 
 
-def adam_step(state: AdamState, grads: np.ndarray, lr: float, active: np.ndarray | None = None,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One standard update with per-run bias correction, in place.
+def adam_step(state: AdamState, grads: np.ndarray, lr: float,
+              active: np.ndarray | None = None) -> None:
+    """One standard update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with per-run
+    bias correction, in place.
 
     Only the runs flagged in active (default: all) step; the others keep
     their weights, moments and step count.
     """
     if active is not None and not active.all():
         sub = AdamState(state.params[active], state.m[active], state.v[active], state.t[active])
-        adam_step(sub, grads[active], lr, None, beta1, beta2, eps)
+        adam_step(sub, grads[active], lr)
         state.params[active], state.m[active], state.v[active], state.t[active] = \
             sub.params, sub.m, sub.v, sub.t
         return
     state.t += 1
     # Python's pow, not numpy's, which differs in the last bit for some t
     steps = state.t.tolist()
-    state.m *= beta1
-    state.m += (1 - beta1) * grads
-    state.v *= beta2
-    state.v += (1 - beta2) * grads * grads
-    mhat = state.m / np.array([1 - beta1 ** t for t in steps])[:, None]
-    vhat = state.v / np.array([1 - beta2 ** t for t in steps])[:, None]
-    state.params -= lr * mhat / (np.sqrt(vhat) + eps)
+    state.m *= ADAM_BETA1
+    state.m += (1 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1 - ADAM_BETA2) * grads * grads
+    mhat = state.m / np.array([1 - ADAM_BETA1 ** t for t in steps])[:, None]
+    vhat = state.v / np.array([1 - ADAM_BETA2 ** t for t in steps])[:, None]
+    state.params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-def singularity_recovery_score(w1: np.ndarray, normals: np.ndarray = POLE_NORMALS
-                               ) -> list[float]:
-    """For each target line normal, the smallest angle (degrees, sign
-    blind) to any row of the first weight matrix."""
+def singularity_recovery_score(w1: np.ndarray) -> list[float]:
+    """For each target line normal in POLE_NORMALS, the smallest angle
+    (degrees, sign blind) to any row of the first weight matrix."""
     rows = np.asarray(w1, dtype=float)
     norms = np.linalg.norm(rows, axis=1)
     angles = []
-    for nv in normals:
+    for nv in POLE_NORMALS:
         cosines = np.abs(rows @ nv) / np.maximum(norms, 1e-300)
         angles.append(math.degrees(math.acos(min(1.0, float(cosines.max())))))
     return angles
@@ -321,12 +320,10 @@ def train_stack(config: TrainConfig, dataset: Dataset, initial: list[np.ndarray]
 
 
 def train_run(config: TrainConfig, dataset: Dataset, run_seed,
-              initial: list[np.ndarray] | None = None,
-              success_loss: float = 1e-3) -> TrainResult:
+              initial: list[np.ndarray] | None = None) -> TrainResult:
     """One full training run: a stack of one."""
     mats = initial if initial is not None else xavier_init(config.arch, run_seed)
-    return train_stack(config, dataset, [np.array(m, dtype=float)[None] for m in mats],
-                       success_loss)[0]
+    return train_stack(config, dataset, [np.array(m, dtype=float)[None] for m in mats])[0]
 
 
 @dataclass
@@ -353,7 +350,7 @@ def _train_chunk(args):
                        success_loss)
 
 
-def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset | None = None,
+def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset,
                    out_dir: str | None = None, workers: int = 1,
                    success_loss: float = 1e-3, success_angle_deg: float = 5.0
                    ) -> ExperimentSummary:
@@ -365,8 +362,6 @@ def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset | None = 
     """
     if n_inits < 1:
         raise ValueError("need at least one initialization")
-    if dataset is None:
-        dataset = sample_lattice()
     chunks = np.array_split(np.arange(n_inits), min(max(workers, 1), n_inits))
     jobs = [(config, dataset, chunk.tolist(), success_loss) for chunk in chunks]
     if len(jobs) > 1:

@@ -322,3 +322,45 @@ def test_train_small(tmp_path, capsys):
 ])
 def test_train_bad_input_is_one_line_error(capsys, argv):
     _assert_one_line_error(*run(capsys, "train", "--inits", "1", "--epochs", "5", *argv))
+
+
+def test_non_integral_exponents_are_one_line_errors(tmp_path, capsys):
+    half = {"nvars": 2, "degree": 2, "terms": [{"exp": [1.5, 0.5], "re": 1.0}]}
+    tup = {"numerators": [{"nvars": 2, "degree": 1, "terms": [{"exp": [0.5, 0.5], "re": 1.0}]}],
+           "denominator": lin(1, 1).mul(lin(1, -1)).to_json()}
+    nvars = {"nvars": 2.9, "degree": 2, "terms": [{"exp": [1, 1], "re": 1.0}]}
+    files = {}
+    for name, obj in (("half", half), ("tup", tup), ("nvars", nvars)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    for argv in (("factor", "--poly", files["half"]),
+                 ("factor", "--binary", "--poly", files["half"]),
+                 ("membership", "--arch", "2,2,1", "--tuple", files["tup"]),
+                 ("factor", "--poly", files["nvars"])):
+        _assert_one_line_error(*run(capsys, *map(str, argv)))
+
+
+@pytest.mark.parametrize("argv, arch, mats", [
+    (("eval", "--x", "1,5"), [2, 2, 1], [[[1, 2], [3]], [[1, 1]]]),
+    (("eval", "--x", "1,5"), [2, 2.9, 1], [[[1, 2], [3, 1]], [[1, 1]]]),
+    (("forward", "--arch", "2,2,2,1"), [2, 2, 2, 1], [[[1, 2], [3, 1]], [[1, 1], [2]], [[1, 1]]]),
+], ids=["eval-ragged", "eval-fractional-width", "forward-ragged"])
+def test_malformed_weights_are_one_line_errors(tmp_path, capsys, argv, arch, mats):
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps({"arch": arch, "field": "real", "mats": mats}))
+    _assert_one_line_error(*run(capsys, *argv, "--weights", str(f)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "--arch", "2,2,1", "--prime", "4"),
+    ("dim", "--arch", "2,2,1", "--prime", "999983"),
+    ("census", "--max-params", "6", "--max-layers", "2", "--prime", "4"),
+    ("forward", "--arch", "2,2,1", "--field", "gfp", "--prime", "4"),
+    ("factor", "--poly", "{tmp}/empty.json"),
+    ("factor", "--poly", "{tmp}/wrong_degree.json"),
+])
+def test_bad_prime_or_malformed_form_is_one_line_error(tmp_path, capsys, argv):
+    (tmp_path / "empty.json").write_text(json.dumps({"nvars": 2, "degree": 2, "terms": []}))
+    (tmp_path / "wrong_degree.json").write_text(json.dumps(
+        {"nvars": 2, "degree": 2, "terms": [{"exp": [2, 1], "re": 1.0}]}))
+    _assert_one_line_error(*run(capsys, *(a.format(tmp=tmp_path) for a in argv)))

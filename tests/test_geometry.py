@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratnets import geometry
 from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.geometry import (_point_count, _point_jacobian, build_moment_matrix,
                               census, census_to_csv, enumerate_architectures,
@@ -304,6 +305,29 @@ class TestCensus:
             return [row[:6] + row[7:] for row in _csv.reader(io.StringIO(text))]
 
         assert strip_runtime(a.getvalue()) == strip_runtime(b.getvalue())
+
+    def test_pool_never_outnumbers_jobs(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, procs):
+                sizes.append(procs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(j) for j in jobs]
+
+        monkeypatch.setattr(geometry, "Pool", RecordingPool)
+        # 0, 1, 3 and 3 architectures: no pool for one job or none
+        for max_params, workers in ((4, 4), (6, 4), (8, 4), (8, 2)):
+            reports = census(max_params, 2, seed=3, workers=workers)
+            assert len(reports) == len(enumerate_architectures(max_params, 2))
+        assert sizes == [3, 2]
 
     def test_timeout_is_recorded_not_fatal(self):
         reports = census(12, 3, seed=0, timeout_s=1e-9)
