@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .fields import (COMPLEX, DEFAULT_PRIME, REAL, ComplexField, PrimeField,
                      RealField, ScalarField)
-from .poly import HomPoly, LinearForm, NotDivisibleError, monomials, sym_contract
+from .poly import HomPoly, NotDivisibleError, monomials, sym_contract
 from .network import (Architecture, ArchitectureError, DegreeProfile, DomainError,
                       RationalTuple, Weights, ambient_dim, apply_symmetry, degrees,
                       eval_network, forward_binary, forward_recursive, param_count)

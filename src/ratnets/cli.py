@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -38,14 +39,18 @@ def _parse_arch(text: str) -> Architecture:
         raise CliError(f"bad architecture {text!r}: {ex}") from ex
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
+def tolerance(text: str) -> float:
+    """A --tol value: any float but NaN, which every comparison would pass."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("tolerance must not be NaN")
+    return value
 
 
 def _load(path: str, parse):
     """parse(JSON object of the file); a wrongly shaped object is a CliError."""
-    obj = _load_json(path)
+    with open(path) as f:
+        obj = json.load(f)
     try:
         return parse(obj)
     except TypeError as ex:
@@ -65,7 +70,7 @@ def _load_weights(path: str) -> Weights:
 
 
 def _emit(obj, out: str | None):
-    text = json.dumps(obj, indent=1)
+    text = json.dumps(obj, indent=1, allow_nan=False)
     if out:
         with open(out, "w") as f:
             f.write(text + "\n")
@@ -237,7 +242,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("factor", help="factor a form into linear forms")
     p.add_argument("--poly", required=True)
     p.add_argument("--binary", action="store_true", help="two-variable complete split")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_factor)
@@ -247,7 +252,7 @@ def build_parser() -> _Parser:
     p.add_argument("--arch", help="n,m,k for the one-hidden-layer procedure")
     p.add_argument("--binary", action="store_true")
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=tolerance, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--real-only", action="store_true", dest="real_only")
     p.add_argument("--out")
@@ -258,7 +263,7 @@ def build_parser() -> _Parser:
     p.add_argument("--arch")
     p.add_argument("--binary", action="store_true")
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_membership)
 
@@ -312,10 +317,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, ArithmeticError) as ex:
+    except (CliError, OSError, ValueError, KeyError, ArithmeticError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, LinearForm, _as_complex
+from .poly import HomPoly, _as_complex
 from .network import Weights
 
 ROOT_TOL = 1e-10
@@ -41,18 +41,18 @@ class FactorFailure(enum.Enum):
 
 @dataclass
 class LinearFactorization:
-    """constant * product(factors) reproduces the source within residual
+    """constant * product(factor rows) reproduces the source within residual
     (residual is relative to the source's largest coefficient)."""
 
     constant: complex
-    factors: list[LinearForm]
+    factors: list[tuple]
     residual: float
 
     def reassemble(self) -> HomPoly:
-        nvars = self.factors[0].nvars if self.factors else 0
+        nvars = len(self.factors[0]) if self.factors else 0
         acc = HomPoly.constant(COMPLEX, nvars, self.constant)
         for f in self.factors:
-            acc = acc.mul(f.as_poly(COMPLEX))
+            acc = acc.mul(HomPoly.linear(COMPLEX, f))
         return acc
 
     def zero_line_ratios(self) -> list[complex]:
@@ -60,14 +60,14 @@ class LinearFactorization:
         zero line (inf encoded as complex inf when b = 0)."""
         out = []
         for f in self.factors:
-            a, b = (complex(c) for c in f.coeffs)
+            a, b = (complex(c) for c in f)
             out.append(complex(np.inf) if b == 0 else -a / b)
         return out
 
     def to_json(self) -> dict:
         return {
             "constant": [self.constant.real, self.constant.imag],
-            "factors": [[[complex(c).real, complex(c).imag] for c in f.coeffs] for f in self.factors],
+            "factors": [[[complex(c).real, complex(c).imag] for c in f] for f in self.factors],
             "residual": self.residual,
         }
 
@@ -176,7 +176,7 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
             inv = np.linalg.inv(change)
             rows = [tuple(np.asarray(r) @ inv) for r in rows]
         const, rows = _normalize_factors(const, rows)
-        fz = LinearFactorization(const, [LinearForm(r) for r in rows], 0.0)
+        fz = LinearFactorization(const, rows, 0.0)
         fz.residual = fz.reassemble().sub(Q).max_magnitude() / maxmag
         if fz.residual <= tol:
             return FactorReport(True, fz, _factors_all_real(const, rows), None)
@@ -274,13 +274,13 @@ def factor_binary_form(q: HomPoly, tol: float = REASSEMBLY_TOL) -> LinearFactori
     while abs(coeffs[lead]) <= LEADING_TOL * maxmag:
         lead += 1
     const = coeffs[lead]
-    factors = [LinearForm((0j, 1 + 0j))] * lead
+    factors = [(0j, 1 + 0j)] * lead
     deg_t = m - lead
     if deg_t > 0:
         # q/x2^lead dehomogenized at x2=1, ascending in x1
         asc = [coeffs[lead + (deg_t - k)] for k in range(deg_t + 1)]
         roots = roots_univariate(asc)
-        factors = factors + [LinearForm((1 + 0j, -r)) for r in roots]
+        factors = factors + [(1 + 0j, -r) for r in roots]
     fz = LinearFactorization(complex(const), factors, 0.0)
     fz.residual = fz.reassemble().sub(q).max_magnitude() / maxmag
     if fz.residual > tol:
@@ -289,8 +289,8 @@ def factor_binary_form(q: HomPoly, tol: float = REASSEMBLY_TOL) -> LinearFactori
 
 
 def factor_quadratic_explicit(c11: complex, c12: complex, c22: complex
-                              ) -> tuple[LinearForm, LinearForm]:
-    """Two linear forms whose product is c11*x^2 + 2*c12*x*y + c22*y^2.
+                              ) -> tuple[tuple, tuple]:
+    """Rows of two linear forms whose product is c11*x^2 + 2*c12*x*y + c22*y^2.
 
     The first form carries the overall scale; the pair is real exactly when
     the inputs are real with c12^2 - c11*c22 >= 0.
@@ -298,12 +298,12 @@ def factor_quadratic_explicit(c11: complex, c12: complex, c22: complex
     c11, c12, c22 = complex(c11), complex(c12), complex(c22)
     if c11 != 0:
         s = np.sqrt(complex(c12 * c12 - c11 * c22))
-        return (LinearForm((c11, c12 + s)), LinearForm((1.0 + 0j, (c12 - s) / c11)))
+        return (c11, c12 + s), (1.0 + 0j, (c12 - s) / c11)
     if c22 != 0:
         s = np.sqrt(complex(c12 * c12 - c11 * c22))
-        return (LinearForm((c12 + s, c22)), LinearForm(((c12 - s) / c22, 1.0 + 0j)))
+        return (c12 + s, c22), ((c12 - s) / c22, 1.0 + 0j)
     # c11 = c22 = 0: the form is 2*c12*x*y
-    return (LinearForm((1.0 + 0j, 0j)), LinearForm((0j, 2 * c12)))
+    return (1.0 + 0j, 0j), (0j, 2 * c12)
 
 
 def build_H(w: Weights) -> HomPoly:

@@ -182,6 +182,8 @@ def _coeff_json_value(field, v):
 
 def _coeff_from_json_value(field, v):
     if isinstance(v, list):
+        if len(v) != 2:
+            raise TypeError(f"complex entry {v!r} is not a [re, im] pair")
         return field.coeff_from_json({"re": v[0], "im": v[1]})
     return field.coeff_from_json({"re": v})
 

@@ -47,25 +47,6 @@ def monomial_count(nvars: int, degree: int) -> int:
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """Coefficient vector of a degree-1 form; scalars match some field."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def as_poly(self, field: ScalarField) -> "HomPoly":
-        n = self.nvars
-        return HomPoly(field, n, 1, {tuple(1 if t == j else 0 for t in range(n)): c
-                                     for j, c in enumerate(self.coeffs)})
-
-
-@dataclass(frozen=True)
 class HomPoly:
     """Homogeneous polynomial: immutable after construction."""
 
@@ -104,7 +85,10 @@ class HomPoly:
 
     @classmethod
     def linear(cls, field: ScalarField, coeffs: Sequence) -> "HomPoly":
-        return LinearForm(tuple(coeffs)).as_poly(field)
+        """The degree-1 form sum(coeffs[j] * x_j): one variable per entry."""
+        n = len(coeffs)
+        return cls(field, n, 1, {tuple(1 if t == j else 0 for t in range(n)): c
+                                 for j, c in enumerate(coeffs)})
 
     # -- inspection --------------------------------------------------------
 
@@ -221,7 +205,7 @@ class HomPoly:
             acc = f.add(acc, t)
         return acc
 
-    def exact_divide(self, divisor, tol: float = 1e-9) -> "HomPoly":
+    def exact_divide(self, divisor: "HomPoly", tol: float = 1e-9) -> "HomPoly":
         """Quotient by a linear form; raises NotDivisibleError on remainder.
 
         Synthetic division along the divisor's largest-magnitude variable.
@@ -229,8 +213,6 @@ class HomPoly:
         fields it must stay below tol relative to the dividend.
         """
         f = self.field
-        if isinstance(divisor, LinearForm):
-            divisor = divisor.as_poly(f)
         self._check_compat(divisor)
         if divisor.degree != 1:
             raise ValueError("divisor must be a linear form")
@@ -346,16 +328,15 @@ def deleted_products(polys: Sequence[HomPoly]) -> tuple[list[HomPoly], HomPoly]:
     return [pre[i].mul(suf[i + 1]) for i in range(n)], pre[n]
 
 
-def sym_contract(field: ScalarField, indices: Iterable[int], forms: Sequence) -> HomPoly:
+def sym_contract(indices: Iterable[int], forms: Sequence[HomPoly]) -> HomPoly:
     """Contract the symmetrized basis tensor e_{j1} x ... x e_{jk} against
     forms^(x)k.
 
     Symmetrization averages over index orderings, and contraction against a
     symmetric power makes every ordering contribute the same product, so the
     result is the plain product of the selected forms (one per index, with
-    multiplicity).  ``forms`` may hold LinearForm values or degree-1 HomPoly.
+    multiplicity).  ``forms`` are degree-1 HomPoly values.
     """
-    forms = [f.as_poly(field) if isinstance(f, LinearForm) else f for f in forms]
     idx = list(indices)
     if not idx:
         raise ValueError("empty index multiset")

@@ -13,14 +13,14 @@ reparametrizations leave the function unchanged.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import (HomPoly, LinearForm, NotDivisibleError, _as_complex, deleted_products,
-                   monomials)
+from .poly import HomPoly, NotDivisibleError, _as_complex, deleted_products, monomials
 from .network import Architecture, Weights, RationalTuple, degrees, forward_recursive
 from .factor import NonConvergenceError, factor_binary_form, factor_multilinear
 
@@ -46,8 +46,10 @@ class MembershipVerdict:
     necessary_only: bool = False
 
     def to_json(self) -> dict:
+        """A non-finite residual (no residual was measured) is written as null."""
+        residual = self.residual if math.isfinite(self.residual) else None
         obj = {"in_model": self.in_model, "stage_failed": self.stage_failed.value,
-               "residual": self.residual, "necessary_only": self.necessary_only}
+               "residual": residual, "necessary_only": self.necessary_only}
         if self.weights is not None:
             obj["weights"] = self.weights.to_json()
         return obj
@@ -111,7 +113,7 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     report = factor_multilinear(Q, tol=min(tol, 1e-8), seed=seed)
     if not report.decomposable or (require_real and not report.all_real):
         return _fail(Stage.FACTOR_TEST, report.factorization.residual if report.factorization else float("inf"))
-    rows = [np.asarray(f.coeffs, dtype=complex) for f in report.factorization.factors]
+    rows = [np.asarray(f, dtype=complex) for f in report.factorization.factors]
     rows[0] = rows[0] * report.factorization.constant  # fold scale so the row product is Q itself
 
     forms = [HomPoly.linear(COMPLEX, r) for r in rows]
@@ -154,7 +156,7 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
         return _fail(Stage.DEGREE_TEST)
     P, Q = _as_complex(P), _as_complex(Q)
     target = RationalTuple((P,), Q)
-    x1, x2 = LinearForm((1 + 0j, 0j)), LinearForm((0j, 1 + 0j))
+    x1, x2 = HomPoly.variable(COMPLEX, 2, 0), HomPoly.variable(COMPLEX, 2, 1)
     mats = []
     for depth in range(layers, 1, -1):
         even = depth % 2 == 0
@@ -164,7 +166,7 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
             fz = factor_binary_form(Q if even else P, tol=1e-4)
         except (NonConvergenceError, ValueError):
             return _fail(Stage.FACTOR_TEST)
-        pair = _most_independent_pair([np.asarray(f.coeffs, dtype=complex) for f in fz.factors])
+        pair = _most_independent_pair([np.asarray(f, dtype=complex) for f in fz.factors])
         if pair is None:
             return _fail(Stage.REPEATED_FACTORS)
         W1 = np.array(pair, dtype=complex)

@@ -7,7 +7,7 @@ import pytest
 
 from ratnets.fields import ScalarField
 from ratnets.network import Weights, degrees, forward_recursive
-from ratnets.poly import HomPoly, LinearForm, monomials
+from ratnets.poly import HomPoly, monomials
 from ratnets.train import (POLE_GUARD, AllPointsSkippedError, Dataset, TrainConfig, TrainResult,
                            singularity_recovery_score, xavier_init)
 
@@ -15,7 +15,6 @@ from ratnets.train import (POLE_GUARD, AllPointsSkippedError, Dataset, TrainConf
 def _sym_contract_reference(field, indices, forms):
     """Permutation-sum evaluation of the symmetrized contraction, used as an
     independent oracle for the product-form implementation."""
-    forms = [f.as_poly(field) if isinstance(f, LinearForm) else f for f in forms]
     idx = list(indices)
     k = len(idx)
     nv = forms[0].nvars

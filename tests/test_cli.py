@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from ratnets.cli import main
 from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                              forward_recursive)
-from ratnets.poly import HomPoly, product
+from ratnets.poly import HomPoly, monomials, product
 
 
 def run(capsys, *argv):
@@ -27,6 +28,28 @@ def write_tuple(path, t):
 
 def lin(*coeffs):
     return HomPoly.linear(COMPLEX, [complex(c) for c in coeffs])
+
+
+def random_tuple(arch, seed):
+    """Random complex coefficients with the degrees of arch's output tuple."""
+    rng = random.Random(seed)
+    prof = degrees(arch)
+
+    def form(degree):
+        return HomPoly(COMPLEX, arch.dims[0], degree,
+                       {e: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                        for e in monomials(arch.dims[0], degree)})
+
+    return RationalTuple(tuple(form(prof.numerator_degree) for _ in range(arch.dL)),
+                         form(prof.denominator_degree))
+
+
+def reassemble_factor_json(blob, nvars):
+    """constant * product of the reported coefficient rows."""
+    acc = HomPoly.constant(COMPLEX, nvars, complex(*blob["constant"]))
+    for row in blob["factors"]:
+        acc = acc.mul(HomPoly.linear(COMPLEX, [complex(*c) for c in row]))
+    return acc
 
 
 def test_version(capsys):
@@ -150,11 +173,41 @@ def test_factor_decomposable_and_not(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["decomposable"] is True
     assert len(blob["factors"]) == 3
+    err = reassemble_factor_json(blob, 3).sub(cubic).max_magnitude()
+    assert err <= 1e-8 * cubic.max_magnitude()
 
     quadric = HomPoly(COMPLEX, 3, 2, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j})
     code, out, _ = run(capsys, "factor", "--poly", write_poly(tmp_path / "q2.json", quadric))
     assert code == 2
     assert json.loads(out)["decomposable"] is False
+
+
+def test_factor_binary_json_reassembles(tmp_path, capsys):
+    q = product([lin(2, 1), lin(1, -3), lin(0, 1)])
+    code, out, _ = run(capsys, "factor", "--binary", "--poly", write_poly(tmp_path / "q.json", q))
+    assert code == 0
+    blob = json.loads(out)
+    assert len(blob["factors"]) == 3
+    assert reassemble_factor_json(blob, 2).sub(q).max_magnitude() <= 1e-8 * q.max_magnitude()
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--poly", "{tmp}/den.json"),
+    ("reconstruct", "--arch", "3,4,2", "--tuple", "{tmp}/on.json"),
+    ("membership", "--arch", "3,2,1", "--tuple", "{tmp}/off.json"),
+    ("membership", "--binary", "--layers", "3", "--tuple", "{tmp}/off_binary.json"),
+], ids=["factor", "reconstruct", "membership", "membership-binary"])
+def test_nan_tol_is_one_line_error(tmp_path, capsys, argv):
+    # every comparison with NaN is false, so a NaN tolerance would flip each
+    # verdict: the decomposable denominator and the on-model tuple to
+    # rejections, the two off-model tuples to acceptances
+    on_model = forward_recursive(Weights.random(Architecture((3, 4, 2)), COMPLEX, seed=1))
+    write_poly(tmp_path / "den.json", on_model.denominator)
+    write_tuple(tmp_path / "on.json", on_model)
+    write_tuple(tmp_path / "off.json", random_tuple(Architecture((3, 2, 1)), 2))
+    write_tuple(tmp_path / "off_binary.json", random_tuple(Architecture((2, 2, 2, 2)), 3))
+    _assert_one_line_error(*run(capsys, *(a.format(tmp=tmp_path) for a in argv),
+                                "--tol", "nan"))
 
 
 def test_reconstruct_round_trip_via_files(tmp_path, capsys):
@@ -236,9 +289,14 @@ def test_membership_binary_zero_denominator_is_not_in_model(tmp_path, capsys, la
     code, out, _ = run(capsys, "membership", "--tuple", tfile, "--binary",
                        "--layers", str(layers))
     assert code == 2
-    verdict = json.loads(out)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    verdict = json.loads(out, parse_constant=reject)
     assert verdict["in_model"] is False and verdict["necessary_only"] is True
     assert verdict["stage_failed"] == "FactorTest"
+    assert verdict["residual"] is None
 
 
 def test_dim_prints_rank(capsys):
@@ -340,14 +398,18 @@ def test_non_integral_exponents_are_one_line_errors(tmp_path, capsys):
         _assert_one_line_error(*run(capsys, *map(str, argv)))
 
 
-@pytest.mark.parametrize("argv, arch, mats", [
-    (("eval", "--x", "1,5"), [2, 2, 1], [[[1, 2], [3]], [[1, 1]]]),
-    (("eval", "--x", "1,5"), [2, 2.9, 1], [[[1, 2], [3, 1]], [[1, 1]]]),
-    (("forward", "--arch", "2,2,2,1"), [2, 2, 2, 1], [[[1, 2], [3, 1]], [[1, 1], [2]], [[1, 1]]]),
-], ids=["eval-ragged", "eval-fractional-width", "forward-ragged"])
-def test_malformed_weights_are_one_line_errors(tmp_path, capsys, argv, arch, mats):
+@pytest.mark.parametrize("argv, arch, field, mats", [
+    (("eval", "--x", "1,5"), [2, 2, 1], "real", [[[1, 2], [3]], [[1, 1]]]),
+    (("eval", "--x", "1,5"), [2, 2.9, 1], "real", [[[1, 2], [3, 1]], [[1, 1]]]),
+    (("forward", "--arch", "2,2,2,1"), [2, 2, 2, 1], "real",
+     [[[1, 2], [3, 1]], [[1, 1], [2]], [[1, 1]]]),
+    (("eval", "--x", "1,5"), [2, 2, 1], "complex", [[[1, 2], [3, 1]], [[1, [1]]]]),
+    (("eval", "--x", "1,5"), [2, 2, 1], "complex", [[[1, 2], [3, 1]], [[1, [1, 2, 3]]]]),
+], ids=["eval-ragged", "eval-fractional-width", "forward-ragged",
+        "eval-complex-one-entry", "eval-complex-three-entries"])
+def test_malformed_weights_are_one_line_errors(tmp_path, capsys, argv, arch, field, mats):
     f = tmp_path / "w.json"
-    f.write_text(json.dumps({"arch": arch, "field": "real", "mats": mats}))
+    f.write_text(json.dumps({"arch": arch, "field": field, "mats": mats}))
     _assert_one_line_error(*run(capsys, *argv, "--weights", str(f)))
 
 

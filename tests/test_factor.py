@@ -9,7 +9,7 @@ from ratnets.factor import (FactorFailure, build_H, factor_binary_form,
                             factor_multilinear, factor_quadratic_explicit,
                             h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
-from ratnets.poly import HomPoly, LinearForm, NotDivisibleError, product
+from ratnets.poly import HomPoly, NotDivisibleError, product
 
 EX37_COLUMN = [-0.8566, complex(-0.1500, -0.8974), complex(-0.1500, 0.8974),
                complex(1.0783, -0.4969), complex(1.0783, 0.4969)]
@@ -33,7 +33,7 @@ def match_multiset(got, want, tol):
 def directions(factors):
     out = []
     for f in factors:
-        v = np.asarray(f.coeffs, dtype=complex)
+        v = np.asarray(f, dtype=complex)
         mags = np.abs(v)
         pivot = next(i for i in range(len(v)) if mags[i] >= mags.max() * (1 - 1e-6))
         v = v / v[pivot]
@@ -79,8 +79,7 @@ class TestFactorMultilinear:
         assert report.factorization.residual <= 1e-10
         assert report.all_real
         got = directions(report.factorization.factors)
-        want = directions([LinearForm((1, 1, 1)), LinearForm((1, -1, 0)),
-                           LinearForm((1, 0, -1))])
+        want = directions([(1, 1, 1), (1, -1, 0), (1, 0, -1)])
         assert got == want
 
     def test_pure_power(self):
@@ -108,7 +107,7 @@ class TestFactorMultilinear:
         report = factor_multilinear(q)
         assert report.decomposable
         got = directions(report.factorization.factors)
-        want = directions([LinearForm(tuple(r)) for r in rows])
+        want = directions(rows)
         for g, w in zip(got, want):
             assert max(abs(complex(a) - complex(b)) for a, b in zip(g, w)) < 1e-6
 
@@ -181,7 +180,7 @@ class TestFactorBinaryForm:
         q = lin(1, -1).mul(lin(1, 1))
         fz = factor_binary_form(q)
         dirs = directions(fz.factors)
-        assert dirs == directions([LinearForm((1, -1)), LinearForm((1, 1))])
+        assert dirs == directions([(1, -1), (1, 1)])
 
     def test_quintic_example(self):
         q = HomPoly(COMPLEX, 2, 5, {(5, 0): 1 + 0j, (1, 4): -1 + 0j, (0, 5): 1 + 0j})
@@ -193,7 +192,7 @@ class TestFactorBinaryForm:
         q = HomPoly(COMPLEX, 2, 3, {(0, 3): 1 + 0j})
         fz = factor_binary_form(q)
         assert len(fz.factors) == 3
-        assert all(abs(f.coeffs[0]) < 1e-12 for f in fz.factors)
+        assert all(abs(f[0]) < 1e-12 for f in fz.factors)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -203,7 +202,7 @@ class TestFactorBinaryForm:
 class TestFactorQuadraticExplicit:
     def test_real_split(self, quadratic_all_real):
         l1, l2 = factor_quadratic_explicit(1, 0, -1)  # x^2 - y^2
-        got = l1.as_poly(COMPLEX).mul(l2.as_poly(COMPLEX))
+        got = HomPoly.linear(COMPLEX, l1).mul(HomPoly.linear(COMPLEX, l2))
         assert abs(got.coefficient((2, 0)) - 1) < 1e-14
         assert abs(got.coefficient((1, 1))) < 1e-14
         assert abs(got.coefficient((0, 2)) + 1) < 1e-14
@@ -211,7 +210,7 @@ class TestFactorQuadraticExplicit:
 
     def test_complex_split(self, quadratic_all_real):
         l1, l2 = factor_quadratic_explicit(1, 0, 1)  # x^2 + y^2
-        got = l1.as_poly(COMPLEX).mul(l2.as_poly(COMPLEX))
+        got = HomPoly.linear(COMPLEX, l1).mul(HomPoly.linear(COMPLEX, l2))
         assert abs(got.coefficient((2, 0)) - 1) < 1e-14
         assert abs(got.coefficient((0, 2)) - 1) < 1e-14
         assert not quadratic_all_real(1, 0, 1)
@@ -219,7 +218,7 @@ class TestFactorQuadraticExplicit:
     def test_degenerate_branches(self):
         for c in [(0, 0.5, 1.0), (0, 0.5, 0)]:
             l1, l2 = factor_quadratic_explicit(*c)
-            got = l1.as_poly(COMPLEX).mul(l2.as_poly(COMPLEX))
+            got = HomPoly.linear(COMPLEX, l1).mul(HomPoly.linear(COMPLEX, l2))
             assert abs(got.coefficient((2, 0)) - c[0]) < 1e-14
             assert abs(got.coefficient((1, 1)) - 2 * c[1]) < 1e-14
             assert abs(got.coefficient((0, 2)) - c[2]) < 1e-14
@@ -229,7 +228,7 @@ class TestFactorQuadraticExplicit:
         for _ in range(50):
             c = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
             l1, l2 = factor_quadratic_explicit(*c)
-            got = l1.as_poly(COMPLEX).mul(l2.as_poly(COMPLEX))
+            got = HomPoly.linear(COMPLEX, l1).mul(HomPoly.linear(COMPLEX, l2))
             scale = max(abs(v) for v in c) + 1
             assert abs(got.coefficient((2, 0)) - c[0]) < 1e-12 * scale
             assert abs(got.coefficient((1, 1)) - 2 * c[1]) < 1e-12 * scale
@@ -261,7 +260,7 @@ class TestBuildH:
 class TestDivides:
     def test_divisor_accepted_nondivisor_rejected(self):
         q = example_cubic()
-        q.exact_divide(LinearForm((1 + 0j, 1 + 0j, 1 + 0j)))
-        q.exact_divide(LinearForm((1 + 0j, -1 + 0j, 0j)))
+        q.exact_divide(HomPoly.linear(COMPLEX, (1 + 0j, 1 + 0j, 1 + 0j)))
+        q.exact_divide(HomPoly.linear(COMPLEX, (1 + 0j, -1 + 0j, 0j)))
         with pytest.raises(NotDivisibleError):
-            q.exact_divide(LinearForm((1 + 0j, 1 + 0j, 0j)))
+            q.exact_divide(HomPoly.linear(COMPLEX, (1 + 0j, 1 + 0j, 0j)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL, PrimeField
-from ratnets.poly import (HomPoly, LinearForm, NotDivisibleError, deleted_products,
+from ratnets.poly import (HomPoly, NotDivisibleError, deleted_products,
                           monomials, product, sym_contract)
 
 GF = PrimeField(2147483647)
@@ -136,18 +136,18 @@ class TestExactDivide:
 
     def test_difference_of_squares(self):
         p = lf(REAL, 1, 1).mul(lf(REAL, 1, -1))
-        q = p.exact_divide(LinearForm((1.0, -1.0)))
+        q = p.exact_divide(HomPoly.linear(REAL, (1.0, -1.0)))
         assert coeffs_close(q, lf(REAL, 1, 1))
 
     def test_monomial_division(self):
         p = product([x(REAL, 3, 0), x(REAL, 3, 1), x(REAL, 3, 2)])
-        q = p.exact_divide(LinearForm((0.0, 1.0, 0.0)))
+        q = p.exact_divide(HomPoly.linear(REAL, (0.0, 1.0, 0.0)))
         assert q.terms == {(1, 0, 1): 1.0}
 
     def test_not_divisible(self):
         p = x(REAL, 2, 0).pow(3)
         # independent oracle: a divisor's zero set must lie in the dividend's
-        ell = LinearForm((1.0, 1.0))
+        ell = HomPoly.linear(REAL, (1.0, 1.0))
         assert abs(p.evaluate([1.0, -1.0])) > 0.5  # p nonzero on ell = 0
         with pytest.raises(NotDivisibleError):
             p.exact_divide(ell)
@@ -158,16 +158,16 @@ class TestExactDivide:
         for _ in range(20):
             q = random_poly(field, 3, 2, rng)
             coeffs = [field.random(rng) for _ in range(3)]
-            ell = LinearForm(tuple(coeffs))
-            back = q.mul(ell.as_poly(field)).exact_divide(ell)
+            ell = HomPoly.linear(field, coeffs)
+            back = q.mul(ell).exact_divide(ell)
             assert coeffs_close(back, q, 0.0 if field.exact else 1e-9)
 
     def test_exact_over_prime_field(self):
         rng = random.Random(5)
         q = random_poly(GF, 2, 3, rng)
-        ell = LinearForm((3, 11))
-        assert q.mul(ell.as_poly(GF)).exact_divide(ell).terms == q.terms
-        bad = q.mul(ell.as_poly(GF))
+        ell = HomPoly.linear(GF, (3, 11))
+        assert q.mul(ell).exact_divide(ell).terms == q.terms
+        bad = q.mul(ell)
         bumped = dict(bad.terms)
         key = next(iter(bumped))
         bumped[key] = GF.add(bumped[key], 1)
@@ -191,20 +191,20 @@ class TestEvaluate:
 class TestSymContract:
     def test_distinct_basis_vectors(self):
         forms = [x(REAL, 3, i) for i in range(3)]
-        got = sym_contract(REAL, [1, 2, 3], forms)
+        got = sym_contract([1, 2, 3], forms)
         assert got.terms == {(1, 1, 1): 1.0}
 
     def test_pair_selects_factor_product(self):
         rng = random.Random(9)
         forms = [random_poly(REAL, 3, 1, rng) for _ in range(3)]
-        got = sym_contract(REAL, [2, 3], forms)
+        got = sym_contract([2, 3], forms)
         assert coeffs_close(got, forms[1].mul(forms[2]))
 
     def test_permutation_sum_oracle(self, sym_contract_reference):
         rng = random.Random(10)
         forms = [random_poly(REAL, 3, 1, rng) for _ in range(3)]
         for idx in ([1, 2, 3], [1, 1, 2], [3, 3, 3]):
-            got = sym_contract(REAL, idx, forms)
+            got = sym_contract(idx, forms)
             ref = sym_contract_reference(REAL, idx, forms)
             assert coeffs_close(got, ref, 1e-12)
 
@@ -212,12 +212,12 @@ class TestSymContract:
         rng = random.Random(12)
         w = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)]
         forms = [HomPoly.linear(REAL, row) for row in w]
-        got = sym_contract(REAL, [1, 2, 3, 4], forms)
+        got = sym_contract([1, 2, 3, 4], forms)
         assert coeffs_close(got, product(forms))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            sym_contract(REAL, [4], [x(REAL, 2, 0)])
+            sym_contract([4], [x(REAL, 2, 0)])
 
 
 class TestHousekeeping:
