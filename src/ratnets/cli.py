@@ -104,13 +104,16 @@ def cmd_eval(args) -> int:
     try:
         # exact fields take integers, float fields any real number
         point = [f.from_int(int(v)) if f.exact else float(v) for v in args.x.split(",")]
+        if not f.exact and not all(map(math.isfinite, point)):
+            raise ValueError("coordinates must be finite")
     except ValueError as ex:
         raise CliError(f"bad point {args.x!r} for {f.name} weights: {ex}") from ex
     try:
         vec = eval_network(w, point)
     except DomainError as ex:
         raise CliError(f"pole hit: {ex}") from ex
-    print(json.dumps([v if not isinstance(v, complex) else [v.real, v.imag] for v in vec]))
+    print(json.dumps([v if not isinstance(v, complex) else [v.real, v.imag] for v in vec],
+                     allow_nan=False))
     return 0
 
 

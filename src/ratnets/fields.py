@@ -62,9 +62,6 @@ class ScalarField:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return self.magnitude(a) == 0.0
 

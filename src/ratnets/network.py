@@ -379,21 +379,15 @@ def apply_symmetry(w: Weights, perms: Sequence[Sequence[int]],
         if any(f.is_zero(v) for v in diags[i]):
             raise ValueError("diagonal entries must be nonzero")
 
-    def perm_mat(p):
-        d = len(p)
-        return tuple(tuple(f.one() if p[i] == j else f.zero() for j in range(d)) for i in range(d))
-
-    def diag_mat(v):
-        d = len(v)
-        return tuple(tuple(v[i] if i == j else f.zero() for j in range(d)) for i in range(d))
-
-    mats = list(w.mats)
     new = []
-    for k in range(L):
-        m = mats[k]
+    for k, m in enumerate(w.mats):
+        # rows before columns: row i takes diag[perm[i]] * W_k[perm[i]], then
+        # column j of W_{k+1} takes W_{k+1}[:, perm[j]] * diag[perm[j]]
         if k < L - 1:
-            m = _mat_mul(f, perm_mat(perms[k]), _mat_mul(f, diag_mat(diags[k]), m))
+            p, v = perms[k], diags[k]
+            m = [[f.mul(v[r], c) for c in m[r]] for r in p]
         if k > 0:
-            m = _mat_mul(f, m, _mat_mul(f, diag_mat(diags[k - 1]), _transpose(perm_mat(perms[k - 1]))))
-        new.append(m)
+            p, v = perms[k - 1], diags[k - 1]
+            m = [[f.mul(row[c], v[c]) for c in p] for row in m]
+        new.append(tuple(map(tuple, m)))
     return Weights(arch, f, tuple(new))

@@ -22,7 +22,7 @@ Exponent = tuple[int, ...]
 
 
 class NotDivisibleError(ArithmeticError):
-    """Division by a linear form left a remainder above tolerance."""
+    """Division by a variable left a remainder above tolerance."""
 
 
 def monomials(nvars: int, degree: int) -> list[Exponent]:
@@ -77,11 +77,6 @@ class HomPoly:
     @classmethod
     def one(cls, field: ScalarField, nvars: int) -> "HomPoly":
         return cls.constant(field, nvars, field.one())
-
-    @classmethod
-    def variable(cls, field: ScalarField, nvars: int, index: int) -> "HomPoly":
-        e = tuple(1 if t == index else 0 for t in range(nvars))
-        return cls(field, nvars, 1, {e: field.one()})
 
     @classmethod
     def linear(cls, field: ScalarField, coeffs: Sequence) -> "HomPoly":
@@ -141,14 +136,6 @@ class HomPoly:
         return HomPoly(f, self.nvars, self.degree + other.degree,
                        _mul_terms(f, self.terms, other.terms))
 
-    def pow(self, k: int) -> "HomPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = HomPoly.one(self.field, self.nvars)
-        for _ in range(k):
-            result = result.mul(self)
-        return result
-
     # -- substitution and evaluation ----------------------------------------
 
     def compose_linear(self, rows: Sequence[Sequence]) -> "HomPoly":
@@ -205,53 +192,27 @@ class HomPoly:
             acc = f.add(acc, t)
         return acc
 
-    def exact_divide(self, divisor: "HomPoly", tol: float = 1e-9) -> "HomPoly":
-        """Quotient by a linear form; raises NotDivisibleError on remainder.
+    def exact_divide(self, var: int, tol: float = 1e-9) -> "HomPoly":
+        """Quotient by the coordinate variable x_var; raises NotDivisibleError
+        on remainder.
 
-        Synthetic division along the divisor's largest-magnitude variable.
-        For exact fields the remainder must vanish identically; for float
-        fields it must stay below tol relative to the dividend.
+        The remainder is the terms free of x_var.  For exact fields it must
+        be empty; for float fields it must stay below tol relative to the
+        dividend.
         """
-        f = self.field
-        self._check_compat(divisor)
-        if divisor.degree != 1:
-            raise ValueError("divisor must be a linear form")
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero form")
+        if not 0 <= var < self.nvars:
+            raise ValueError(f"variable index {var} outside 0..{self.nvars - 1}")
         if self.degree < 1:
             raise ValueError("dividend must have degree >= 1")
-        coeffs = [divisor.coefficient(tuple(1 if t == i else 0 for t in range(self.nvars)))
-                  for i in range(self.nvars)]
-        s = max(range(self.nvars), key=lambda i: f.magnitude(coeffs[i]))
-        c = coeffs[s]
-        rest = {e: v for e, v in divisor.terms.items() if e[s] == 0}
-        # group dividend terms by the power of x_s
-        by_pow: dict[int, dict] = {}
-        for e, v in self.terms.items():
-            by_pow.setdefault(e[s], {})[e] = v
-        d = self.degree
-        quot: dict[Exponent, object] = {}
-        carry: dict[Exponent, object] = dict(by_pow.get(d, {}))
-        for j in range(d, 0, -1):
-            # carry holds the current x_s^j slice of the running remainder
-            layer = {}
-            for e, v in carry.items():
-                q = f.div(v, c)
-                eq = list(e)
-                eq[s] -= 1
-                layer[tuple(eq)] = q
-            quot.update(layer)
-            carry = dict(by_pow.get(j - 1, {}))
-            for eq, q in layer.items():
-                for er, vr in rest.items():
-                    e = tuple(a + b for a, b in zip(eq, er))
-                    w = f.mul(q, vr)
-                    carry[e] = f.sub(carry[e], w) if e in carry else f.neg(w)
-        rem_mag = max((f.magnitude(v) for v in carry.values()), default=0.0)
+        f = self.field
+        rem_mag = max((f.magnitude(c) for e, c in self.terms.items() if not e[var]), default=0.0)
         bound = 0.0 if f.exact else tol * max(self.max_magnitude(), 1e-300)
         if rem_mag > bound:
             raise NotDivisibleError(f"remainder magnitude {rem_mag:.3e} exceeds tolerance")
-        return HomPoly(f, self.nvars, d - 1, quot)
+        # stable sort, descending powers of x_var: term order fixes the rounding of later float sums
+        kept = sorted((t for t in self.terms.items() if t[0][var]), key=lambda t: -t[0][var])
+        quot = {e[:var] + (e[var] - 1,) + e[var + 1:]: c for e, c in kept}
+        return HomPoly(f, self.nvars, self.degree - 1, quot)
 
     # -- serialization -------------------------------------------------------
 

@@ -156,7 +156,6 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
         return _fail(Stage.DEGREE_TEST)
     P, Q = _as_complex(P), _as_complex(Q)
     target = RationalTuple((P,), Q)
-    x1, x2 = HomPoly.variable(COMPLEX, 2, 0), HomPoly.variable(COMPLEX, 2, 1)
     mats = []
     for depth in range(layers, 1, -1):
         even = depth % 2 == 0
@@ -175,9 +174,9 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
         P, Q = P.compose_linear(rows), Q.compose_linear(rows)
         try:
             if even:
-                Q = Q.exact_divide(x1, tol).exact_divide(x2, tol)
+                Q = Q.exact_divide(0, tol).exact_divide(1, tol)
             else:
-                P = P.exact_divide(x1, tol).exact_divide(x2, tol)
+                P = P.exact_divide(0, tol).exact_divide(1, tol)
         except NotDivisibleError:
             return _fail(Stage.VERIFICATION_FAIL)
         mats.append(W1.tolist())

@@ -58,7 +58,6 @@ class TrainConfig:
     epochs: int = 20000
     seed: int = 0
     clip: float | None = None
-    snapshot_every: int | None = None  # extra weight snapshots every k epochs
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -76,8 +75,6 @@ class TrainResult:
     initial_weights: list[np.ndarray]
     final_weights: list[np.ndarray]
     recovered_angles: list[float]
-    converged: bool
-    snapshots: list[tuple[int, list[np.ndarray]]] | None = None
 
 
 def target_g(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -280,8 +277,8 @@ def singularity_recovery_score(w1: np.ndarray) -> list[float]:
     return angles
 
 
-def train_stack(config: TrainConfig, dataset: Dataset, initial: list[np.ndarray],
-                success_loss: float = 1e-3) -> list[TrainResult]:
+def train_stack(config: TrainConfig, dataset: Dataset,
+                initial: list[np.ndarray]) -> list[TrainResult]:
     """Train R runs as one stack from initial[k] of shape (R, d_{k+1}, d_k);
     one result per run.  Loss curves record pre-update losses; a run whose
     every point sits at a pole in an epoch records loss inf and skips that
@@ -296,10 +293,7 @@ def train_stack(config: TrainConfig, dataset: Dataset, initial: list[np.ndarray]
     total = x.shape[1]
     losses = np.empty((count, config.epochs))
     skipped = np.empty((count, config.epochs), dtype=int)
-    snaps = [] if config.snapshot_every else None
     for epoch in range(config.epochs):
-        if snaps is not None and epoch % config.snapshot_every == 0:
-            snaps.append((epoch, [m.copy() for m in mats]))
         loss, grads, n_skip = forward_backward_stack(mats, x, y)
         losses[:, epoch] = loss
         skipped[:, epoch] = n_skip
@@ -314,8 +308,7 @@ def train_stack(config: TrainConfig, dataset: Dataset, initial: list[np.ndarray]
         final = [m[r].copy() for m in mats]
         results.append(TrainResult(
             losses[r].copy(), skipped[r].copy(), [m[r].copy() for m in initial], final,
-            singularity_recovery_score(final[0]), float(losses[r, -1]) < success_loss,
-            None if snaps is None else [(e, [m[r].copy() for m in s]) for e, s in snaps]))
+            singularity_recovery_score(final[0])))
     return results
 
 
@@ -344,10 +337,9 @@ class ExperimentSummary:
 
 
 def _train_chunk(args):
-    config, dataset, runs, success_loss = args
+    config, dataset, runs = args
     inits = [xavier_init(config.arch, (config.seed, i)) for i in runs]
-    return train_stack(config, dataset, [np.stack(layer) for layer in zip(*inits)],
-                       success_loss)
+    return train_stack(config, dataset, [np.stack(layer) for layer in zip(*inits)])
 
 
 def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset,
@@ -363,7 +355,7 @@ def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset,
     if n_inits < 1:
         raise ValueError("need at least one initialization")
     chunks = np.array_split(np.arange(n_inits), min(max(workers, 1), n_inits))
-    jobs = [(config, dataset, chunk.tolist(), success_loss) for chunk in chunks]
+    jobs = [(config, dataset, chunk.tolist()) for chunk in chunks]
     if len(jobs) > 1:
         with Pool(len(jobs)) as pool:
             parts = pool.map(_train_chunk, jobs)
@@ -379,7 +371,7 @@ def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset,
                                  final_loss < success_loss,
                                  min(a1, a2) < success_angle_deg))
         if out_dir is not None:
-            _write_run_files(out_dir, i, res)
+            _write_run_files(out_dir, i, res, records[-1].full_success)
     summary = ExperimentSummary(records,
                                 sum(r.full_success for r in records),
                                 sum(r.partial_success for r in records))
@@ -397,7 +389,7 @@ def write_aggregate_csv(summary: ExperimentSummary, fileobj) -> None:
                     r.full_success, r.partial_success])
 
 
-def _write_run_files(out_dir: str, idx: int, res: TrainResult) -> None:
+def _write_run_files(out_dir: str, idx: int, res: TrainResult, converged: bool) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"run{idx:04d}.csv"), "w", newline="") as f:
         w = csv.writer(f)
@@ -408,7 +400,7 @@ def _write_run_files(out_dir: str, idx: int, res: TrainResult) -> None:
         "initial": [m.tolist() for m in res.initial_weights],
         "final": [m.tolist() for m in res.final_weights],
         "angles_deg": res.recovered_angles,
-        "converged": res.converged,
+        "converged": converged,
     }
     with open(os.path.join(out_dir, f"run{idx:04d}_weights.json"), "w") as f:
         json.dump(blob, f, indent=1)

@@ -262,8 +262,7 @@ def adam_step(state: AdamState, grads: list[np.ndarray], lr: float,
 
 
 def train_run(config: TrainConfig, dataset: Dataset, run_seed,
-              initial: list[np.ndarray] | None = None,
-              success_loss: float = 1e-3) -> TrainResult:
+              initial: list[np.ndarray] | None = None) -> TrainResult:
     """One full training run; the loss curve records pre-update losses."""
     mats = [m.copy() for m in initial] if initial is not None else xavier_init(config.arch, run_seed)
     initial_mats = [m.copy() for m in mats]
@@ -272,10 +271,7 @@ def train_run(config: TrainConfig, dataset: Dataset, run_seed,
     state = AdamState([m.copy() for m in mats])
     losses = np.empty(config.epochs)
     skipped = np.zeros(config.epochs, dtype=int)
-    snaps = [] if config.snapshot_every else None
     for epoch in range(config.epochs):
-        if snaps is not None and epoch % config.snapshot_every == 0:
-            snaps.append((epoch, [m.copy() for m in state.params]))
         try:
             loss, grads, n_skip = forward_backward(state.params, x, y)
         except AllPointsSkippedError:
@@ -291,8 +287,7 @@ def train_run(config: TrainConfig, dataset: Dataset, run_seed,
         state = adam_step(state, grads, config.lr)
     final = state.params
     angles = singularity_recovery_score(final[0])
-    return TrainResult(losses, skipped, initial_mats, final,
-                       angles, float(losses[-1]) < success_loss, snaps)
+    return TrainResult(losses, skipped, initial_mats, final, angles)
 
 
 @pytest.fixture

@@ -103,6 +103,14 @@ def test_eval_gfp_weights_takes_integer_points(tmp_path, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["real", "complex"])
+@pytest.mark.parametrize("point", ["nan,1", "inf,1"])
+def test_eval_non_finite_point_is_one_line_error(tmp_path, capsys, point, field):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(Weights.random(Architecture((2, 2, 1)), field, seed=2).to_json()))
+    _assert_one_line_error(*run(capsys, "eval", "--weights", str(wfile), "--x", point))
+
+
 def test_arithmetic_failure_is_one_line_error(tmp_path, capsys):
     # no residual meets a negative tolerance, so the binary split raises
     # NonConvergenceError

@@ -9,7 +9,7 @@ from ratnets.factor import (FactorFailure, build_H, factor_binary_form,
                             factor_multilinear, factor_quadratic_explicit,
                             h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
-from ratnets.poly import HomPoly, NotDivisibleError, product
+from ratnets.poly import HomPoly, product
 
 EX37_COLUMN = [-0.8566, complex(-0.1500, -0.8974), complex(-0.1500, 0.8974),
                complex(1.0783, -0.4969), complex(1.0783, 0.4969)]
@@ -255,12 +255,3 @@ class TestBuildH:
         for a, b in zip(nums + [den], list(t.numerators) + [t.denominator]):
             for e in set(a.terms) | set(b.terms):
                 assert abs(a.coefficient(e) - b.coefficient(e)) < 1e-12
-
-
-class TestDivides:
-    def test_divisor_accepted_nondivisor_rejected(self):
-        q = example_cubic()
-        q.exact_divide(HomPoly.linear(COMPLEX, (1 + 0j, 1 + 0j, 1 + 0j)))
-        q.exact_divide(HomPoly.linear(COMPLEX, (1 + 0j, -1 + 0j, 0j)))
-        with pytest.raises(NotDivisibleError):
-            q.exact_divide(HomPoly.linear(COMPLEX, (1 + 0j, 1 + 0j, 0j)))

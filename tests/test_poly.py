@@ -11,7 +11,7 @@ GF = PrimeField(2147483647)
 
 
 def x(field, nvars, i):
-    return HomPoly.variable(field, nvars, i)
+    return HomPoly.linear(field, [field.one() if j == i else field.zero() for j in range(nvars)])
 
 
 def lf(field, *coeffs):
@@ -130,49 +130,66 @@ class TestExactDivide:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3), d=st.integers(0, 4))
     def test_divides_product_exactly_over_gfp(self, data, n, d):
-        p = data.draw(gf_forms(n, d))
-        l = data.draw(gf_forms(n, 1).filter(lambda f: not f.is_zero()))
-        assert p.mul(l).exact_divide(l) == p
-
-    def test_difference_of_squares(self):
-        p = lf(REAL, 1, 1).mul(lf(REAL, 1, -1))
-        q = p.exact_divide(HomPoly.linear(REAL, (1.0, -1.0)))
-        assert coeffs_close(q, lf(REAL, 1, 1))
-
-    def test_monomial_division(self):
-        p = product([x(REAL, 3, 0), x(REAL, 3, 1), x(REAL, 3, 2)])
-        q = p.exact_divide(HomPoly.linear(REAL, (0.0, 1.0, 0.0)))
-        assert q.terms == {(1, 0, 1): 1.0}
-
-    def test_not_divisible(self):
-        p = x(REAL, 2, 0).pow(3)
-        # independent oracle: a divisor's zero set must lie in the dividend's
-        ell = HomPoly.linear(REAL, (1.0, 1.0))
-        assert abs(p.evaluate([1.0, -1.0])) > 0.5  # p nonzero on ell = 0
-        with pytest.raises(NotDivisibleError):
-            p.exact_divide(ell)
+        q = data.draw(gf_forms(n, d))
+        for i in range(n):
+            assert q.mul(x(GF, n, i)).exact_divide(i) == q
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX, GF])
     def test_mul_divide_round_trip(self, field):
         rng = random.Random(11)
         for _ in range(20):
             q = random_poly(field, 3, 2, rng)
-            coeffs = [field.random(rng) for _ in range(3)]
-            ell = HomPoly.linear(field, coeffs)
-            back = q.mul(ell).exact_divide(ell)
-            assert coeffs_close(back, q, 0.0 if field.exact else 1e-9)
+            for i in range(3):
+                back = q.mul(x(field, 3, i)).exact_divide(i)
+                assert coeffs_close(back, q, 0.0)
+
+    def test_monomial_division(self):
+        p = product([x(REAL, 3, 0), x(REAL, 3, 1), x(REAL, 3, 2)])
+        assert p.exact_divide(1).terms == {(1, 0, 1): 1.0}
+
+    def test_difference_of_squares(self):
+        # x1^2 - x2^2 = (x1 + x2)(x1 - x2) has no coordinate factor
+        p = lf(REAL, 1, 1).mul(lf(REAL, 1, -1))
+        for i in range(2):
+            with pytest.raises(NotDivisibleError):
+                p.exact_divide(i)
+
+    def test_not_divisible(self):
+        p = product([x(REAL, 2, 0)] * 3)
+        # independent oracle: x2's zero set must lie in the dividend's
+        assert abs(p.evaluate([1.0, 0.0])) > 0.5
+        with pytest.raises(NotDivisibleError):
+            p.exact_divide(1)
 
     def test_exact_over_prime_field(self):
         rng = random.Random(5)
         q = random_poly(GF, 2, 3, rng)
-        ell = HomPoly.linear(GF, (3, 11))
-        assert q.mul(ell).exact_divide(ell).terms == q.terms
-        bad = q.mul(ell)
-        bumped = dict(bad.terms)
-        key = next(iter(bumped))
-        bumped[key] = GF.add(bumped[key], 1)
+        bad = q.mul(x(GF, 2, 1))
+        assert bad.exact_divide(1).terms == q.terms
+        # bump the x1^4 coefficient, which is free of x2, from 0 to 1
+        bumped = {**bad.terms, (4, 0): 1}
         with pytest.raises(NotDivisibleError):
-            HomPoly(GF, 2, 4, bumped).exact_divide(ell)
+            HomPoly(GF, 2, 4, bumped).exact_divide(1)
+
+    def test_quotient_in_descending_powers(self):
+        # terms stored in ascending powers of x2; the quotient lists them in
+        # descending powers, ties in stored order
+        mons = [e for e in reversed(monomials(3, 4)) if e[1]]
+        p = HomPoly(REAL, 3, 4, {e: float(k + 1) for k, e in enumerate(mons)})
+        q = p.exact_divide(1)
+        want = [(a, b - 1, c) for a, b, c in sorted(mons, key=lambda e: -e[1])]
+        assert list(q.terms) == want
+        assert [q.terms[(a, b - 1, c)] for a, b, c in mons] == [p.terms[e] for e in mons]
+
+    @pytest.mark.parametrize("var", [-1, 2, 3])
+    def test_variable_out_of_range(self, var):
+        p = x(REAL, 2, 0).mul(x(REAL, 2, 1))
+        with pytest.raises(ValueError):
+            p.exact_divide(var)
+
+    def test_degree_zero_dividend(self):
+        with pytest.raises(ValueError):
+            HomPoly.one(REAL, 2).exact_divide(0)
 
 
 class TestEvaluate:
