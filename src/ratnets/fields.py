@@ -16,6 +16,8 @@ below threshold" test degenerates to an exact zero test.
 from __future__ import annotations
 
 import cmath
+import numbers
+import operator
 import random
 
 DEFAULT_PRIME = 2147483647  # Mersenne, fits in 32 bits
@@ -26,6 +28,15 @@ def _finite(a):
     if not cmath.isfinite(a):
         raise ValueError(f"non-finite coefficient {a}")
     return a
+
+
+def checked_number(v):
+    """v itself; TypeError unless it is a number.  A JSON true or false
+    arrives as a bool, which Python counts as 1 or 0, and float() and int()
+    would read a numeric string."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return v
 
 
 class FieldMismatchError(ValueError):
@@ -106,6 +117,9 @@ class _FloatField(ScalarField):
     def inv(self, a):
         return 1.0 / a
 
+    def is_zero(self, a):
+        return a == 0
+
     def magnitude(self, a):
         return abs(a)
 
@@ -129,7 +143,7 @@ class RealField(_FloatField):
         return {"re": a}
 
     def coeff_from_json(self, obj):
-        return _finite(float(obj["re"]))
+        return _finite(float(checked_number(obj["re"])))
 
 
 class ComplexField(_FloatField):
@@ -151,7 +165,7 @@ class ComplexField(_FloatField):
         return {"re": a.real, "im": a.imag}
 
     def coeff_from_json(self, obj):
-        return _finite(complex(obj["re"], obj.get("im", 0.0)))
+        return _finite(complex(checked_number(obj["re"]), checked_number(obj.get("im", 0.0))))
 
 
 def is_prime(n: int) -> bool:
@@ -210,6 +224,9 @@ class PrimeField(ScalarField):
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def is_zero(self, a):
+        return a % self.p == 0
+
     def magnitude(self, a):
         return 0.0 if a % self.p == 0 else 1.0
 
@@ -226,7 +243,7 @@ class PrimeField(ScalarField):
         return {"re": int(a)}
 
     def coeff_from_json(self, obj):
-        return int(obj["re"]) % self.p
+        return operator.index(checked_number(obj["re"])) % self.p
 
 
 REAL = RealField()

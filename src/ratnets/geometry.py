@@ -6,8 +6,7 @@ prime field with no polynomial built: the layer recursion runs on scalars
 at random input points, each value carrying its tangent in every weight.
 That Jacobian is the coefficient Jacobian times Vandermonde blocks, which
 keep its rank at enough generic points; elimination mod p then gives the
-rank with no numerical tolerance.  A float/SVD variant runs the same
-tangents unreduced to cross-check small cases.
+rank with no numerical tolerance.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import DEFAULT_PRIME, REAL, PrimeField, is_prime
-from .network import Architecture, Weights, ambient_dim, degrees, param_count
+from .fields import DEFAULT_PRIME, PrimeField, is_prime
+from .network import Architecture, ambient_dim, degrees, param_count
 from .poly import HomPoly, monomial_count
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
@@ -71,17 +70,21 @@ def expected_dim(arch: Architecture) -> int:
     return min(fiber_upper_bound(arch), ambient_dim(arch))
 
 
+def _residues(values, p: int) -> np.ndarray:
+    """values mod p as an array: int64 below SMALL_PRIME_LIMIT, where a
+    product of two residues fits, Python ints above."""
+    try:
+        return np.array(values, dtype=np.int64 if p < SMALL_PRIME_LIMIT else object) % p
+    except OverflowError:  # entries beyond int64
+        return (np.array(values, dtype=object) % p).astype(np.int64)
+
+
 def gf_rank(rows, p: int) -> int:
     """Rank over GF(p) of a list of integer rows (lists or 1-D arrays), by
-    vectorized elimination along the shorter side: int64 below 2^31, where a
-    product of two residues fits, Python ints above."""
+    vectorized elimination along the shorter side."""
     if len(rows) == 0:
         return 0
-    small = p < SMALL_PRIME_LIMIT
-    try:
-        a = np.array(rows, dtype=np.int64 if small else object) % p
-    except OverflowError:  # entries beyond int64
-        a = (np.array(rows, dtype=object) % p).astype(np.int64)
+    a = _residues(rows, p)
     if a.shape[0] < a.shape[1]:
         a = a.T
     rank = 0
@@ -110,30 +113,27 @@ def _point_count(arch: Architecture) -> int:
         monomial_count(arch.d0, d) for d in (prof.numerator_degree, prof.denominator_degree)))
 
 
-def _point_jacobian(arch: Architecture, mats, points, p: int | None = None) -> np.ndarray:
-    """P x (d_L + 1)N Jacobian of the output components at N points, by
-    forward-mode tangents through the scalar layer recursion.
+def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
+    """P x (d_L + 1)N Jacobian of the output components at N points mod p,
+    by forward-mode tangents through the scalar layer recursion.
 
     Row s is weight s (row-major, layer by layer); column c*N + t is
     component c (numerators, then the denominator) at points[t].  This is
     the coefficient Jacobian times a block-diagonal matrix of monomials at
-    the points.  Exact mod a prime p (int64 below 2^31, reduced after every
-    product; Python ints above), floating point for p None.
+    the points.  Every product is reduced, dot products included (a sum of
+    unreduced int64 products would wrap).
     """
-    dtype = None if p is None else np.int64 if p < SMALL_PRIME_LIMIT else object
-    red = (lambda a: a) if p is None else (lambda a: a % p)
     dims, nparams = arch.dims, param_count(arch)
-    ins = np.array(points, dtype=dtype).T
+    ins = _residues(points, p).T
 
-    def apply(w, v):  # rows of w against the stacked values v
-        w = np.array(w, dtype=dtype)
-        return red(red(w.reshape(w.shape + (1,) * (v.ndim - 1)) * v).sum(axis=1))
+    def apply(w, v):  # rows of the residue matrix w against the stacked values v
+        return (w.reshape(w.shape + (1,) * (v.ndim - 1)) * v % p).sum(axis=1) % p
 
     def mul(a, b):  # (value, tangent) pairs of shapes (N,), (N, P); None is one
         if a is None or b is None:
             return b if a is None else a
         (av, at), (bv, bt) = a, b
-        return red(av * bv), red(red(av[:, None] * bt) + red(bv[:, None] * at))
+        return av * bv % p, (av[:, None] * bt % p + bv[:, None] * at % p) % p
 
     qs, offset = [None, None], 0  # product forms, indexed as in network.forward_layers
     for k, w in enumerate(mats):
@@ -147,6 +147,7 @@ def _point_jacobian(arch: Architecture, mats, points, p: int | None = None) -> n
             dels = [mul(prefix[j], suffix[d - 1 - j]) for j in range(d)]
             qs.append(prefix[d])
             ins, in_tans = np.stack([v for v, _ in dels]), np.stack([t for _, t in dels])
+        w = _residues(w, p)
         vals = apply(w, ins)
         tans = apply(w, in_tans) if k else np.zeros(vals.shape + (nparams,), dtype=vals.dtype)
         for i in range(dims[k + 1]):  # the derivative in w[i][j] is ins[j]
@@ -165,7 +166,7 @@ def _point_jacobian(arch: Architecture, mats, points, p: int | None = None) -> n
 
 
 def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
-                        samples: int = 2, deadline: float | None = None) -> DimensionReport:
+                        samples: int = 2, timeout_s: float = 0.0) -> DimensionReport:
     """Exact Jacobian rank of the parameter-to-coefficients map over GF(p).
 
     Each sample draws the weights and _point_count(arch) input points from
@@ -173,8 +174,9 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     fixed nonzero r x r minor, a polynomial in weights and points jointly,
     vanishes: by Schwartz-Zippel, with probability at most deg(minor)/(p-1).
     So ``samples`` samples are ranked (a disagreement adds one), the maximum
-    is reported and ``sample_ranks`` lists them all.  A ``deadline`` (on
-    time.monotonic) passed before a sample starts gives status "timeout".
+    is reported and ``sample_ranks`` lists them all.  More than ``timeout_s``
+    seconds (0 for no limit) spent before a sample starts gives status
+    "timeout".
     """
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
@@ -202,25 +204,10 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     for t in range(samples + 1):  # one extra sample when the first ones disagree
         if t == samples and len(set(ranks)) == 1:
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if timeout_s and time.monotonic() - t0 > timeout_s:
             return report(None, "timeout")
         ranks.append(rank_at(t))
     return report(max(ranks))
-
-
-def jacobian_rank_float(arch, seed: int = 0) -> int:
-    """SVD rank of the same pointwise Jacobian at random real weights and
-    random complex unit-norm points, each column scaled to a maximum of 1.
-    A cross-check for small architectures only: on deeper or wider ones the
-    singular values decay smoothly through the 1e-8 cutoff and the rank can
-    undershoot (8, not 14, on (2, 2, 2, 3, 2, 1) with seed 1)."""
-    if not isinstance(arch, Architecture):
-        arch = Architecture(tuple(arch))
-    z = np.random.default_rng(seed).standard_normal((_point_count(arch), arch.d0, 2)) @ [1, 1j]
-    jac = _point_jacobian(arch, Weights.random(arch, REAL, seed=seed).mats,
-                          z / np.linalg.norm(z, axis=1, keepdims=True))
-    scale = np.abs(jac).max(axis=0)
-    return numerical_rank(jac / np.where(scale > 0, scale, 1.0), 1e-8)
 
 
 def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
@@ -279,20 +266,10 @@ def filling_binary(layers: int, d_out: int) -> FillingBinary:
 
 
 @dataclass
-class MomentMatrix:
-    row_labels: list[tuple[int, ...]]
-    col_labels: list
-    array: np.ndarray
-
-
-@dataclass
 class MomentRank:
     ok: bool
     rank: int
     necessary_only: bool
-
-    def __bool__(self):
-        return self.ok
 
 
 def _multiset_multiplier(ms: Sequence[int]) -> int:
@@ -302,7 +279,7 @@ def _multiset_multiplier(ms: Sequence[int]) -> int:
     return mult
 
 
-def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> MomentMatrix:
+def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
     """Coefficient matrix whose rank certifies one-hidden-layer membership.
 
     Rows are multisets of size d1 - 1 over the input variables; columns are
@@ -322,8 +299,7 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> MomentMatrix
     if Q.degree != d1 or any(p.degree != d1 - 1 for p in Ps) or len(Ps) != d2:
         raise ValueError("tuple degrees do not match the architecture")
     rows = list(combinations_with_replacement(range(d0), d1 - 1))
-    col_labels = [("num", k) for k in range(d2)] + [("var", j) for j in range(d0)]
-    out = np.zeros((len(rows), len(col_labels)), dtype=complex)
+    out = np.zeros((len(rows), d2 + d0), dtype=complex)
 
     def exp_of(ms):
         e = [0] * d0
@@ -338,7 +314,7 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> MomentMatrix
         for j in range(d0):
             full = tuple(sorted(ms + (j,)))
             out[r, d2 + j] = _multiset_multiplier(full) * complex(Q.coefficient(exp_of(full)))
-    return MomentMatrix(rows, col_labels, out)
+    return out
 
 
 def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
@@ -349,8 +325,7 @@ def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     hidden layers a necessary condition only."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
-    mm = build_moment_matrix(Ps, Q, arch)
-    rank = numerical_rank(mm.array, tol)
+    rank = numerical_rank(build_moment_matrix(Ps, Q, arch), tol)
     d1 = arch.dims[1]
     return MomentRank(rank <= d1 and not Q.is_zero(), rank, d1 >= 3)
 
@@ -383,12 +358,6 @@ def enumerate_architectures(max_params: int = 30, max_layers: int = 5,
     return out
 
 
-def _census_entry(args) -> DimensionReport:
-    dims, seed, p, timeout_s, samples = args
-    deadline = time.monotonic() + timeout_s if timeout_s else None
-    return jacobian_rank_mod_p(dims, seed=seed, p=p, samples=samples, deadline=deadline)
-
-
 def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
            seed: int = 0, timeout_s: float = 10.0, max_width: int = 9,
            workers: int = 1, samples: int = 2) -> list[DimensionReport]:
@@ -396,20 +365,19 @@ def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
 
     Per-architecture seeds derive from (seed, position) so the output is
     identical for any worker count; rows keep enumeration order.  Each row
-    has a deadline of timeout_s seconds (0 for none).
+    has a time limit of timeout_s seconds (0 for none).
     """
     if not timeout_s >= 0:  # NaN fails too
         raise ValueError(f"timeout must be >= 0 seconds (0 for none), got {timeout_s}")
     if samples < 1:  # checked here too: a bound may leave no architecture
         raise ValueError(f"samples must be >= 1, got {samples}")
     archs = enumerate_architectures(max_params, max_layers, max_width)
-    jobs = [(a.dims, seed + 1000003 * idx, p, timeout_s, samples)
-            for idx, a in enumerate(archs)]
+    jobs = [(a, seed + 1000003 * idx, p, samples, timeout_s) for idx, a in enumerate(archs)]
     procs = min(workers, len(jobs))
     if procs > 1:
         with Pool(procs) as pool:
-            return pool.map(_census_entry, jobs)
-    return [_census_entry(j) for j in jobs]
+            return pool.starmap(jacobian_rank_mod_p, jobs)
+    return [jacobian_rank_mod_p(*j) for j in jobs]
 
 
 CENSUS_COLUMNS = ["arch", "jacobian_rank", "ambient_dim", "param_count",

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import ScalarField, field_from_name, field_json_name, PrimeField
+from .fields import ScalarField, field_from_name, field_json_name, checked_number, PrimeField
 from .poly import HomPoly, deleted_products, monomial_count
 
 POLE_GUARD = 1e-12
@@ -48,7 +48,7 @@ class Architecture:
 
     def __post_init__(self):
         try:
-            dims = tuple(operator.index(d) for d in self.dims)
+            dims = tuple(operator.index(checked_number(d)) for d in self.dims)
         except TypeError as ex:
             raise ArchitectureError(f"widths must be integers, got {self.dims}") from ex
         object.__setattr__(self, "dims", dims)

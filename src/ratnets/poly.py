@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .fields import COMPLEX, FieldMismatchError, ScalarField, _FloatField
+from .fields import COMPLEX, FieldMismatchError, ScalarField, _FloatField, checked_number
 
 Exponent = tuple[int, ...]
 
@@ -226,8 +226,9 @@ class HomPoly:
 
     @classmethod
     def from_json(cls, field: ScalarField, obj: dict) -> "HomPoly":
-        """TypeError for a non-integral exponent, nvars or degree."""
-        index = operator.index
+        """TypeError for an exponent, nvars or degree that is not an integer."""
+        def index(v):
+            return operator.index(checked_number(v))
         terms = {tuple(map(index, t["exp"])): field.coeff_from_json(t) for t in obj["terms"]}
         return cls(field, index(obj["nvars"]), index(obj["degree"]), terms)
 

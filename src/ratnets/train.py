@@ -267,13 +267,17 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float,
 
 def singularity_recovery_score(w1: np.ndarray) -> list[float]:
     """For each target line normal in POLE_NORMALS, the smallest angle
-    (degrees, sign blind) to any row of the first weight matrix."""
+    (degrees, sign blind) to any row of the first weight matrix.  A NaN
+    cosine, as from a diverged run's infinite weights, is no alignment: a
+    normal that only such rows meet scores 90."""
     rows = np.asarray(w1, dtype=float)
-    norms = np.linalg.norm(rows, axis=1)
     angles = []
-    for nv in POLE_NORMALS:
-        cosines = np.abs(rows @ nv) / np.maximum(norms, 1e-300)
-        angles.append(math.degrees(math.acos(min(1.0, float(cosines.max())))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        for nv in POLE_NORMALS:
+            cosines = np.abs(rows @ nv) / np.maximum(norms, 1e-300)
+            best = float(np.fmax.reduce(cosines, initial=0.0))  # fmax skips NaN
+            angles.append(math.degrees(math.acos(min(1.0, best))))
     return angles
 
 
@@ -396,11 +400,15 @@ def _write_run_files(out_dir: str, idx: int, res: TrainResult, converged: bool) 
         w.writerow(["epoch", "loss", "skipped"])
         for e, (l, s) in enumerate(zip(res.loss_curve, res.skipped)):
             w.writerow([e, repr(float(l)), int(s)])
+
+    def strict(m):  # a non-finite weight is null: strict JSON has no NaN or Infinity
+        return np.where(np.isfinite(m), m, None).tolist()
+
     blob = {
-        "initial": [m.tolist() for m in res.initial_weights],
-        "final": [m.tolist() for m in res.final_weights],
+        "initial": [strict(m) for m in res.initial_weights],
+        "final": [strict(m) for m in res.final_weights],
         "angles_deg": res.recovered_angles,
         "converged": converged,
     }
     with open(os.path.join(out_dir, f"run{idx:04d}_weights.json"), "w") as f:
-        json.dump(blob, f, indent=1)
+        json.dump(blob, f, indent=1, allow_nan=False)

@@ -434,3 +434,54 @@ def test_bad_prime_or_malformed_form_is_one_line_error(tmp_path, capsys, argv):
     (tmp_path / "wrong_degree.json").write_text(json.dumps(
         {"nvars": 2, "degree": 2, "terms": [{"exp": [2, 1], "re": 1.0}]}))
     _assert_one_line_error(*run(capsys, *(a.format(tmp=tmp_path) for a in argv)))
+
+
+DIVERGED = ("train", "--inits", "1", "--epochs", "1", "--lr", "1e308")
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_train_diverged_run_is_not_a_partial_success(tmp_path, capsys):
+    # one step at lr 1e308 leaves infinite first-layer weights
+    code, out, _ = run(capsys, *DIVERGED, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert "partial_success=0" in out
+    rows = (tmp_path / "aggregate.csv").read_text().splitlines()
+    assert rows[1].split(",")[2:4] == ["90.0", "90.0"]
+
+
+def test_train_run_files_are_strict_json(tmp_path, capsys):
+    assert run(capsys, *DIVERGED, "--out-dir", str(tmp_path))[0] == 0
+    blob = _strict_json((tmp_path / "run0000_weights.json").read_text())
+    assert blob["final"] == [[[None, None], [None, None]], [[None, None]]]
+    assert all(isinstance(v, float) for m in blob["initial"] for row in m for v in row)
+
+
+def _square(*terms):
+    return {"nvars": 2, "degree": 2, "terms": [{"exp": e, "re": c} for e, c in terms]}
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (("factor", "--poly"), _square(([2, 0], True), ([0, 2], 1.0))),
+    (("factor", "--poly"), _square(([True, True], 1.0))),
+    (("eval", "--x", "1,5", "--weights"),
+     {"arch": [2, 2, 1], "field": "real", "mats": [[[1, 2], [3, "1.5"]], [[1, 1]]]}),
+    (("eval", "--x", "1,5", "--weights"),
+     {"arch": [2, 2, 1], "field": "gfp", "mats": [[[1, 2], [3, 2.7]], [[1, 1]]]}),
+    (("eval", "--x", "1,5", "--weights"),
+     {"arch": [2, 2, 1], "field": "gfp", "mats": [[[1, 2], [3, "5"]], [[1, 1]]]}),
+    (("eval", "--x", "1,5", "--weights"),
+     {"arch": [2, 2, 1], "field": "gfp", "mats": [[[1, 2], [3, True]], [[1, 1]]]}),
+    (("eval", "--x", "1,5", "--weights"),
+     {"arch": [2, 2, True], "field": "real", "mats": [[[1, 2], [3, 1]], [[1, 1]]]}),
+], ids=["factor-bool-coefficient", "factor-bool-exponents", "eval-real-string-entry",
+        "eval-gfp-fractional-entry", "eval-gfp-string-entry", "eval-gfp-bool-entry",
+        "eval-bool-width"])
+def test_json_bools_strings_and_fractions_are_not_numbers(tmp_path, capsys, argv, obj):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    _assert_one_line_error(*run(capsys, *argv, str(f)))

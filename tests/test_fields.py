@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from ratnets.fields import COMPLEX, REAL, DEFAULT_PRIME, PrimeField, is_prime
+from ratnets.fields import COMPLEX, REAL, DEFAULT_PRIME, PrimeField, ScalarField, is_prime
 from ratnets.poly import HomPoly
 
 
@@ -28,6 +29,20 @@ def test_prime_field_random_nonzero():
     draws = {gf.random(rng) for _ in range(200)}
     assert 0 not in draws
     assert draws == {1, 2, 3, 4, 5, 6}
+
+
+GF = PrimeField(101)
+FLOATS = [0.0, -0.0, math.nan, math.inf, 5e-324]
+
+
+@pytest.mark.parametrize("field, value",
+                         [(REAL, v) for v in FLOATS]
+                         + [(COMPLEX, complex(v)) for v in FLOATS]
+                         + [(COMPLEX, complex(-0.0, -0.0)), (COMPLEX, complex(math.nan, 0))]
+                         + [(GF, 0), (GF, 101), (GF, 203)])
+def test_is_zero_is_the_fields_own_and_agrees_with_magnitude(field, value):
+    assert type(field).is_zero is not ScalarField.is_zero
+    assert field.is_zero(value) == (field.magnitude(value) == 0.0)
 
 
 def test_dual_epsilon_squares_to_zero(dual_field):

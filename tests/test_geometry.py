@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratnets import geometry
-from ratnets.fields import COMPLEX, REAL, PrimeField
+from ratnets.fields import COMPLEX, PrimeField
 from ratnets.geometry import (_point_count, _point_jacobian, build_moment_matrix,
                               census, census_to_csv, enumerate_architectures,
                               expected_dim, fiber_upper_bound, filling_binary,
-                              filling_shallow, gf_rank, jacobian_rank_float,
-                              jacobian_rank_mod_p, numerical_rank,
+                              filling_shallow, gf_rank, jacobian_rank_mod_p, numerical_rank,
                               rank_test_membership)
 from ratnets.network import (Architecture, Weights, ambient_dim, degrees,
                              forward_recursive, param_count)
@@ -76,11 +75,6 @@ class TestJacobianRank:
         assert rep.ambient_dim == 5
         assert rep.param_count == 6
 
-    def test_matches_float_svd_on_small_archs(self):
-        for dims in [(2, 2, 1), (3, 3, 1), (2, 2, 2, 1)]:
-            a = Architecture(dims)
-            assert jacobian_rank_mod_p(a, seed=1).jacobian_rank == jacobian_rank_float(a, seed=1)
-
     def test_rank_bounded_by_fiber_dimension(self):
         rng = random.Random(5)
         for dims in [(2, 3, 2), (3, 2, 2, 1), (2, 2, 3, 2)]:
@@ -95,6 +89,12 @@ class TestJacobianRank:
         r2 = jacobian_rank_mod_p(a, seed=999, samples=1).jacobian_rank
         assert r1 == r2
 
+    def test_timeout_counts_from_the_call(self):
+        a = Architecture((2, 2, 1))
+        rep = jacobian_rank_mod_p(a, seed=3, timeout_s=1e-9)
+        assert (rep.status, rep.jacobian_rank, rep.sample_ranks) == ("timeout", None, ())
+        assert jacobian_rank_mod_p(a, seed=3, timeout_s=0).sample_ranks == (5, 5)
+
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             jacobian_rank_mod_p(Architecture((2, 2, 1)), p=1009)  # too small
@@ -105,22 +105,21 @@ class TestJacobianRank:
 ROW_ARCHS = [(2, 2, 1), (3, 3, 1), (2, 2, 2, 1), (2, 3, 2, 1)]
 
 
-def coefficient_rows_at(rows, arch, points, p=None):
-    """J_coeff . blockdiag(V): coefficient-space Jacobian rows evaluated at
-    the points, one monomial block per numerator and one for the
-    denominator."""
+def coefficient_rows_at(rows, arch, points, p):
+    """J_coeff . blockdiag(V) mod p: coefficient-space Jacobian rows
+    evaluated at the points, one monomial block per numerator and one for
+    the denominator."""
     prof = degrees(arch)
     blocks = ([monomials(arch.d0, prof.numerator_degree)] * arch.dL
               + [monomials(arch.d0, prof.denominator_degree)])
-    jac = np.array(rows, dtype=object if p else complex)
+    jac = np.array(rows, dtype=object)
     pieces, col = [], 0
     for mons in blocks:
         vander = np.array([[math.prod(x ** k for x, k in zip(pt, e)) for pt in points]
                            for e in mons], dtype=jac.dtype)
         pieces.append(jac[:, col:col + len(mons)] @ vander)
         col += len(mons)
-    out = np.concatenate(pieces, axis=1)
-    return out % p if p else out
+    return np.concatenate(pieces, axis=1) % p
 
 
 class TestJacobianRows:
@@ -156,21 +155,6 @@ class TestJacobianRows:
         want = coefficient_rows_at(dual_jacobian_rows(arch, mats, dual_field(PrimeField(p))),
                                    arch, points, p)
         assert _point_jacobian(arch, mats, points, p).tolist() == want.tolist()
-
-    @pytest.mark.parametrize("dims", ROW_ARCHS)
-    def test_complex_step_rows_match_dual_oracle(self, dims, dual_field, dual_jacobian_rows):
-        # float rows at real weights and complex unit-norm points
-        arch = Architecture(dims)
-        for seed in (0, 1):
-            base = Weights.random(arch, REAL, seed=seed)
-            z = np.random.default_rng(seed).standard_normal((_point_count(arch), arch.d0, 2))
-            points = z @ np.array([1, 1j])
-            points /= np.linalg.norm(points, axis=1, keepdims=True)
-            got = _point_jacobian(arch, base.mats, points)
-            want = coefficient_rows_at(dual_jacobian_rows(arch, base.mats, dual_field(REAL)),
-                                       arch, points.tolist())
-            assert got.shape == want.shape == (param_count(arch), (arch.dL + 1) * len(points))
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestFilling:
@@ -217,29 +201,29 @@ class TestMomentMatrix:
         rng = random.Random(7)
         nums, den = random_ambient_tuple(3, 2, 1, rng)
         mm = build_moment_matrix(nums, den, (3, 2, 1))
-        assert mm.array.shape == (3, 4)
+        assert mm.shape == (3, 4)
         for i in range(3):
             e_i = tuple(1 if t == i else 0 for t in range(3))
-            assert mm.array[i, 0] == complex(nums[0].coefficient(e_i))
+            assert mm[i, 0] == complex(nums[0].coefficient(e_i))
             for j in range(3):
                 e = [0, 0, 0]
                 e[i] += 1
                 e[j] += 1
                 mult = 2 if i == j else 1
-                assert mm.array[i, 1 + j] == mult * complex(den.coefficient(tuple(e)))
+                assert mm[i, 1 + j] == mult * complex(den.coefficient(tuple(e)))
 
     def test_on_model_rank_two(self):
         for seed in range(10):
             nums, den = on_model_tuple(4, 3, seed)
             mm = build_moment_matrix(nums, den, (4, 2, 3))
-            assert numerical_rank(mm.array) == 2
+            assert numerical_rank(mm) == 2
 
     def test_ambient_rank_exceeds_two(self):
         rng = random.Random(8)
         for _ in range(10):
             nums, den = random_ambient_tuple(4, 2, 3, rng)
             mm = build_moment_matrix(nums, den, (4, 2, 3))
-            assert numerical_rank(mm.array) >= 3
+            assert numerical_rank(mm) >= 3
 
     def test_perturbed_on_model_rejected(self):
         nums, den = on_model_tuple(5, 2, 3)
@@ -256,7 +240,6 @@ class TestMomentMatrix:
         res = rank_test_membership(list(t.numerators), t.denominator, (3, 3, 1))
         assert res.ok
         assert res.necessary_only
-        assert bool(res)
 
     def test_factorization_reproduces_matrix(self):
         # on-model matrix equals (column-swapped W1^T) @ [W2^T | W1]
@@ -267,7 +250,7 @@ class TestMomentMatrix:
         W2 = np.array(w.mats[1], dtype=complex)
         left = np.stack([W1[1], W1[0]], axis=1)       # rows (a_2i, a_1i)
         right = np.concatenate([W2.T, W1], axis=1)    # 2 x (d2 + d0)
-        assert np.max(np.abs(mm.array - left @ right)) < 1e-10
+        assert np.max(np.abs(mm - left @ right)) < 1e-10
 
     def test_dimension_claim_for_width_two(self):
         for (n, m) in [(2, 2), (3, 1), (3, 3)]:
@@ -319,8 +302,8 @@ class TestCensus:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return [fn(j) for j in jobs]
+            def starmap(self, fn, jobs):
+                return [fn(*j) for j in jobs]
 
         monkeypatch.setattr(geometry, "Pool", RecordingPool)
         # 0, 1, 3 and 3 architectures: no pool for one job or none

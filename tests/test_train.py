@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,15 @@ class TestRecoveryScore:
                         ang = math.degrees(math.acos(min(1.0, abs(float(r @ nv)))))
                         best = min(best, ang)
                 assert got[t] == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("w1", [[[math.nan, math.nan], [math.nan, 1.0]],
+                                    [[-math.inf, -math.inf], [-math.inf, math.inf]]],
+                             ids=["nan", "inf"])
+    def test_diverged_rows_align_with_nothing(self, w1):
+        # min(1.0, nan) is 1.0, an angle of 0, so a NaN cosine must not reach it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert singularity_recovery_score(np.array(w1)) == [90.0, 90.0]
 
 
 class TestTraining:
