@@ -7,6 +7,12 @@ at random input points, each value carrying its tangent in every weight.
 That Jacobian is the coefficient Jacobian times Vandermonde blocks, which
 keep its rank at enough generic points; elimination mod p then gives the
 rank with no numerical tolerance.
+
+Residues mod p are numpy arrays whose dtype follows from p and the
+platform, and every product of two goes through _mul_mod: int64 with
+``a * b % p`` below 2^31; uint64 with a long-double quotient estimate below
+2^62 where long double has a 64-bit mantissa (x86-64); Python ints in
+object arrays above, or where long double is plain double.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import csv
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 from multiprocessing import Pool
@@ -27,6 +34,8 @@ from .network import Architecture, ambient_dim, degrees, param_count
 from .poly import HomPoly, monomial_count
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
+WORD_PRIME_LIMIT = 2 ** 62  # below it a*b - q*p fits in int64 (see _mul_mod)
+LONG_DOUBLE_MANTISSA = np.finfo(np.longdouble).nmant  # 63 on x86-64, 52 where it is double
 SPARE_POINTS = 4  # evaluation points beyond the count generic points need
 
 
@@ -71,16 +80,49 @@ def expected_dim(arch: Architecture) -> int:
 
 
 def _residues(values, p: int) -> np.ndarray:
-    """values mod p as an array: int64 below SMALL_PRIME_LIMIT, where a
-    product of two residues fits, Python ints above."""
+    """values (integers of any size and sign) mod p as an array whose dtype
+    picks _mul_mod's backend: int64 below SMALL_PRIME_LIMIT, uint64 below
+    WORD_PRIME_LIMIT where long double has a 64-bit mantissa, else Python ints."""
+    if p >= WORD_PRIME_LIMIT or p >= SMALL_PRIME_LIMIT and LONG_DOUBLE_MANTISSA < 63:
+        return np.array(values, dtype=object) % p
     try:
-        return np.array(values, dtype=np.int64 if p < SMALL_PRIME_LIMIT else object) % p
+        r = np.array(values, dtype=np.int64) % p
     except OverflowError:  # entries beyond int64
-        return (np.array(values, dtype=object) % p).astype(np.int64)
+        r = (np.array(values, dtype=object) % p).astype(np.int64)
+    return r if p < SMALL_PRIME_LIMIT else r.view(np.uint64)
+
+
+@lru_cache(maxsize=16)
+def _inverse(p: int) -> np.longdouble:
+    return np.longdouble(1) / np.array(p, dtype=np.uint64).astype(np.longdouble)
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a * b mod p elementwise (broadcasting) for residue arrays of one dtype.
+
+    uint64 residues take the quotient estimate q of a*b/p in long double
+    from a precomputed 1/p (Shoup's MulMod; Moller and Granlund 2011): with
+    a 64-bit mantissa and a, b <= p < 2^62 it is within one of the true
+    quotient, so a*b - q*p, taken in wrapping 64-bit arithmetic, lies in
+    [-p, 2p) and one remainder by p finishes it.
+    """
+    if a.dtype != np.uint64:
+        return a * b % p
+    if a.size < b.size:  # scale the smaller operand by 1/p
+        a, b = b, a
+    a, b = a.view(np.int64), b.view(np.int64)
+    q = (a * (b * _inverse(p))).astype(np.int64)
+    return ((a * b - q * p) % p).view(np.uint64)
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a + b mod p for residue arrays of one dtype; the sum stays below
+    2p, which fits every backend."""
+    return (a + b) % p
 
 
 def gf_rank(rows, p: int) -> int:
-    """Rank over GF(p) of a list of integer rows (lists or 1-D arrays), by
+    """Rank over GF(p) of integer rows (a 2-D array or a list of rows), by
     vectorized elimination along the shorter side."""
     if len(rows) == 0:
         return 0
@@ -94,9 +136,9 @@ def gf_rank(rows, p: int) -> int:
             continue
         piv = rank + nonzero[0]
         a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
-        below = a[rank + 1:, col:]
-        below -= below[:, :1] * a[rank, col:] % p
+        a[rank] = _mul_mod(a[rank], a.dtype.type(pow(int(a[rank, col]), -1, p)), p)
+        below = a[rank + 1:, col:]  # minus its first column times the pivot row:
+        below += _mul_mod(below[:, :1], p - a[rank, col:], p)  # _add_mod in place
         below %= p
         rank += 1
         if rank == a.shape[0]:
@@ -120,20 +162,28 @@ def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
     Row s is weight s (row-major, layer by layer); column c*N + t is
     component c (numerators, then the denominator) at points[t].  This is
     the coefficient Jacobian times a block-diagonal matrix of monomials at
-    the points.  Every product is reduced, dot products included (a sum of
-    unreduced int64 products would wrap).
+    the points.  Every product and every sum is reduced, dot products
+    included: a sum of unreduced int64 products would wrap, and so would a
+    sum of five uint64 residues.
     """
     dims, nparams = arch.dims, param_count(arch)
     ins = _residues(points, p).T
 
     def apply(w, v):  # rows of the residue matrix w against the stacked values v
-        return (w.reshape(w.shape + (1,) * (v.ndim - 1)) * v % p).sum(axis=1) % p
+        terms = _mul_mod(w.reshape(w.shape + (1,) * (v.ndim - 1)), v, p)
+        if terms.dtype != np.uint64:
+            return terms.sum(axis=1) % p
+        acc = terms[:, 0]
+        for j in range(1, terms.shape[1]):
+            acc = _add_mod(acc, terms[:, j], p)
+        return acc
 
     def mul(a, b):  # (value, tangent) pairs of shapes (N,), (N, P); None is one
         if a is None or b is None:
             return b if a is None else a
         (av, at), (bv, bt) = a, b
-        return av * bv % p, (av[:, None] * bt % p + bv[:, None] * at % p) % p
+        return (_mul_mod(av, bv, p),
+                _add_mod(_mul_mod(av[:, None], bt, p), _mul_mod(bv[:, None], at, p), p))
 
     qs, offset = [None, None], 0  # product forms, indexed as in network.forward_layers
     for k, w in enumerate(mats):
@@ -193,6 +243,7 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         mats = [[[gf.random(rng) for _ in range(cols)] for _ in range(rows)]
                 for rows, cols in arch.shapes()]
         points = [[gf.random(rng) for _ in range(arch.d0)] for _ in range(n_points)]
+        # a list of row views: the benchmark's gf_rank cell counter tests `if rows`
         return gf_rank(list(_point_jacobian(arch, mats, points, p)), p)
 
     def report(rank, status="ok"):

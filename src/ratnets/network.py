@@ -15,7 +15,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import ScalarField, field_from_name, field_json_name, checked_number, PrimeField
+from .fields import (ComplexField, ScalarField, field_from_name, field_json_name,
+                     checked_number, PrimeField)
 from .poly import HomPoly, deleted_products, monomial_count
 
 POLE_GUARD = 1e-12
@@ -182,6 +183,9 @@ def _coeff_json_value(field, v):
 
 def _coeff_from_json_value(field, v):
     if isinstance(v, list):
+        if not isinstance(field, ComplexField):
+            raise TypeError(f"{field.name} entry {v!r} is a list; only complex weights"
+                            " take a [re, im] pair")
         if len(v) != 2:
             raise TypeError(f"complex entry {v!r} is not a [re, im] pair")
         return field.coeff_from_json({"re": v[0], "im": v[1]})

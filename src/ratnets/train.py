@@ -273,6 +273,9 @@ def singularity_recovery_score(w1: np.ndarray) -> list[float]:
     rows = np.asarray(w1, dtype=float)
     angles = []
     with np.errstate(over="ignore", invalid="ignore"):
+        # a power-of-two scale near each row's largest entry rounds nothing in
+        # range and keeps the norm finite (a plain norm overflows above 1e154)
+        rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1])
         norms = np.linalg.norm(rows, axis=1)
         for nv in POLE_NORMALS:
             cosines = np.abs(rows @ nv) / np.maximum(norms, 1e-300)

@@ -485,3 +485,12 @@ def test_json_bools_strings_and_fractions_are_not_numbers(tmp_path, capsys, argv
     f = tmp_path / "in.json"
     f.write_text(json.dumps(obj))
     _assert_one_line_error(*run(capsys, *argv, str(f)))
+
+
+@pytest.mark.parametrize("field", ["gfp", "real"])
+def test_eval_pair_entry_outside_complex_is_one_line_error(tmp_path, capsys, field):
+    # only a complex entry is a [re, im] pair; gfp weights read [4, 7] as 4
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps({"arch": [2, 2, 1], "field": field,
+                             "mats": [[[1, 2], [3, [4, 7]]], [[1, 1]]]}))
+    _assert_one_line_error(*run(capsys, "eval", "--x", "1,5", "--weights", str(f)))

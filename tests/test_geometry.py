@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ratnets import geometry
 from ratnets.fields import COMPLEX, PrimeField
-from ratnets.geometry import (_point_count, _point_jacobian, build_moment_matrix,
+from ratnets.geometry import (_add_mod, _mul_mod, _point_count, _point_jacobian, _residues,
+                              build_moment_matrix,
                               census, census_to_csv, enumerate_architectures,
                               expected_dim, fiber_upper_bound, filling_binary,
                               filling_shallow, gf_rank, jacobian_rank_mod_p, numerical_rank,
@@ -155,6 +156,84 @@ class TestJacobianRows:
         want = coefficient_rows_at(dual_jacobian_rows(arch, mats, dual_field(PrimeField(p))),
                                    arch, points, p)
         assert _point_jacobian(arch, mats, points, p).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("dims", ROW_ARCHS)
+    def test_mod_p_rows_equal_dual_oracle_near_p61(self, dims, dual_field, dual_jacobian_rows):
+        # residues just below 2^61 - 1: the uint64 products' quotient estimates
+        # are largest there, and a sum of them wraps past 2^64
+        p = P61
+        arch = Architecture(dims)
+        rng = random.Random(8)
+        near = lambda: p - rng.randrange(1, 64)
+        mats = tuple(tuple(tuple(near() for _ in range(c)) for _ in range(r))
+                     for r, c in arch.shapes())
+        points = [[near() for _ in range(arch.d0)] for _ in range(_point_count(arch))]
+        want = coefficient_rows_at(dual_jacobian_rows(arch, mats, dual_field(PrimeField(p))),
+                                   arch, points, p)
+        assert _point_jacobian(arch, mats, points, p).tolist() == want.tolist()
+
+
+P61, P62_BELOW, P62_ABOVE = 2 ** 61 - 1, 2 ** 62 - 57, 2 ** 62 + 135
+UINT64_BACKEND = geometry.LONG_DOUBLE_MANTISSA >= 63
+
+
+class TestModPBackends:
+    """The residue dtype picks the arithmetic: int64 below 2^31, uint64 with a
+    long-double quotient estimate below 2^62, Python ints above (and where
+    long double is plain double).  All must agree with Python ints."""
+
+    def test_dtype_follows_p_and_platform(self, monkeypatch):
+        assert _residues([1, -1], 2 ** 31 - 1).dtype == np.int64
+        for p in (2 ** 31 + 11, P61, P62_BELOW):
+            assert _residues([1, -1], p).dtype == (np.uint64 if UINT64_BACKEND else object)
+            assert _residues([1, -1, 2 ** 80], p).tolist() == [1, p - 1, 2 ** 80 % p]
+        assert _residues([1], P62_ABOVE).dtype == object
+        monkeypatch.setattr(geometry, "LONG_DOUBLE_MANTISSA", 52)
+        assert _residues([1], P61).dtype == object
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([P61, P62_BELOW]), n=st.integers(1, 12))
+    def test_mul_and_add_match_python_ints(self, data, p, n):
+        residue = st.one_of(st.sampled_from([0, 1, p - 2, p - 1]), st.integers(0, p - 1))
+        xs = data.draw(st.lists(residue, min_size=n, max_size=n))
+        ys = data.draw(st.lists(residue, min_size=n, max_size=n))
+        a, b = _residues(xs, p), _residues(ys, p)
+        assert _mul_mod(a, b, p).tolist() == [x * y % p for x, y in zip(xs, ys)]
+        assert _add_mod(a, b, p).tolist() == [(x + y) % p for x, y in zip(xs, ys)]
+        # broadcast, with either operand the smaller, as in the tangent products
+        outer = [[x * y % p for y in ys] for x in xs]
+        assert _mul_mod(a[:, None], b[None, :], p).tolist() == outer
+        assert _mul_mod(a[:1, None], b[None, :], p).tolist() == outer[:1]
+        assert _mul_mod(a[:, None], b[None, :1], p).tolist() == [row[:1] for row in outer]
+        assert _mul_mod(a, a.dtype.type(ys[0]), p).tolist() == [x * ys[0] % p for x in xs]
+
+    @pytest.mark.parametrize("p", [P61, P62_BELOW])
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 3, 2, 1), (6, 2, 1), (2, 7, 2, 1)])
+    def test_python_int_fallback_gives_the_same_rows_and_ranks(self, monkeypatch, dims, p):
+        # widths 6 and 7: a sum of that many unreduced uint64 residues wraps
+        arch = Architecture(dims)
+        rng = random.Random(3)
+        mats = [[[rng.randrange(p) for _ in range(c)] for _ in range(r)]
+                for r, c in arch.shapes()]
+        points = [[rng.randrange(p) for _ in range(arch.d0)] for _ in range(_point_count(arch))]
+        fast = _point_jacobian(arch, mats, points, p).tolist()
+        # append combinations of earlier rows so that the rank is not full
+        rows = fast + [[(x + 5 * y) % p for x, y in zip(fast[0], fast[-1])], fast[1]]
+        ranks = [gf_rank(rows, p), gf_rank([list(r) for r in zip(*rows)], p)]
+        monkeypatch.setattr(geometry, "LONG_DOUBLE_MANTISSA", 52)  # long double as double
+        slow = _point_jacobian(arch, mats, points, p)
+        assert slow.dtype == object
+        assert slow.tolist() == fast
+        assert [gf_rank(rows, p), gf_rank([list(r) for r in zip(*rows)], p)] == ranks
+        assert ranks[0] < len(rows)
+
+    @pytest.mark.parametrize("p", [P62_BELOW, P62_ABOVE])
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 3, 2, 1)])
+    def test_rank_near_2_62(self, dims, p):
+        arch = Architecture(dims)
+        rep = jacobian_rank_mod_p(arch, seed=1, p=p)
+        assert rep.jacobian_rank == rep.conjectured_dim == expected_dim(arch)
+        assert rep.sample_ranks == (rep.jacobian_rank,) * 2
 
 
 class TestFilling:

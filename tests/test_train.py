@@ -230,6 +230,16 @@ class TestRecoveryScore:
             warnings.simplefilter("error")
             assert singularity_recovery_score(np.array(w1)) == [90.0, 90.0]
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308])
+    def test_huge_and_tiny_finite_rows_keep_their_angles(self, scale):
+        # a plain norm of a row above about 1e154 overflows, so its cosine was 0
+        w1 = np.array([[1.0, 1.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = singularity_recovery_score(np.array([scale * w1[0], w1[1]]))
+        assert got == pytest.approx(singularity_recovery_score(w1), abs=1e-6)
+        assert max(got) < 1e-5
+
 
 class TestTraining:
     def test_oracle_init_stays_at_minimum(self):
