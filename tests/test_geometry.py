@@ -104,6 +104,8 @@ class TestJacobianRank:
 
 
 ROW_ARCHS = [(2, 2, 1), (3, 3, 1), (2, 2, 2, 1), (2, 3, 2, 1)]
+P61, P62_BELOW, P62_ABOVE = 2 ** 61 - 1, 2 ** 62 - 57, 2 ** 62 + 135
+UINT64_BACKEND = geometry.LONG_DOUBLE_MANTISSA >= 63
 
 
 def coefficient_rows_at(rows, arch, points, p):
@@ -171,10 +173,6 @@ class TestJacobianRows:
         want = coefficient_rows_at(dual_jacobian_rows(arch, mats, dual_field(PrimeField(p))),
                                    arch, points, p)
         assert _point_jacobian(arch, mats, points, p).tolist() == want.tolist()
-
-
-P61, P62_BELOW, P62_ABOVE = 2 ** 61 - 1, 2 ** 62 - 57, 2 ** 62 + 135
-UINT64_BACKEND = geometry.LONG_DOUBLE_MANTISSA >= 63
 
 
 class TestModPBackends:
