@@ -57,18 +57,6 @@ def _load(path: str, parse):
         raise CliError(f"malformed {path}: {ex}") from ex
 
 
-def _load_poly(path: str) -> HomPoly:
-    return _load(path, lambda obj: HomPoly.from_json(COMPLEX, obj))
-
-
-def _load_tuple(path: str) -> RationalTuple:
-    return _load(path, lambda obj: RationalTuple.from_json(COMPLEX, obj))
-
-
-def _load_weights(path: str) -> Weights:
-    return _load(path, Weights.from_json)
-
-
 def _emit(obj, out: str | None):
     text = json.dumps(obj, indent=1, allow_nan=False)
     if out:
@@ -87,7 +75,7 @@ def cmd_degrees(args) -> int:
 def cmd_forward(args) -> int:
     arch = _parse_arch(args.arch)
     if args.weights:
-        w = _load_weights(args.weights)
+        w = _load(args.weights, Weights.from_json)
         if w.arch != arch:
             raise CliError("weights file does not match --arch")
     else:
@@ -99,7 +87,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    w = _load_weights(args.weights)
+    w = _load(args.weights, Weights.from_json)
     f = w.field
     try:
         # exact fields take integers, float fields any real number
@@ -118,7 +106,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    p = _load_poly(args.poly)
+    p = _load(args.poly, lambda obj: HomPoly.from_json(COMPLEX, obj))
     if args.binary:
         fz = factor_binary_form(p, tol=args.tol)
         _emit({"decomposable": True, **fz.to_json()}, args.out)
@@ -129,7 +117,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    t = _load_tuple(args.tuple)
+    t = _load(args.tuple, lambda obj: RationalTuple.from_json(COMPLEX, obj))
     if args.binary:
         if len(t.numerators) != 1:
             raise CliError("binary reconstruction expects a single numerator")
@@ -145,7 +133,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    t = _load_tuple(args.tuple)
+    t = _load(args.tuple, lambda obj: RationalTuple.from_json(COMPLEX, obj))
     if args.binary:
         verdict = membership_binary_multioutput(list(t.numerators), t.denominator,
                                                 args.layers, tol=args.tol)
@@ -193,7 +181,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_hpoly(args) -> int:
-    w = _load_weights(args.weights)
+    w = _load(args.weights, Weights.from_json)
     H = build_H(w)
     obj = H.to_json()
     if args.slices:

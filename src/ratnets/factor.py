@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, _as_complex
+from .poly import HomPoly, _as_complex, product
 from .network import Weights
 
 ROOT_TOL = 1e-10
@@ -50,10 +50,8 @@ class LinearFactorization:
 
     def reassemble(self) -> HomPoly:
         nvars = len(self.factors[0]) if self.factors else 0
-        acc = HomPoly.constant(COMPLEX, nvars, self.constant)
-        for f in self.factors:
-            acc = acc.mul(HomPoly.linear(COMPLEX, f))
-        return acc
+        return product([HomPoly.constant(COMPLEX, nvars, self.constant),
+                        *(HomPoly.linear(COMPLEX, f) for f in self.factors)])
 
     def zero_line_ratios(self) -> list[complex]:
         """For binary factors a*x1 + b*x2: the slope x2/x1 = -a/b of each
@@ -186,7 +184,7 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     return FactorReport(False, None, False, last_failure)
 
 
-def _factor_attempt(q: HomPoly) -> tuple[complex, list[tuple]] | None:
+def _factor_attempt(q: HomPoly) -> tuple[complex, list[np.ndarray]] | None:
     """One pass of the univariate-roots procedure; None if no admissible
     pure power exists in these coordinates."""
     n, m = q.nvars, q.degree
@@ -214,7 +212,9 @@ def _factor_attempt(q: HomPoly) -> tuple[complex, list[tuple]] | None:
     for k in range(1, m + 1):
         g[m - k] = (-1) ** k * (coeff((pivot, m - k), (perm[1], k)) / c0)
     second = roots_univariate(g)
-    rows = [[1.0 + 0j, a] for a in second]
+    rows = np.empty((m, n), dtype=complex)  # one factor per row, one variable per column
+    rows[:, pivot] = 1.0
+    rows[:, perm[1]] = second
     # remaining columns: m x m elementary-symmetric systems, min-norm solve
     # (repeated roots give identical columns; equal weight split is the
     # correct assignment for genuinely repeated factors)
@@ -223,13 +223,8 @@ def _factor_attempt(q: HomPoly) -> tuple[complex, list[tuple]] | None:
     for var in perm[2:]:
         rhs = np.array([coeff((pivot, m - 1 - t), (perm[1], t), (var, 1)) / c0
                         for t in range(m)], dtype=complex)
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        for i in range(m):
-            rows[i].append(sol[i])
-    inv = [0] * n
-    for idx, p in enumerate(perm):
-        inv[p] = idx
-    return c0, [tuple(row[inv[i]] for i in range(n)) for row in rows]
+        rows[:, var] = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return c0, list(rows)
 
 
 def _normalize_factors(const: complex, rows: list[tuple]):
@@ -318,11 +313,9 @@ def build_H(w: Weights) -> HomPoly:
     if not arch.is_shallow():
         raise ValueError("H is defined for one-hidden-layer architectures")
     n, m, k = arch.dims
-    acc = HomPoly.one(f, n + k)
-    for j in range(m):
-        coeffs = list(w.mats[0][j]) + [w.mats[1][i][j] for i in range(k)]
-        acc = acc.mul(HomPoly.linear(f, coeffs))
-    return acc
+    return product([HomPoly.one(f, n + k),
+                    *(HomPoly.linear(f, [*w.mats[0][j], *(w.mats[1][i][j] for i in range(k))])
+                      for j in range(m))])
 
 
 def h_slices(H: HomPoly, n: int, k: int) -> tuple[list[HomPoly], HomPoly]:

@@ -47,6 +47,7 @@ class ScalarField:
     """Abstract scalar arithmetic. Instances are stateless and hashable."""
 
     name: str = "abstract"
+    json_name: str  # the "field" entry of a weights file
     exact: bool = False
 
     def zero(self):
@@ -126,6 +127,7 @@ class _FloatField(ScalarField):
 
 class RealField(_FloatField):
     name = "real"
+    json_name = "real"
 
     def zero(self):
         return 0.0
@@ -148,6 +150,7 @@ class RealField(_FloatField):
 
 class ComplexField(_FloatField):
     name = "complex"
+    json_name = "complex"
 
     def zero(self):
         return 0j
@@ -196,6 +199,7 @@ class PrimeField(ScalarField):
     """GF(p) with scalars stored as ints in [0, p)."""
 
     exact = True
+    json_name = "gfp"
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if not is_prime(p):
@@ -258,13 +262,3 @@ def field_from_name(name: str, p: int | None = None) -> ScalarField:
     if name == "gfp":
         return PrimeField(p if p is not None else DEFAULT_PRIME)
     raise ValueError(f"unknown field name {name!r}")
-
-
-def field_json_name(field: ScalarField) -> str:
-    if isinstance(field, RealField):
-        return "real"
-    if isinstance(field, ComplexField):
-        return "complex"
-    if isinstance(field, PrimeField):
-        return "gfp"
-    raise ValueError(f"{field.name} has no JSON name")

@@ -22,8 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 from multiprocessing import Pool
 from typing import Iterable, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .fields import DEFAULT_PRIME, PrimeField, is_prime
 from .network import Architecture, ambient_dim, degrees, param_count
-from .poly import HomPoly, monomial_count
+from .poly import HomPoly, monomial_count, monomials
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
 WORD_PRIME_LIMIT = 2 ** 62  # below it a*b - q*p fits in int64 (see _mul_mod)
@@ -323,13 +322,6 @@ class MomentRank:
     necessary_only: bool
 
 
-def _multiset_multiplier(ms: Sequence[int]) -> int:
-    mult = 1
-    for v in set(ms):
-        mult *= factorial(list(ms).count(v))
-    return mult
-
-
 def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
     """Coefficient matrix whose rank certifies one-hidden-layer membership.
 
@@ -349,22 +341,15 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
         raise ValueError(f"tuple variable counts do not match the input width {d0}")
     if Q.degree != d1 or any(p.degree != d1 - 1 for p in Ps) or len(Ps) != d2:
         raise ValueError("tuple degrees do not match the architecture")
-    rows = list(combinations_with_replacement(range(d0), d1 - 1))
+    rows = monomials(d0, d1 - 1)  # a multiset of input indices is its exponent tuple
     out = np.zeros((len(rows), d2 + d0), dtype=complex)
-
-    def exp_of(ms):
-        e = [0] * d0
-        for v in ms:
-            e[v] += 1
-        return tuple(e)
-
-    for r, ms in enumerate(rows):
-        base_mult = _multiset_multiplier(ms)
+    for r, e in enumerate(rows):
+        base_mult = prod(map(factorial, e))
         for k in range(d2):
-            out[r, k] = base_mult * complex(Ps[k].coefficient(exp_of(ms)))
+            out[r, k] = base_mult * complex(Ps[k].coefficient(e))
         for j in range(d0):
-            full = tuple(sorted(ms + (j,)))
-            out[r, d2 + j] = _multiset_multiplier(full) * complex(Q.coefficient(exp_of(full)))
+            full = e[:j] + (e[j] + 1,) + e[j + 1:]
+            out[r, d2 + j] = prod(map(factorial, full)) * complex(Q.coefficient(full))
     return out
 
 

@@ -15,9 +15,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import (ComplexField, ScalarField, field_from_name, field_json_name,
-                     checked_number, PrimeField)
-from .poly import HomPoly, deleted_products, monomial_count
+from .fields import ComplexField, ScalarField, field_from_name, checked_number, PrimeField
+from .poly import HomPoly, deleted_products, monomial_count, product
 
 POLE_GUARD = 1e-12
 
@@ -28,11 +27,6 @@ class ArchitectureError(ValueError):
 
 class DomainError(ArithmeticError):
     """Numeric evaluation hit a pole (an intermediate coordinate vanished)."""
-
-
-def parity(layers: int) -> int:
-    """0 for an even layer count, 1 for odd."""
-    return layers % 2
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def degrees(arch: Architecture) -> DegreeProfile:
     n, m = layer_degrees(arch)
     num = n[L] + sum(m[t] for t in range(L - 1, 1, -2))
     den = sum(m[t] for t in range(L, 1, -2))
-    return DegreeProfile(num, den, parity(L))
+    return DegreeProfile(num, den, L % 2)
 
 
 def ambient_dim(arch: Architecture) -> int:
@@ -158,7 +152,7 @@ class Weights:
     def to_json(self) -> dict:
         obj = {
             "arch": list(self.arch.dims),
-            "field": field_json_name(self.field),
+            "field": self.field.json_name,
             "mats": [[[_coeff_json_value(self.field, v) for v in row] for row in m] for m in self.mats],
         }
         if isinstance(self.field, PrimeField):
@@ -255,8 +249,9 @@ def forward_recursive(w: Weights) -> RationalTuple:
     """Assemble the output tuple from the layer recursion."""
     L = w.arch.layers
     p, qs = forward_layers(w)
-    num_factor = _alternating_product(qs, L - 1, w)
-    den = _alternating_product(qs, L, w)
+    # qs[0] is the constant 1: alternate product forms from the top down
+    num_factor = product([qs[0], *qs[L - 1:1:-2]])
+    den = product([qs[0], *qs[L:1:-2]])
     nums = tuple(pi.mul(num_factor) for pi in p)
     out = RationalTuple(nums, den)
     cmf = out.common_monomial_factor()
@@ -264,15 +259,6 @@ def forward_recursive(w: Weights) -> RationalTuple:
         warnings.warn(f"output tuple shares the monomial factor {cmf}; "
                       "the map is taken without cancellation", RuntimeWarning)
     return out
-
-
-def _alternating_product(qs: list[HomPoly], top: int, w: Weights) -> HomPoly:
-    acc = HomPoly.one(w.field, w.arch.d0)
-    t = top
-    while t >= 2:
-        acc = acc.mul(qs[t])
-        t -= 2
-    return acc
 
 
 # -- binary closed form ------------------------------------------------------

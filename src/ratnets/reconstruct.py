@@ -237,13 +237,11 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
     if Q.is_zero():  # res(P, 0) = 0 would pass the screen below
         return _fail(Stage.FACTOR_TEST, necessary_only=True)
-    Ps = [_as_complex(p) for p in Ps]
+    Ps = [p.scale(1.0 / max(p.max_magnitude(), 1e-300)) for p in map(_as_complex, Ps)]
     worst = 0.0
     for i in range(len(Ps)):
         for j in range(i + 1, len(Ps)):
-            a = Ps[i].scale(1.0 / max(Ps[i].max_magnitude(), 1e-300))
-            b = Ps[j].scale(1.0 / max(Ps[j].max_magnitude(), 1e-300))
-            worst = max(worst, abs(resultant_binary(a, b)))
+            worst = max(worst, abs(resultant_binary(Ps[i], Ps[j])))
     if worst > tol:
         return MembershipVerdict(False, Stage.VERIFICATION_FAIL, None, worst, True)
     return MembershipVerdict(True, Stage.NONE, None, worst, True)
