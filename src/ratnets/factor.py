@@ -99,6 +99,10 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     deg = c.size - 1
     if deg == 0:
         return []
+    # a power-of-two scale to a largest part in [0.5, 1) rounds nothing in range,
+    # and keeps Newton's products finite near either end of the float range
+    e = np.frexp(np.max(np.abs(c.view(float))))[1]
+    c = np.ldexp(c.view(float), -e).view(complex)
     scale = np.max(np.abs(c))
     try:
         # complex even when np.roots finds only real roots (all-zero ones included)
@@ -122,7 +126,7 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     resid = np.abs(np.polyval(c[::-1], roots))
     bound = ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg
     if np.any(resid > bound):
-        raise NonConvergenceError(f"max residual {resid.max():.3e} above bound")
+        raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
     return [complex(r) for r in roots]
 
 
@@ -172,7 +176,7 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
         const, rows = got
         if change is not None:
             inv = np.linalg.inv(change)
-            rows = [tuple(np.asarray(r) @ inv) for r in rows]
+            rows = [tuple(r @ inv) for r in rows]
         const, rows = _normalize_factors(const, rows)
         fz = LinearFactorization(const, rows, 0.0)
         fz.residual = fz.reassemble().sub(Q).max_magnitude() / maxmag

@@ -114,15 +114,15 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     if not report.decomposable or (require_real and not report.all_real):
         return _fail(Stage.FACTOR_TEST, report.factorization.residual if report.factorization else float("inf"))
     rows = [np.asarray(f, dtype=complex) for f in report.factorization.factors]
-    rows[0] = rows[0] * report.factorization.constant  # fold scale so the row product is Q itself
-
     forms = [HomPoly.linear(COMPLEX, r) for r in rows]
     hats, _ = deleted_products(forms)
     basis = monomials(n, m - 1)
     A = np.array([[complex(h.coefficient(e)) for h in hats] for e in basis])
     W2 = np.zeros((k, m), dtype=complex)
     for i, p in enumerate(Ps):
-        rhs = np.array([complex(p.coefficient(e)) for e in basis])
+        # Q is constant * prod(rows): dividing the numerator by it, not a row,
+        # keeps A's columns on one scale, so lstsq's cutoff drops none of them
+        rhs = np.array([complex(p.coefficient(e)) for e in basis]) / report.factorization.constant
         sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
         W2[i] = sol
         scale = max(np.max(np.abs(rhs)), 1e-300)

@@ -300,16 +300,18 @@ def train_stack(config: TrainConfig, dataset: Dataset,
     total = x.shape[1]
     losses = np.empty((count, config.epochs))
     skipped = np.empty((count, config.epochs), dtype=int)
-    for epoch in range(config.epochs):
-        loss, grads, n_skip = forward_backward_stack(mats, x, y)
-        losses[:, epoch] = loss
-        skipped[:, epoch] = n_skip
-        if config.clip is not None:
-            norm = np.sqrt((grads * grads).sum(axis=1))
-            over = norm > config.clip
-            if over.any():
-                grads[over] *= (config.clip / norm[over])[:, None]
-        adam_step(state, grads, config.lr, n_skip < total)
+    # a diverged run overflows to inf and NaN; its losses and weights record that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            loss, grads, n_skip = forward_backward_stack(mats, x, y)
+            losses[:, epoch] = loss
+            skipped[:, epoch] = n_skip
+            if config.clip is not None:
+                norm = np.sqrt((grads * grads).sum(axis=1))
+                over = norm > config.clip
+                if over.any():
+                    grads[over] *= (config.clip / norm[over])[:, None]
+            adam_step(state, grads, config.lr, n_skip < total)
     results = []
     for r in range(count):
         final = [m[r].copy() for m in mats]

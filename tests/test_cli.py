@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 
 import pytest
 
@@ -494,3 +495,40 @@ def test_eval_pair_entry_outside_complex_is_one_line_error(tmp_path, capsys, fie
     f.write_text(json.dumps({"arch": [2, 2, 1], "field": field,
                              "mats": [[[1, 2], [3, [4, 7]]], [[1, 1]]]}))
     _assert_one_line_error(*run(capsys, "eval", "--x", "1,5", "--weights", str(f)))
+
+
+def test_reconstruct_first_layer_scaled_by_1e_minus_3(tmp_path, capsys):
+    # the factorization constant is far from 1; folding it into one row of W1
+    # made the span solve drop a column (SpanTest, residual 1.01, exit 2)
+    w = Weights.random(Architecture((2, 5, 1)), REAL, seed=3)
+    w = Weights(w.arch, REAL, (tuple(tuple(1e-3 * v for v in row) for row in w.mats[0]), w.mats[1]))
+    wfile, tfile = tmp_path / "w.json", tmp_path / "t.json"
+    wfile.write_text(json.dumps(w.to_json()))
+    assert run(capsys, "forward", "--arch", "2,5,1", "--weights", str(wfile),
+               "--out", str(tfile))[0] == 0
+    code, out, _ = run(capsys, "reconstruct", "--tuple", str(tfile), "--arch", "2,5,1")
+    assert code == 0
+    assert json.loads(out)["in_model"]
+
+
+def _run_recording_warnings(capsys, *argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    return code, out, err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("value", [1e308, 1e-310])
+def test_factor_binary_near_float_range_ends(tmp_path, capsys, value):
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps(_square(([2, 0], value), ([1, 1], value), ([0, 2], value))))
+    code, out, err, caught = _run_recording_warnings(capsys, "factor", "--poly", str(f), "--binary")
+    assert (code, err, caught) == (0, "", [])
+    assert _strict_json(out)["decomposable"]
+
+
+def test_train_diverged_run_prints_only_the_summary(tmp_path, capsys):
+    code, out, err, caught = _run_recording_warnings(capsys, *DIVERGED, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert out == "runs=1 full_success=0 partial_success=0\n"
+    assert (err, caught) == ("", [])

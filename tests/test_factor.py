@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL
-from ratnets.factor import (FactorFailure, build_H, factor_binary_form,
+from ratnets.factor import (FactorFailure, NonConvergenceError, build_H, factor_binary_form,
                             factor_multilinear, factor_quadratic_explicit,
                             h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
@@ -255,3 +256,23 @@ class TestBuildH:
         for a, b in zip(nums + [den], list(t.numerators) + [t.denominator]):
             for e in set(a.terms) | set(b.terms):
                 assert abs(a.coefficient(e) - b.coefficient(e)) < 1e-12
+
+
+class TestRootScale:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), deg=st.integers(1, 6), k=st.integers(-1000, 1000))
+    def test_power_of_two_scale_leaves_roots_unchanged(self, data, deg, k):
+        # coefficients on a 1/64 grid, so a scale by 2**k rounds nothing
+        part = st.integers(-64, 64)
+        coeffs = [complex(data.draw(part), data.draw(part)) / 64 for _ in range(deg)]
+        coeffs.append(complex(data.draw(st.integers(1, 64)), data.draw(part)) / 64)
+
+        def outcome(cs):
+            try:
+                return roots_univariate(cs)
+            except NonConvergenceError:
+                return "NonConvergenceError"
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome([c * 2.0 ** k for c in coeffs]) == outcome(coeffs)

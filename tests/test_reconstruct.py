@@ -2,8 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ratnets.fields import COMPLEX
+from ratnets.fields import COMPLEX, REAL
 from ratnets.network import Architecture, RationalTuple, Weights, forward_recursive
 from ratnets.poly import HomPoly, product
 from ratnets.reconstruct import (ReconstructionError, Stage,
@@ -258,3 +259,33 @@ class TestRoundTrip:
         w = random_complex_weights((2, 2, 3, 1), 5)
         with pytest.raises(ValueError):
             round_trip_residual(w)
+
+
+class TestScale:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dims=st.sampled_from([(2, 2, 1), (2, 3, 1), (2, 5, 1), (3, 4, 2), (2, 2, 2, 1),
+                                 (2, 2, 2, 2, 1)]),
+           field=st.sampled_from([REAL, COMPLEX]), seed=st.integers(0, 50),
+           k=st.integers(-100, 100))
+    def test_verdict_and_residual_ignore_tuple_scale(self, dims, field, seed, k):
+        # a power-of-two scale is exact, so every ratio the procedures form is unchanged
+        arch = Architecture(dims)
+        t = forward_recursive(Weights.random(arch, field, seed=seed))
+        s = 2.0 ** k
+        scaled = RationalTuple(tuple(p.scale(s) for p in t.numerators), t.denominator.scale(s))
+        base, got = reconstruct_auto(t, arch), reconstruct_auto(scaled, arch)
+        assert base.in_model
+        assert (got.in_model, got.stage_failed, got.residual) == \
+            (base.in_model, base.stage_failed, base.residual)
+
+    @pytest.mark.parametrize("dims", [(2, 5, 1), (3, 4, 2), (2, 3, 1)])
+    @pytest.mark.parametrize("scale", [1e-20, 1e-6, 1e-3, 1e5, 1e20])
+    def test_first_layer_scale_far_from_one(self, dims, scale):
+        # the factorization constant is about scale**m; folding it into one
+        # row of W1 made lstsq drop a deleted-product column
+        w = random_complex_weights(dims, 3)
+        w = Weights(w.arch, COMPLEX,
+                    (tuple(tuple(scale * v for v in row) for row in w.mats[0]), w.mats[1]))
+        v = reconstruct_auto(forward_recursive(w), w.arch)
+        assert v.in_model, (v.stage_failed, v.residual)
+        assert v.residual <= 1e-10
