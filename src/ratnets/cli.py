@@ -167,16 +167,12 @@ def cmd_census(args) -> int:
         print(len(enumerate_architectures(args.max_params, args.max_layers, args.max_width)))
         return 0
     reports = census(args.max_params, args.max_layers, p=args.prime, seed=args.seed,
-                     timeout_s=args.timeout, max_width=args.max_width,
-                     workers=args.workers, samples=args.samples)
+                     max_width=args.max_width, workers=args.workers, samples=args.samples)
     if args.out:
         with open(args.out, "w", newline="") as f:
             census_to_csv(reports, f)
     else:
         census_to_csv(reports, sys.stdout)
-    timeouts = sum(r.status == "timeout" for r in reports)
-    if timeouts:
-        print(f"warning: {timeouts} of {len(reports)} architectures timed out", file=sys.stderr)
     return 0
 
 
@@ -271,7 +267,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-params", type=int, default=30)
     p.add_argument("--max-layers", type=int, default=5)
     p.add_argument("--max-width", type=int, default=9)
-    p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=2)

@@ -41,7 +41,7 @@ SPARE_POINTS = 4  # evaluation points beyond the count generic points need
 @dataclass
 class DimensionReport:
     arch: tuple[int, ...]
-    jacobian_rank: int | None
+    jacobian_rank: int
     ambient_dim: int
     param_count: int
     conjectured_dim: int
@@ -49,8 +49,8 @@ class DimensionReport:
     prime: int
     seed: int
     runtime_seconds: float
-    status: str = "ok"
     sample_ranks: tuple[int, ...] = ()
+    status = "ok"  # not a field: every rank runs to completion
 
     @property
     def match(self) -> bool:
@@ -215,7 +215,7 @@ def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
 
 
 def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
-                        samples: int = 2, timeout_s: float = 0.0) -> DimensionReport:
+                        samples: int = 2) -> DimensionReport:
     """Exact Jacobian rank of the parameter-to-coefficients map over GF(p).
 
     Each sample draws the weights and _point_count(arch) input points from
@@ -223,12 +223,13 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     fixed nonzero r x r minor, a polynomial in weights and points jointly,
     vanishes: by Schwartz-Zippel, with probability at most deg(minor)/(p-1).
     So ``samples`` samples are ranked (a disagreement adds one), the maximum
-    is reported and ``sample_ranks`` lists them all.  More than ``timeout_s``
-    seconds (0 for no limit) spent before a sample starts gives status
-    "timeout".
+    is reported and ``sample_ranks`` lists them all.  One weight matrix is a
+    ValueError: no hidden layer means no denominator and a fiber bound P + 1.
     """
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
+    if arch.layers < 2:
+        raise ValueError(f"need at least one hidden layer, got {arch.dims}")
     if not is_prime(p) or p <= 10 ** 6:
         raise ValueError("modulus must be a prime above 10^6")
     if samples < 1:
@@ -245,19 +246,14 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         # a list of row views: the benchmark's gf_rank cell counter tests `if rows`
         return gf_rank(list(_point_jacobian(arch, mats, points, p)), p)
 
-    def report(rank, status="ok"):
-        return DimensionReport(arch.dims, rank, ambient_dim(arch), param_count(arch),
-                               expected_dim(arch), fiber_upper_bound(arch), p, seed,
-                               time.monotonic() - t0, status, tuple(ranks))
-
     ranks = []
     for t in range(samples + 1):  # one extra sample when the first ones disagree
         if t == samples and len(set(ranks)) == 1:
             break
-        if timeout_s and time.monotonic() - t0 > timeout_s:
-            return report(None, "timeout")
         ranks.append(rank_at(t))
-    return report(max(ranks))
+    return DimensionReport(arch.dims, max(ranks), ambient_dim(arch), param_count(arch),
+                           expected_dim(arch), fiber_upper_bound(arch), p, seed,
+                           time.monotonic() - t0, tuple(ranks))
 
 
 def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
@@ -395,20 +391,18 @@ def enumerate_architectures(max_params: int = 30, max_layers: int = 5,
 
 
 def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
-           seed: int = 0, timeout_s: float = 10.0, max_width: int = 9,
-           workers: int = 1, samples: int = 2) -> list[DimensionReport]:
+           seed: int = 0, max_width: int = 9, workers: int = 1,
+           samples: int = 2) -> list[DimensionReport]:
     """Jacobian-rank dimension for every architecture within the bounds.
 
     Per-architecture seeds derive from (seed, position) so the output is
-    identical for any worker count; rows keep enumeration order.  Each row
-    has a time limit of timeout_s seconds (0 for none).
+    identical for any worker count; rows keep enumeration order.  Every row
+    runs to completion, so it depends on its inputs alone, not on the clock.
     """
-    if not timeout_s >= 0:  # NaN fails too
-        raise ValueError(f"timeout must be >= 0 seconds (0 for none), got {timeout_s}")
     if samples < 1:  # checked here too: a bound may leave no architecture
         raise ValueError(f"samples must be >= 1, got {samples}")
     archs = enumerate_architectures(max_params, max_layers, max_width)
-    jobs = [(a, seed + 1000003 * idx, p, samples, timeout_s) for idx, a in enumerate(archs)]
+    jobs = [(a, seed + 1000003 * idx, p, samples) for idx, a in enumerate(archs)]
     procs = min(workers, len(jobs))
     if procs > 1:
         with Pool(procs) as pool:
@@ -425,7 +419,6 @@ def census_to_csv(reports: Iterable[DimensionReport], fileobj) -> None:
     w.writerow(CENSUS_COLUMNS)
     for r in reports:
         w.writerow([",".join(str(d) for d in r.arch),
-                    "" if r.jacobian_rank is None else r.jacobian_rank,
-                    r.ambient_dim, r.param_count, r.conjectured_dim,
+                    r.jacobian_rank, r.ambient_dim, r.param_count, r.conjectured_dim,
                     r.match, f"{r.runtime_seconds:.3f}", r.status])
 
