@@ -16,7 +16,8 @@ from .fields import COMPLEX, DEFAULT_PRIME, field_from_name
 from .poly import HomPoly
 from .network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                       forward_binary, forward_recursive, DomainError)
-from .factor import build_H, factor_binary_form, factor_multilinear, h_slices
+from .factor import (FactorFailure, FactorReport, NonConvergenceError, build_H,
+                     factor_binary_form, factor_multilinear, h_slices)
 from .reconstruct import membership_binary_multioutput, reconstruct_auto
 from .geometry import (census, census_to_csv, enumerate_architectures,
                        jacobian_rank_mod_p, rank_test_membership)
@@ -40,10 +41,11 @@ def _parse_arch(text: str) -> Architecture:
 
 
 def tolerance(text: str) -> float:
-    """A --tol value: any float but NaN, which every comparison would pass."""
+    """A --tol value: a float >= 0.  Every comparison with NaN is false, and
+    no residual meets a negative bound."""
     value = float(text)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("tolerance must not be NaN")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError("tolerance must be a number >= 0")
     return value
 
 
@@ -108,7 +110,17 @@ def cmd_eval(args) -> int:
 def cmd_factor(args) -> int:
     p = _load(args.poly, lambda obj: HomPoly.from_json(COMPLEX, obj))
     if args.binary:
-        fz = factor_binary_form(p, tol=args.tol)
+        try:
+            fz = factor_binary_form(p, tol=args.tol)
+        except NonConvergenceError as ex:
+            # an unverified split is a verdict, as for the multilinear factorizer
+            reason = (FactorFailure.ROOT_FIND_FAIL if ex.residual is None
+                      else FactorFailure.VERIFICATION_FAIL)
+            obj = FactorReport(False, None, False, reason).to_json()
+            if ex.residual is not None:
+                obj["residual"] = ex.residual if math.isfinite(ex.residual) else None
+            _emit(obj, args.out)
+            return 2
         _emit({"decomposable": True, **fz.to_json()}, args.out)
         return 0
     report = factor_multilinear(p, tol=args.tol, seed=args.seed)

@@ -7,12 +7,19 @@ the factor matrix off the roots of an associated univariate polynomial, then
 recover every remaining column from an elementary-symmetric linear system.
 A final expansion check makes the procedure sound: a form is declared
 decomposable only when the reassembled product matches the input.
+
+A retry under a random change of variables A never expands Q∘A: the
+procedure reads only the pure powers of Q∘A and its coefficients on one
+pencil, and those come from Q and its gradient evaluated at roots of unity
+on that pencil, then interpolated (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 8 and 10).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +37,13 @@ NEWTON_STEPS = 12
 
 
 class NonConvergenceError(ArithmeticError):
-    """Root finder failed to meet its residual bound."""
+    """Root finder failed to meet its residual bound, or a binary split its
+    reassembly bound; residual is the reassembly residual in the second case
+    and None in the first."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class FactorFailure(enum.Enum):
@@ -145,9 +158,13 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
 
     A direct attempt runs the univariate-roots procedure in the original
     coordinates; if it fails to verify (or no variable carries a pure m-th
-    power), up to MAX_RETRIES seeded random linear changes of variables are
-    tried and the recovered factors mapped back.  Soundness rests on the
-    final expansion check, never on the intermediate solves.
+    power), up to MAX_RETRIES seeded random linear changes of variables A are
+    tried and the recovered factors mapped back.  A retry reads the
+    coefficients of Q∘A it needs from Q and its gradient on a pencil
+    (`_PencilReader`), and its pivot test compares each pure power
+    Q(A e_i) with max_j |Q(A e_j)|, not with the largest coefficient of
+    Q∘A, which is never formed.  Soundness rests on the final expansion
+    check in the original coordinates, never on the intermediate solves.
     """
     if Q.is_zero():
         raise ValueError("cannot factor the zero form")
@@ -157,16 +174,21 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     Q = _as_complex(Q)
     maxmag = Q.max_magnitude()
     rng = np.random.default_rng(seed)
+    reader = None
     saw_leading = False
     last_failure = FactorFailure.VERIFICATION_FAIL
     for attempt in range(MAX_RETRIES + 1):
         if attempt == 0:
-            qw, change = Q, None
+            change = None
+            pure = [Q.coefficient(tuple(m if j == i else 0 for j in range(n))) for i in range(n)]
+            ref, pencil = maxmag, partial(_coordinate_pencil, Q)
         else:
             change = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            qw = Q.compose_linear(change.tolist())
+            reader = reader or _PencilReader(Q)
+            pure, pencil = reader.read(change)
+            ref = np.max(np.abs(pure))
         try:
-            got = _factor_attempt(qw)
+            got = _factor_attempt(pure, ref, pencil)
         except NonConvergenceError:
             last_failure = FactorFailure.ROOT_FIND_FAIL
             continue
@@ -178,6 +200,8 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
             inv = np.linalg.inv(change)
             rows = [tuple(r @ inv) for r in rows]
         const, rows = _normalize_factors(const, rows)
+        if change is not None:
+            const = reader.unscale(const)  # last, so only unscale can overflow, silently
         fz = LinearFactorization(const, rows, 0.0)
         fz.residual = fz.reassemble().sub(Q).max_magnitude() / maxmag
         if fz.residual <= tol:
@@ -188,11 +212,9 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     return FactorReport(False, None, False, last_failure)
 
 
-def _factor_attempt(q: HomPoly) -> tuple[complex, list[np.ndarray]] | None:
-    """One pass of the univariate-roots procedure; None if no admissible
-    pure power exists in these coordinates."""
+def _coordinate_pencil(q: HomPoly, p: int, b: int) -> tuple[list, list[list]]:
+    """(line, cross) of q read off its own coefficients; see _factor_attempt."""
     n, m = q.nvars, q.degree
-    maxmag = q.max_magnitude()
 
     def coeff(*powers: tuple[int, int]) -> complex:
         """Coefficient of the monomial prod(x_i**u for i, u in powers)."""
@@ -201,20 +223,98 @@ def _factor_attempt(q: HomPoly) -> tuple[complex, list[np.ndarray]] | None:
             e[i] += u
         return q.coefficient(tuple(e))
 
-    pivot = None
-    for i in range(n):
-        if abs(coeff((i, m))) > LEADING_TOL * maxmag:
-            pivot = i
-            break
+    line = [coeff((p, m - k), (b, k)) for k in range(m + 1)]
+    cross = [[coeff((p, m - 1 - t), (b, t), (v, 1)) for v in range(n)] for t in range(m)]
+    return line, cross
+
+
+class _PencilReader:
+    """The coefficients of Q∘A that _factor_attempt reads, without Q∘A.
+
+    For columns a = A e_p and b = A e_q, (Q∘A)(s e_p + t e_q) = Q(s a + t b),
+    so the coefficients of y_p**(m-k) y_q**k are those of t**k in Q(a + t b),
+    and the coefficients of y_p**(m-1-t) y_q**t y_v are those of
+    ∇Q(a + t b) . A e_v.  Both are polynomials in t of degree at most m:
+    Q and ∇Q are evaluated at the N = m + 1 roots of unity in one vectorised
+    pass and the coefficients recovered by one inverse DFT, an N x N matrix.
+    The pure powers are the values Q(A e_i).
+
+    Q is scaled by an exact power of two 2**-e to a largest coefficient part
+    in [0.5, 1) first, so coefficients near the top of the float range do not
+    overflow; `read` gives the coefficients of 2**-e Q∘A and `unscale`
+    multiplies a constant back by 2**e.
+    """
+
+    def __init__(self, Q: HomPoly):
+        n, m = Q.nvars, Q.degree
+        exps = np.array(list(Q.terms), dtype=np.intp).reshape(-1, n)
+        coef = np.array(list(Q.terms.values()), dtype=complex)
+        self.e = int(np.frexp(np.max(np.abs(coef.view(float))))[1])
+        coef = np.ldexp(coef.view(float), -self.e).view(complex)
+        # one monomial table for Q and its partial derivatives: dQ/dx_i has
+        # the terms u_i c x**(u - e_i) over the terms with u_i >= 1
+        table, weights = [exps], [np.column_stack([coef, np.zeros((len(coef), n))])]
+        for i in range(n):
+            has = exps[:, i] > 0
+            d = exps[has].copy()
+            d[:, i] -= 1
+            w = np.zeros((len(d), n + 1), dtype=complex)
+            w[:, i + 1] = exps[has, i] * coef[has]
+            table.append(d)
+            weights.append(w)
+        self.table = np.vstack(table)
+        self.weights = np.vstack(weights)
+        self.n, self.m = n, m
+        k = np.arange(m + 1)
+        self.nodes = np.exp(2j * np.pi * k / (m + 1))
+        self.inverse_dft = np.exp(-2j * np.pi * (np.outer(k, k) % (m + 1)) / (m + 1)) / (m + 1)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Row j: [Q, dQ/dx_1, ..., dQ/dx_n] of 2**-e Q at the point X[j]."""
+        powers = np.ones((len(X), self.n, self.m + 1), dtype=complex)
+        powers[:, :, 1:] = np.cumprod(np.repeat(X[:, :, None], self.m, axis=2), axis=2)
+        monomials = powers[:, np.arange(self.n), self.table].prod(axis=2)
+        return monomials @ self.weights
+
+    def read(self, A: np.ndarray):
+        """(pure, pencil) of 2**-e Q∘A, in _factor_attempt's convention."""
+        pure = self.values(A.T)[:, 0]
+
+        def pencil(p: int, b: int):
+            at = self.values(A[:, p] + self.nodes[:, None] * A[:, b])
+            coeffs = self.inverse_dft @ np.column_stack([at[:, 0], at[:, 1:] @ A])
+            return coeffs[:, 0], coeffs[:self.m, 1:]
+
+        return pure, pencil
+
+    def unscale(self, c: complex) -> complex:
+        # an overflow to inf is what Python arithmetic on Q∘A gives, silently
+        with np.errstate(over="ignore"):
+            return complex(np.ldexp(c.real, self.e), np.ldexp(c.imag, self.e))
+
+
+def _factor_attempt(pure: Sequence[complex], ref: float, pencil
+                    ) -> tuple[complex, list[np.ndarray]] | None:
+    """One pass of the univariate-roots procedure on a degree-m form q in n
+    variables, read through its coefficients: pure[i] is that of y_i**m, and
+    pencil(p, b) gives (line, cross) with line[k] that of y_p**(m-k) y_b**k
+    (k = 0..m) and cross[t][v] that of y_p**(m-1-t) y_b**t y_v (t = 0..m-1,
+    v neither p nor b).
+    The pivot is the first variable with |pure[i]| > LEADING_TOL * ref;
+    None if there is none."""
+    n = len(pure)
+    pivot = next((i for i in range(n) if abs(pure[i]) > LEADING_TOL * ref), None)
     if pivot is None:
         return None
     perm = [pivot] + [i for i in range(n) if i != pivot]
-    c0 = coeff((pivot, m))
+    line, cross = pencil(pivot, perm[1])
+    m = len(line) - 1
+    c0 = pure[pivot]
     # univariate polynomial whose roots are the factors' second coordinates
     g = np.zeros(m + 1, dtype=complex)
     g[m] = 1.0  # ascending storage: g[k] multiplies y^k
     for k in range(1, m + 1):
-        g[m - k] = (-1) ** k * (coeff((pivot, m - k), (perm[1], k)) / c0)
+        g[m - k] = (-1) ** k * (line[k] / c0)
     second = roots_univariate(g)
     rows = np.empty((m, n), dtype=complex)  # one factor per row, one variable per column
     rows[:, pivot] = 1.0
@@ -225,8 +325,7 @@ def _factor_attempt(q: HomPoly) -> tuple[complex, list[np.ndarray]] | None:
     esym_hat = [_elem_sym_all(second[:i] + second[i + 1:], m - 1) for i in range(m)]
     M = np.array([[esym_hat[i][t] for i in range(m)] for t in range(m)], dtype=complex)
     for var in perm[2:]:
-        rhs = np.array([coeff((pivot, m - 1 - t), (perm[1], t), (var, 1)) / c0
-                        for t in range(m)], dtype=complex)
+        rhs = np.array([cross[t][var] / c0 for t in range(m)], dtype=complex)
         rows[:, var] = np.linalg.lstsq(M, rhs, rcond=None)[0]
     return c0, list(rows)
 
@@ -283,7 +382,8 @@ def factor_binary_form(q: HomPoly, tol: float = REASSEMBLY_TOL) -> LinearFactori
     fz = LinearFactorization(complex(const), factors, 0.0)
     fz.residual = fz.reassemble().sub(q).max_magnitude() / maxmag
     if fz.residual > tol:
-        raise NonConvergenceError(f"binary factor residual {fz.residual:.3e} above {tol}")
+        raise NonConvergenceError(f"binary factor residual {fz.residual:.3e} above {tol}",
+                                  fz.residual)
     return fz
 
 

@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
+from ratnets import factor
 from ratnets.cli import main
+from ratnets.factor import NonConvergenceError
 from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                              forward_recursive)
@@ -113,8 +115,7 @@ def test_eval_non_finite_point_is_one_line_error(tmp_path, capsys, point, field)
 
 
 def test_arithmetic_failure_is_one_line_error(tmp_path, capsys):
-    # no residual meets a negative tolerance, so the binary split raises
-    # NonConvergenceError
+    # no residual meets a negative tolerance, so --tol rejects one
     q = product([lin(1, 2), lin(1, -1)])
     code, out, err = run(capsys, "factor", "--binary", "--tol", "-1",
                          "--poly", write_poly(tmp_path / "q.json", q))
@@ -189,6 +190,37 @@ def test_factor_decomposable_and_not(tmp_path, capsys):
     code, out, _ = run(capsys, "factor", "--poly", write_poly(tmp_path / "q2.json", quadric))
     assert code == 2
     assert json.loads(out)["decomposable"] is False
+
+
+def test_factor_binary_unverified_split_is_a_verdict(tmp_path, capsys):
+    # the numerator of a depth-5 tower is a product of linear forms by
+    # construction, but its split reassembles to 3.0e-8, above the default 1e-8
+    w = Weights.random(Architecture((2, 2, 2, 2, 2, 1)), REAL, seed=1)
+    num = forward_recursive(w).numerators[0]
+    code, out, err = run(capsys, "factor", "--binary", "--poly", write_poly(tmp_path / "q.json", num))
+    assert (code, err) == (2, "")
+    blob = json.loads(out)
+    assert (blob["decomposable"], blob["failure_reason"]) == (False, "VerificationFail")
+    assert 1e-8 < blob["residual"] < 1e-7
+
+
+def test_factor_binary_root_finder_failure_is_a_verdict(tmp_path, capsys, monkeypatch):
+    def fail(coeffs):
+        raise NonConvergenceError("max residual above bound")
+
+    monkeypatch.setattr(factor, "roots_univariate", fail)
+    q = product([lin(2, 1), lin(1, -3)])
+    code, out, err = run(capsys, "factor", "--binary", "--poly", write_poly(tmp_path / "q.json", q))
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"decomposable": False, "all_real": False,
+                               "failure_reason": "RootFindFail"}
+
+
+@pytest.mark.parametrize("argv", [("factor",), ("factor", "--binary")])
+def test_negative_tol_is_one_line_error(tmp_path, capsys, argv):
+    q = product([lin(2, 1), lin(1, -3)])
+    _assert_one_line_error(*run(capsys, *argv, "--tol=-1e-9",
+                                "--poly", write_poly(tmp_path / "q.json", q)))
 
 
 def test_factor_binary_json_reassembles(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL
-from ratnets.factor import (FactorFailure, NonConvergenceError, build_H, factor_binary_form,
-                            factor_multilinear, factor_quadratic_explicit,
+from ratnets import factor
+from ratnets.factor import (FactorFailure, NonConvergenceError, _PencilReader, build_H,
+                            factor_binary_form, factor_multilinear, factor_quadratic_explicit,
                             h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
-from ratnets.poly import HomPoly, product
+from ratnets.poly import HomPoly, monomials, product
 
 EX37_COLUMN = [-0.8566, complex(-0.1500, -0.8974), complex(-0.1500, 0.8974),
                complex(1.0783, -0.4969), complex(1.0783, 0.4969)]
@@ -276,3 +278,107 @@ class TestRootScale:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert outcome([c * 2.0 ** k for c in coeffs]) == outcome(coeffs)
+
+
+def coefficient(q, *powers):
+    """Coefficient of prod(x_i**u for i, u in powers) in q."""
+    e = [0] * q.nvars
+    for i, u in powers:
+        e[i] += u
+    return q.coefficient(tuple(e))
+
+
+def random_form(rng, nvars, degree):
+    return HomPoly(COMPLEX, nvars, degree,
+                   {e: complex(*rng.uniform(-1, 1, size=2)) for e in monomials(nvars, degree)})
+
+
+def count_attempts(monkeypatch):
+    """A list whose length is the number of roots_univariate calls to come."""
+    calls = []
+
+    def counted(coeffs):
+        calls.append(1)
+        return roots_univariate(coeffs)
+
+    monkeypatch.setattr(factor, "roots_univariate", counted)
+    return calls
+
+
+class TestRetriesReadThePencil:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 5), m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_pencil_matches_compose_linear(self, n, m, seed):
+        # compose_linear is the oracle for every coefficient a retry reads
+        rng = np.random.default_rng(seed)
+        Q = random_form(rng, n, m)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q = Q.compose_linear(A.tolist())
+        bound = 1e-12 * q.max_magnitude()
+        reader = _PencilReader(Q)
+        scale = 2.0 ** reader.e
+        pure, pencil = reader.read(A)
+        for i in range(n):
+            assert abs(pure[i] * scale - coefficient(q, (i, m))) <= bound
+        for p, b in itertools.permutations(range(n), 2):
+            line, cross = pencil(p, b)
+            for k in range(m + 1):
+                assert abs(line[k] * scale - coefficient(q, (p, m - k), (b, k))) <= bound
+            for t in range(m):
+                for v in set(range(n)) - {p, b}:
+                    want = coefficient(q, (p, m - 1 - t), (b, t), (v, 1))
+                    assert abs(cross[t][v] * scale - want) <= bound
+
+    def test_retries_expand_no_coordinate_change(self, monkeypatch):
+        # a random ternary quartic is irreducible: every one of the six
+        # attempts runs, and none may expand Q under its change of variables
+        Q = random_form(np.random.default_rng(41), 3, 4)
+        calls = count_attempts(monkeypatch)
+
+        def refuse(self, rows):
+            raise AssertionError("a factor retry expanded a coordinate change")
+
+        monkeypatch.setattr(HomPoly, "compose_linear", refuse)
+        report = factor_multilinear(Q)
+        assert not report.decomposable
+        assert report.failure_reason is FactorFailure.VERIFICATION_FAIL
+        assert len(calls) == factor.MAX_RETRIES + 1
+
+    def test_regression_1e308_cubic(self, monkeypatch):
+        # found by the CLI fuzz: no pure cube clears the leading-coefficient
+        # test against the 1e308 term, so the form is factored on a retry;
+        # evaluating it unscaled overflowed and moved the verdict
+        Q = HomPoly(COMPLEX, 2, 3, {(3, 0): -0.1802051818820938 + 0.2589819840824014j,
+                                    (2, 1): 1.0490219136598853 - 0.08216526442490582j,
+                                    (1, 2): 1e308 - 0.5933572883161601j,
+                                    (0, 3): -0.060677120073004236 + 0.43287074798303954j})
+        calls = count_attempts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = factor_multilinear(Q)
+        assert report.decomposable and report.failure_reason is None
+        assert report.factorization.residual <= 1e-8
+        assert len(calls) == 1  # attempt 0 has no pivot, the first retry verifies
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 4), m=st.integers(1, 4), kind=st.sampled_from(["product", "random"]),
+           seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-100, 100))
+    def test_power_of_two_scale_moves_only_the_constant(self, n, m, kind, seed, k):
+        rng = np.random.default_rng(seed)
+        if kind == "product":
+            # the factors x1 and x2 leave no pure power, so a retry does the work
+            rows = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(m - 1)]
+            rows += [np.eye(n)[0], np.eye(n)[1]]
+            Q = product([lin(*r) for r in rows])
+        else:
+            Q = random_form(rng, n, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = factor_multilinear(Q)
+            b = factor_multilinear(Q.scale(2.0 ** k))
+        assert (a.decomposable, a.failure_reason, a.all_real) == (b.decomposable, b.failure_reason,
+                                                                  b.all_real)
+        if a.decomposable:
+            fa, fb = a.factorization, b.factorization
+            assert fb.constant == complex(np.ldexp(fa.constant.real, k), np.ldexp(fa.constant.imag, k))
+            assert (fb.factors, fb.residual) == (fa.factors, fa.residual)
