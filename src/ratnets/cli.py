@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -29,6 +30,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-9" for an option; read exponent notation as a
+        # negative number too, so that the option's type check sees it
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise CliError(message)
 
@@ -270,7 +277,8 @@ def build_parser() -> _Parser:
     p.add_argument("--arch", required=True)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=2)
+    p.add_argument("--samples", type=int, default=2,
+                   help="most random points ranked (one more when they disagree); a point that reaches the proven bound ends the rank")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_dim)
@@ -281,7 +289,8 @@ def build_parser() -> _Parser:
     p.add_argument("--max-width", type=int, default=9)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=2)
+    p.add_argument("--samples", type=int, default=2,
+                   help="most random points ranked (one more when they disagree); a point that reaches the proven bound ends the row")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--count-only", action="store_true", dest="count_only")
     p.add_argument("--out")

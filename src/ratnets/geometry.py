@@ -222,9 +222,19 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     one seeded stream.  Its rank undershoots the generic rank r only where a
     fixed nonzero r x r minor, a polynomial in weights and points jointly,
     vanishes: by Schwartz-Zippel, with probability at most deg(minor)/(p-1).
-    So ``samples`` samples are ranked (a disagreement adds one), the maximum
-    is reported and ``sample_ranks`` lists them all.  One weight matrix is a
-    ValueError: no hidden layer means no denominator and a fiber bound P + 1.
+    So up to ``samples`` samples are ranked (a disagreement adds one), the
+    maximum is reported and ``sample_ranks`` lists them all.
+
+    A sample that ranks expected_dim(arch) ends the loop, as none ranks more
+    (the fiber bound of Kileel, Trager and Bruna, 2019).  Scaling hidden
+    neuron i's row in and column out alike scales the tuple F, so its tangent
+    v_i has J v_i in span(F), over the integers and so mod p.  The v_i have
+    disjoint supports: generic rank <= P - hidden + 1, and <= ambient as J is
+    the coefficient Jacobian times Vandermonde blocks.  No sample ranks above
+    the generic rank.
+
+    One weight matrix is a ValueError: no hidden layer means no denominator
+    and a fiber bound P + 1.
     """
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
@@ -246,13 +256,15 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         # a list of row views: the benchmark's gf_rank cell counter tests `if rows`
         return gf_rank(list(_point_jacobian(arch, mats, points, p)), p)
 
-    ranks = []
+    bound, ranks = expected_dim(arch), []
     for t in range(samples + 1):  # one extra sample when the first ones disagree
         if t == samples and len(set(ranks)) == 1:
             break
         ranks.append(rank_at(t))
+        if ranks[-1] == bound:  # proven: no sample ranks above the bound
+            break
     return DimensionReport(arch.dims, max(ranks), ambient_dim(arch), param_count(arch),
-                           expected_dim(arch), fiber_upper_bound(arch), p, seed,
+                           bound, fiber_upper_bound(arch), p, seed,
                            time.monotonic() - t0, tuple(ranks))
 
 

@@ -223,6 +223,23 @@ def test_negative_tol_is_one_line_error(tmp_path, capsys, argv):
                                 "--poly", write_poly(tmp_path / "q.json", q)))
 
 
+@pytest.mark.parametrize("spelling", [("--tol=-1e-9",), ("--tol", "-1e-9"), ("--tol", "-1")],
+                         ids=["joined", "separate", "integer"])
+@pytest.mark.parametrize("argv", [
+    ("factor", "--poly", "{tmp}/den.json"),
+    ("reconstruct", "--arch", "2,2,1", "--tuple", "{tmp}/t.json"),
+    ("membership", "--arch", "2,2,1", "--tuple", "{tmp}/t.json"),
+], ids=["factor", "reconstruct", "membership"])
+def test_negative_tol_reaches_the_tolerance_check(tmp_path, capsys, argv, spelling):
+    # argparse takes "-1e-9" for an option unless it reads it as a number
+    t = forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=1))
+    write_poly(tmp_path / "den.json", t.denominator)
+    write_tuple(tmp_path / "t.json", t)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv), *spelling)
+    _assert_one_line_error(code, out, err)
+    assert "tolerance must be a number >= 0" in err
+
+
 def test_factor_binary_json_reassembles(tmp_path, capsys):
     q = product([lin(2, 1), lin(1, -3), lin(0, 1)])
     code, out, _ = run(capsys, "factor", "--binary", "--poly", write_poly(tmp_path / "q.json", q))
@@ -319,6 +336,20 @@ def test_membership_zero_denominator_is_not_in_model(tmp_path, capsys):
     code, out, _ = run(capsys, "membership", "--tuple", tfile, "--arch", "2,2,1")
     assert code == 2
     assert json.loads(out)["in_model"] is False
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["real", "complex"])
+@pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 2), (2, 2, 3)])
+def test_membership_binary_depth_two_accepts_on_model_tuples(tmp_path, capsys, dims, field):
+    # two layers share no linear factors the resultant screen could test: the
+    # moment rank decides, as for the one-hidden-layer shape (2, 2, k)
+    t = forward_recursive(Weights.random(Architecture(dims), field, seed=7))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    for layers in ((), ("--layers", "2")):  # 2 is the default
+        code, out, err = run(capsys, "membership", "--binary", *layers, "--tuple", tfile)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"in_model": True, "stage_failed": "None", "residual": None,
+                                   "necessary_only": False}
 
 
 @pytest.mark.parametrize("layers", [2, 3])

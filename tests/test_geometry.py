@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import math
@@ -73,7 +74,7 @@ class TestJacobianRank:
     def test_tiny_filling_case(self):
         rep = jacobian_rank_mod_p(Architecture((2, 2, 1)), seed=3)
         assert rep.jacobian_rank == 5
-        assert rep.sample_ranks == (5, 5)
+        assert rep.sample_ranks == (5,)  # the first sample reaches the bound
         assert rep.ambient_dim == 5
         assert rep.param_count == 6
 
@@ -94,7 +95,35 @@ class TestJacobianRank:
     def test_sample_ranks_ignore_the_clock(self, monkeypatch):
         clock = itertools.count(step=1000.0)  # 1000 s pass between any two readings
         monkeypatch.setattr(geometry.time, "monotonic", lambda: next(clock))
-        assert jacobian_rank_mod_p(Architecture((2, 2, 1)), seed=3).sample_ranks == (5, 5)
+        assert jacobian_rank_mod_p(Architecture((2, 2, 1)), seed=3).sample_ranks == (5,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arch=st.sampled_from(enumerate_architectures(12, 3, 4)),
+           seed=st.integers(0, 2 ** 31), samples=st.integers(1, 3))
+    def test_no_sample_ranks_above_the_bound(self, arch, seed, samples):
+        # the stop is sound: with the bound out of reach every sample is drawn,
+        # none ranks above the true bound, and their maximum is the stopped rank
+        stopped = jacobian_rank_mod_p(arch, seed=seed, samples=samples)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "expected_dim", lambda a: 10 ** 9)
+            every = jacobian_rank_mod_p(arch, seed=seed, samples=samples)
+        assert len(every.sample_ranks) >= samples
+        assert max(every.sample_ranks) <= expected_dim(arch)
+        assert every.jacobian_rank == stopped.jacobian_rank
+        assert stopped.sample_ranks == every.sample_ranks[:len(stopped.sample_ranks)]
+
+    def test_row_below_the_bound_draws_every_sample(self, monkeypatch):
+        arch = Architecture((2, 3, 2, 1))
+        rank = expected_dim(arch)
+        monkeypatch.setattr(geometry, "expected_dim", lambda a: rank + 1)
+        assert jacobian_rank_mod_p(arch, seed=4, samples=3).sample_ranks == (rank,) * 3
+        # a first sample that undershoots makes the two disagree: one more is drawn
+        calls, real_rank = itertools.count(), geometry.gf_rank
+        monkeypatch.setattr(geometry, "gf_rank",
+                            lambda rows, p: real_rank(rows, p) - (next(calls) == 0))
+        rep = jacobian_rank_mod_p(arch, seed=4, samples=2)
+        assert rep.sample_ranks == (rank - 1, rank, rank)
+        assert rep.jacobian_rank == rank
 
     def test_prime_validation(self):
         with pytest.raises(ValueError):
@@ -231,7 +260,7 @@ class TestModPBackends:
         arch = Architecture(dims)
         rep = jacobian_rank_mod_p(arch, seed=1, p=p)
         assert rep.jacobian_rank == rep.conjectured_dim == expected_dim(arch)
-        assert rep.sample_ranks == (rep.jacobian_rank,) * 2
+        assert rep.sample_ranks == (rep.jacobian_rank,)
 
 
 class TestFilling:
@@ -335,6 +364,14 @@ class TestMomentMatrix:
             assert rep.jacobian_rank == 2 * (n + m) - 1
 
 
+def csv_without_runtime(reports):
+    """The census CSV rows; every field except the wall-clock runtime is
+    deterministic."""
+    out = io.StringIO()
+    census_to_csv(reports, out)
+    return [row[:6] + row[7:] for row in csv.reader(io.StringIO(out.getvalue()))]
+
+
 class TestCensus:
     def test_enumeration_722(self):
         assert len(enumerate_architectures(30, 5)) == 722
@@ -354,17 +391,18 @@ class TestCensus:
         assert all(r.match for r in reports)
 
     def test_workers_do_not_change_output(self):
-        a = io.StringIO()
-        b = io.StringIO()
-        census_to_csv(census(8, 2, seed=3, workers=1), a)
-        census_to_csv(census(8, 2, seed=3, workers=2), b)
+        assert (csv_without_runtime(census(8, 2, seed=3, workers=1))
+                == csv_without_runtime(census(8, 2, seed=3, workers=2)))
 
-        def strip_runtime(text):
-            # every field except wall-clock runtime is deterministic
-            import csv as _csv
-            return [row[:6] + row[7:] for row in _csv.reader(io.StringIO(text))]
-
-        assert strip_runtime(a.getvalue()) == strip_runtime(b.getvalue())
+    def test_certified_rows_match_every_sample_rows(self, monkeypatch):
+        one, two = census(10, 3, seed=5), census(10, 3, seed=5, workers=2)
+        assert csv_without_runtime(one) == csv_without_runtime(two)
+        assert all(len(r.sample_ranks) == 1 for r in one + two)
+        monkeypatch.setattr(geometry, "expected_dim", lambda a: 10 ** 9)  # never stop
+        every = census(10, 3, seed=5)
+        assert all(len(r.sample_ranks) == 2 for r in every)
+        assert [(r.arch, r.jacobian_rank) for r in every] == [(r.arch, r.jacobian_rank)
+                                                              for r in one]
 
     def test_pool_never_outnumbers_jobs(self, monkeypatch):
         sizes = []
