@@ -278,7 +278,8 @@ def build_parser() -> _Parser:
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=2,
-                   help="most random points ranked (one more when they disagree); a point that reaches the proven bound ends the rank")
+                   help="most random points ranked (one more when they disagree);"
+                   " a point that reaches the proven bound ends the rank")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_dim)
@@ -290,7 +291,8 @@ def build_parser() -> _Parser:
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=2,
-                   help="most random points ranked (one more when they disagree); a point that reaches the proven bound ends the row")
+                   help="most random points ranked (one more when they disagree);"
+                   " a point that reaches the proven bound ends the row")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--count-only", action="store_true", dest="count_only")
     p.add_argument("--out")
