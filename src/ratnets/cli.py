@@ -33,7 +33,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes "-1e-9" for an option; read exponent notation as a
-        # negative number too, so that the option's type check sees it
+        # negative number too, so that the option's type check sees it.  This
+        # sets a private attribute that `_parse_optional` reads (Python 3.11
+        # on); should it be dropped, test_negative_tol_reaches_the_tolerance_check fails
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):

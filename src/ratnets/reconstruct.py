@@ -23,7 +23,6 @@ from .fields import COMPLEX
 from .poly import HomPoly, NotDivisibleError, _as_complex, deleted_products, monomials
 from .network import Architecture, Weights, RationalTuple, degrees, forward_recursive
 from .factor import NonConvergenceError, factor_binary_form, factor_multilinear
-from .geometry import rank_test_membership
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PROPORTIONAL_TOL = 1e-7
@@ -228,9 +227,10 @@ def resultant_binary(p: HomPoly, q: HomPoly) -> complex:
 def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int,
                                   tol: float = 1e-8) -> MembershipVerdict:
     """Membership for multi-output binary architectures.  Two layers are the
-    one-hidden-layer shape (2, 2, k), where the moment rank is exact.  Deeper,
-    a necessary-condition screen: numerators must pairwise share all but one
-    linear factor, so every pairwise resultant vanishes."""
+    one-hidden-layer shape (2, 2, k): an exact verdict from the shallow
+    reconstruction, as `reconstruct_auto` takes.  Deeper, a necessary-condition
+    screen: numerators must pairwise share all but one linear factor, so every
+    pairwise resultant vanishes."""
     if layers < 1 or not Ps:
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
     prof = degrees(Architecture((2,) * layers + (len(Ps),)))
@@ -239,10 +239,8 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
     if Q.is_zero():  # res(P, 0) = 0 would pass the screen below
         return _fail(Stage.FACTOR_TEST, necessary_only=True)
-    if layers == 2:  # no residual is measured: the verdict is a numerical rank
-        res = rank_test_membership(Ps, Q, Architecture((2, 2, len(Ps))), tol)
-        return MembershipVerdict(res.ok, Stage.NONE if res.ok else Stage.VERIFICATION_FAIL,
-                                 None, float("inf"))
+    if layers == 2:  # exact: factor Q, solve for the output layer, measure the residual
+        return reconstruct_shallow(Ps, Q, Architecture((2, 2, len(Ps))), tol)
     Ps = [p.scale(1.0 / max(p.max_magnitude(), 1e-300)) for p in map(_as_complex, Ps)]
     worst = 0.0
     for i in range(len(Ps)):

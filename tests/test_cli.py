@@ -342,14 +342,29 @@ def test_membership_zero_denominator_is_not_in_model(tmp_path, capsys):
 @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 2), (2, 2, 3)])
 def test_membership_binary_depth_two_accepts_on_model_tuples(tmp_path, capsys, dims, field):
     # two layers share no linear factors the resultant screen could test: the
-    # moment rank decides, as for the one-hidden-layer shape (2, 2, k)
+    # shallow reconstruction decides, as for the one-hidden-layer shape (2, 2, k)
     t = forward_recursive(Weights.random(Architecture(dims), field, seed=7))
     tfile = write_tuple(tmp_path / "t.json", t)
     for layers in ((), ("--layers", "2")):  # 2 is the default
         code, out, err = run(capsys, "membership", "--binary", *layers, "--tuple", tfile)
         assert (code, err) == (0, "")
-        assert json.loads(out) == {"in_model": True, "stage_failed": "None", "residual": None,
-                                   "necessary_only": False}
+        verdict = json.loads(out)
+        assert verdict["in_model"] is True and verdict["necessary_only"] is False
+        assert verdict["stage_failed"] == "None" and verdict["residual"] <= 1e-8
+        assert Weights.from_json(verdict["weights"]).arch.dims == dims
+
+
+def test_membership_binary_depth_two_rejects_a_closure_point(tmp_path, capsys):
+    # y / x^2 is a limit of on-model tuples but no sum a / l1 + b / l2; at
+    # input width 2 the moment rank cannot exceed 2 and would accept it
+    t = RationalTuple((lin(0, 1),), product([lin(1, 0), lin(1, 0)]))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, err = run(capsys, "membership", "--binary", "--tuple", tfile)
+    assert (code, err) == (2, "")
+    verdict = json.loads(out)
+    assert verdict["in_model"] is False and verdict["necessary_only"] is False
+    code, _, _ = run(capsys, "reconstruct", "--binary", "--layers", "2", "--tuple", tfile)
+    assert code == 2
 
 
 @pytest.mark.parametrize("layers", [2, 3])
