@@ -19,6 +19,7 @@ import cmath
 import numbers
 import operator
 import random
+from functools import lru_cache
 
 DEFAULT_PRIME = 2147483647  # Mersenne, fits in 32 bits
 
@@ -171,8 +172,10 @@ class ComplexField(_FloatField):
         return _finite(complex(checked_number(obj["re"]), checked_number(obj.get("im", 0.0))))
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < 3.3e24, cached: every rank and
+    prime field checks the same few moduli, each test costing 12 modexps."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -22,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import ceil, factorial, prod
 from multiprocessing import Pool
 from typing import Iterable, Sequence
 
@@ -133,11 +133,14 @@ def gf_rank(rows, p: int) -> int:
         nonzero = np.flatnonzero(a[rank:, col])
         if nonzero.size == 0:
             continue
-        piv = rank + nonzero[0]
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = _mul_mod(a[rank], a.dtype.type(pow(int(a[rank, col]), -1, p)), p)
-        below = a[rank + 1:, col:]  # minus its first column times the pivot row:
-        below += _mul_mod(below[:, :1], p - a[rank, col:], p)  # _add_mod in place
+        if nonzero[0]:
+            piv = rank + nonzero[0]
+            a[[rank, piv]] = a[[piv, rank]]
+        # minus the pivot row times its first column over the pivot, which
+        # leaves the pivot row as it is; the sum is _add_mod in place
+        neg_inv = a.dtype.type(p - pow(int(a[rank, col]), -1, p))
+        below = a[rank + 1:, col:]
+        below += _mul_mod(_mul_mod(below[:, :1], neg_inv, p), a[rank, col:], p)
         below %= p
         rank += 1
         if rank == a.shape[0]:
@@ -148,7 +151,9 @@ def gf_rank(rows, p: int) -> int:
 def _point_count(arch: Architecture) -> int:
     """N = min(P, largest monomial count) + SPARE_POINTS: an r-dimensional
     space of polynomial tuples (r <= P) stays injective under evaluation at
-    r generic points, and so does each component at its monomial count."""
+    r generic points, and so does each component at its monomial count.
+    A prefix of the points that reaches the fiber bound already gives the
+    rank at all N: its columns are some of theirs (jacobian_rank_mod_p)."""
     prof = degrees(arch)
     return SPARE_POINTS + min(param_count(arch), max(
         monomial_count(arch.d0, d) for d in (prof.numerator_degree, prof.denominator_degree)))
@@ -233,6 +238,13 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     the coefficient Jacobian times Vandermonde blocks.  No sample ranks above
     the generic rank.
 
+    Each sample first ranks the Jacobian at its first
+    ceil(bound / (d_L + 1)) + SPARE_POINTS points only, enough columns to
+    reach the bound.  They are columns of the sample's full Jacobian, so
+    prefix rank <= full rank <= bound: a prefix that reaches the bound gives
+    the full rank, and any other prefix is topped up with the remaining
+    points' columns.
+
     One weight matrix is a ValueError: no hidden layer means no denominator
     and a fiber bound P + 1.
     """
@@ -245,7 +257,8 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     gf = PrimeField(p)
-    n_points = _point_count(arch)
+    n_points, bound = _point_count(arch), expected_dim(arch)
+    few = min(n_points, ceil(bound / (arch.dL + 1)) + SPARE_POINTS)
     t0 = time.monotonic()
 
     def rank_at(t: int) -> int:
@@ -253,10 +266,15 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         mats = [[[gf.random(rng) for _ in range(cols)] for _ in range(rows)]
                 for rows, cols in arch.shapes()]
         points = [[gf.random(rng) for _ in range(arch.d0)] for _ in range(n_points)]
-        # a list of row views: the benchmark's gf_rank cell counter tests `if rows`
-        return gf_rank(list(_point_jacobian(arch, mats, points, p)), p)
+        # lists of row views: the benchmark's gf_rank cell counter tests `if rows`
+        jac = _point_jacobian(arch, mats, points[:few], p)
+        rank = gf_rank(list(jac), p)
+        if rank < bound and few < n_points:
+            jac = np.hstack([jac, _point_jacobian(arch, mats, points[few:], p)])
+            rank = gf_rank(list(jac), p)
+        return rank
 
-    bound, ranks = expected_dim(arch), []
+    ranks = []
     for t in range(samples + 1):  # one extra sample when the first ones disagree
         if t == samples and len(set(ranks)) == 1:
             break
@@ -327,11 +345,11 @@ def filling_binary(layers: int, d_out: int) -> FillingBinary:
 class MomentRank:
     ok: bool
     rank: int
-    necessary_only: bool
+    necessary_only = True  # not a field: rank <= d1 holds on the closure too
 
 
 def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
-    """Coefficient matrix whose rank certifies one-hidden-layer membership.
+    """Coefficient matrix whose rank tests one-hidden-layer membership.
 
     Rows are multisets of size d1 - 1 over the input variables; columns are
     the d2 numerator tags followed by the input variables.  Each entry is a
@@ -365,13 +383,14 @@ def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
                          tol: float = 1e-10) -> MomentRank:
     """True when the denominator is nonzero (a zero one defines no rational
     function) and the moment matrix has numerical rank at most the hidden
-    width.  Exact membership characterization for hidden width 2; for wider
-    hidden layers a necessary condition only."""
+    width.  A necessary condition only, at every hidden width: limits of
+    on-model tuples pass too, such as P = y, Q = x^2 at (2, 2, 1), which is
+    no sum a / l1 + b / l2."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
     rank = numerical_rank(build_moment_matrix(Ps, Q, arch), tol)
     d1 = arch.dims[1]
-    return MomentRank(rank <= d1 and not Q.is_zero(), rank, d1 >= 3)
+    return MomentRank(rank <= d1 and not Q.is_zero(), rank)
 
 
 # -- census --------------------------------------------------------------------

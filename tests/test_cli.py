@@ -367,6 +367,18 @@ def test_membership_binary_depth_two_rejects_a_closure_point(tmp_path, capsys):
     assert code == 2
 
 
+def test_membership_moment_rank_is_necessary_only_at_width_two(tmp_path, capsys):
+    # the rank screen passes y / x^2, a limit of (2, 2, 1) tuples outside the
+    # model, so its verdict must not claim to be exact
+    t = RationalTuple((lin(0, 1),), product([lin(1, 0), lin(1, 0)]))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, err = run(capsys, "membership", "--arch", "2,2,1", "--tuple", tfile)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"in_model": True, "moment_rank": 2, "necessary_only": True}
+    code, _, _ = run(capsys, "reconstruct", "--arch", "2,2,1", "--tuple", tfile)
+    assert code == 2
+
+
 @pytest.mark.parametrize("layers", [2, 3])
 def test_membership_binary_zero_denominator_is_not_in_model(tmp_path, capsys, layers):
     prof = degrees(Architecture((2,) * layers + (1,)))

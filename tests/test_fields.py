@@ -23,6 +23,24 @@ def test_prime_field_rejects_composite():
     assert not is_prime(1)
 
 
+PRIMES = [2, 3, 37, 41, 1000003, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 62 - 57, 2 ** 62 + 135]
+COMPOSITES = [0, 1, 4, 561, 41041, 1000001, 3215031751, 2 ** 31, 2 ** 31 + 1, 2 ** 61 + 1]
+
+
+@pytest.mark.parametrize("n,want", [(n, True) for n in PRIMES] + [(n, False) for n in COMPOSITES])
+def test_is_prime_answers_stay_the_same_when_cached(n, want):
+    # 561 and 41041 are Carmichael numbers; 3215031751 is one too and a
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    hits = is_prime.cache_info().hits
+    assert [is_prime(n), is_prime(n)] == [want, want]
+    assert is_prime.cache_info().hits > hits
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(2000):
+        assert is_prime(n) == (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1)))
+
+
 def test_prime_field_random_nonzero():
     gf = PrimeField(7)
     rng = random.Random(0)

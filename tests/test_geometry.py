@@ -19,6 +19,7 @@ from ratnets.geometry import (_add_mod, _mul_mod, _point_count, _point_jacobian,
 from ratnets.network import (Architecture, Weights, ambient_dim, degrees,
                              forward_recursive, param_count)
 from ratnets.poly import HomPoly, monomials
+from ratnets.reconstruct import reconstruct_shallow
 
 
 class TestGfRank:
@@ -68,6 +69,18 @@ class TestExpectedDim:
         # at the filling boundary the two quantities coincide exactly
         arch2 = Architecture((2, 5, 1))
         assert fiber_upper_bound(arch2) == ambient_dim(arch2) == expected_dim(arch2) == 11
+
+
+def full_sample_ranks(arch, seed, p, count, rank, jacobian=_point_jacobian):
+    """rank(...) of the full _point_count(arch)-point Jacobian of each of the
+    first count samples, drawn as jacobian_rank_mod_p draws them."""
+    gf, out = PrimeField(p), []
+    for t in range(count):
+        rng = random.Random(seed + 104729 * t)
+        mats = [[[gf.random(rng) for _ in range(c)] for _ in range(r)] for r, c in arch.shapes()]
+        points = [[gf.random(rng) for _ in range(arch.d0)] for _ in range(_point_count(arch))]
+        out.append(rank(jacobian(arch, mats, points, p).tolist(), p))
+    return tuple(out)
 
 
 class TestJacobianRank:
@@ -125,11 +138,54 @@ class TestJacobianRank:
         assert rep.sample_ranks == (rank - 1, rank, rank)
         assert rep.jacobian_rank == rank
 
+    @settings(max_examples=30, deadline=None)
+    @given(arch=st.sampled_from(enumerate_architectures(20, 4)),
+           seed=st.integers(0, 2 ** 31), p=st.sampled_from([2 ** 31 - 1, 2 ** 61 - 1]))
+    def test_prefix_ranks_equal_the_full_jacobian_ranks(self, gf_rank_oracle, arch, seed, p):
+        rep = jacobian_rank_mod_p(arch, seed=seed, p=p)
+        assert rep.sample_ranks == full_sample_ranks(arch, seed, p, len(rep.sample_ranks),
+                                                     gf_rank_oracle)
+
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+    def test_prefix_short_of_the_bound_ranks_every_point(self, monkeypatch, gf_rank_oracle, p):
+        arch, seed = Architecture((3, 3, 3, 3)), 4
+        rank, n_points = expected_dim(arch), _point_count(arch)
+        monkeypatch.setattr(geometry, "expected_dim", lambda a: rank + 1)  # out of reach
+        few = math.ceil((rank + 1) / (arch.dL + 1)) + geometry.SPARE_POINTS
+        assert few < n_points
+        sizes, real = [], geometry._point_jacobian
+
+        def recording(a, mats, points, q):
+            sizes.append(len(points))
+            return real(a, mats, points, q)
+
+        monkeypatch.setattr(geometry, "_point_jacobian", recording)
+        rep = jacobian_rank_mod_p(arch, seed=seed, p=p)
+        assert sizes == [few, n_points - few] * 2  # each sample tops its prefix up
+        assert rep.sample_ranks == full_sample_ranks(arch, seed, p, 2, gf_rank_oracle)
+        assert rep.sample_ranks == (rank, rank)
+
+        # sample 0 loses its rows past rank // 2: samples 0 and 1 disagree and
+        # a third is drawn, each topped up from its prefix
+        first = PrimeField(p).random(random.Random(seed))  # sample 0's first weight
+
+        def degraded(a, mats, points, q):
+            jac = real(a, mats, points, q)
+            if mats[0][0][0] == first:
+                jac[rank // 2:] = 0
+            return jac
+
+        monkeypatch.setattr(geometry, "_point_jacobian", degraded)
+        rep = jacobian_rank_mod_p(arch, seed=seed, p=p)
+        want = full_sample_ranks(arch, seed, p, 3, gf_rank_oracle, jacobian=degraded)
+        assert rep.sample_ranks == want
+        assert want[0] < want[1] == want[2] == rank == rep.jacobian_rank
+
     def test_prime_validation(self):
-        with pytest.raises(ValueError):
-            jacobian_rank_mod_p(Architecture((2, 2, 1)), p=1009)  # too small
-        with pytest.raises(ValueError):
-            jacobian_rank_mod_p(Architecture((2, 2, 1)), p=2 ** 31)  # composite
+        # too small, composite; a second call reads the cached primality test
+        for p in (1009, 999983, 2 ** 31, 2 ** 31 + 1, 1009, 2 ** 31 + 1):
+            with pytest.raises(ValueError, match=r"^modulus must be a prime above 10\^6$"):
+                jacobian_rank_mod_p(Architecture((2, 2, 1)), p=p)
 
 
 ROW_ARCHS = [(2, 2, 1), (3, 3, 1), (2, 2, 2, 1), (2, 3, 2, 1)]
@@ -346,6 +402,16 @@ class TestMomentMatrix:
         res = rank_test_membership(list(t.numerators), t.denominator, (3, 3, 1))
         assert res.ok
         assert res.necessary_only
+
+    def test_closure_point_passes_as_necessary_only(self):
+        # x2 / x1^2 is a limit of on-model (3, 2, 1) tuples but no sum
+        # a / l1 + b / l2: the rank screen passes it and claims no more
+        x1, x2 = (HomPoly.linear(COMPLEX, [1 + 0j, 0j, 0j]),
+                  HomPoly.linear(COMPLEX, [0j, 1 + 0j, 0j]))
+        res = rank_test_membership([x2], x1.mul(x1), (3, 2, 1))
+        assert res.ok and res.rank == 2
+        assert res.necessary_only
+        assert not reconstruct_shallow([x2], x1.mul(x1), Architecture((3, 2, 1))).in_model
 
     def test_factorization_reproduces_matrix(self):
         # on-model matrix equals (column-swapped W1^T) @ [W2^T | W1]
