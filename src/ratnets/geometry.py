@@ -136,8 +136,8 @@ def gf_rank(rows, p: int) -> int:
         if nonzero[0]:
             piv = rank + nonzero[0]
             a[[rank, piv]] = a[[piv, rank]]
-        # minus the pivot row times its first column over the pivot, which
-        # leaves the pivot row as it is; the sum is _add_mod in place
+        # each row below minus (its first entry / pivot) times the pivot row,
+        # which stays unnormalised; the sum is _add_mod in place
         neg_inv = a.dtype.type(p - pow(int(a[rank, col]), -1, p))
         below = a[rank + 1:, col:]
         below += _mul_mod(_mul_mod(below[:, :1], neg_inv, p), a[rank, col:], p)
