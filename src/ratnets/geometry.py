@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fields import DEFAULT_PRIME, PrimeField, is_prime
-from .network import Architecture, ambient_dim, degrees, param_count
-from .poly import HomPoly, monomial_count, monomials
+from .network import Architecture, ambient_dim, assemble, degrees, param_count
+from .poly import HomPoly, deleted_products, monomial_count, monomials
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
 WORD_PRIME_LIMIT = 2 ** 62  # below it a*b - q*p fits in int64 (see _mul_mod)
@@ -161,7 +161,8 @@ def _point_count(arch: Architecture) -> int:
 
 def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
     """P x (d_L + 1)N Jacobian of the output components at N points mod p,
-    by forward-mode tangents through the scalar layer recursion.
+    by forward-mode tangents through the forward map's own scan and assembly
+    (poly.deleted_products, network.assemble) run on scalars.
 
     Row s is weight s (row-major, layer by layer); column c*N + t is
     component c (numerators, then the denominator) at points[t].  This is
@@ -191,15 +192,9 @@ def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
 
     qs, offset = [None, None], 0  # product forms, indexed as in network.forward_layers
     for k, w in enumerate(mats):
-        if k:  # the deleted products of the previous layer, by prefix and suffix
-            d, layer = dims[k], list(zip(vals, tans))
-            prefix, suffix = [None], [None]  # products of the first / last j entries
-            for j in range(d):
-                prefix.append(mul(prefix[-1], layer[j]))
-            for j in range(d - 1, 0, -1):
-                suffix.append(mul(layer[j], suffix[-1]))
-            dels = [mul(prefix[j], suffix[d - 1 - j]) for j in range(d)]
-            qs.append(prefix[d])
+        if k:  # the deleted products of the previous layer
+            dels, full = deleted_products(list(zip(vals, tans)), mul, None)
+            qs.append(full)
             ins, in_tans = np.stack([v for v, _ in dels]), np.stack([t for _, t in dels])
         w = _residues(w, p)
         vals = apply(w, ins)
@@ -208,14 +203,8 @@ def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
             tans[i, :, offset + i * dims[k]:offset + (i + 1) * dims[k]] = ins.T
         offset += dims[k + 1] * dims[k]
 
-    def alternating(top):
-        acc = None
-        for t in range(top, 1, -2):
-            acc = mul(acc, qs[t])
-        return acc
-
-    num_factor, den = alternating(arch.layers - 1), alternating(arch.layers)
-    outs = [mul(pair, num_factor)[1] for pair in zip(vals, tans)] + [den[1]]
+    nums, den = assemble(list(zip(vals, tans)), qs, mul, None)
+    outs = [t for _, t in nums] + [den[1]]
     return np.stack(outs).transpose(2, 0, 1).reshape(nparams, -1)
 
 

@@ -13,10 +13,11 @@ import operator
 import random
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .fields import ComplexField, ScalarField, field_from_name, checked_number, PrimeField
-from .poly import HomPoly, deleted_products, monomial_count, product
+from .poly import HomPoly, deleted_products, monomial_count
 
 POLE_GUARD = 1e-12
 
@@ -108,11 +109,10 @@ class DegreeProfile:
 
 
 def degrees(arch: Architecture) -> DegreeProfile:
-    """Closed-form output degrees from the alternating assembly."""
+    """Output degrees from the alternating assembly, as sums of degrees."""
     L = arch.layers
     n, m = layer_degrees(arch)
-    num = n[L] + sum(m[t] for t in range(L - 1, 1, -2))
-    den = sum(m[t] for t in range(L, 1, -2))
+    (num,), den = assemble([n[L]], m, operator.add, 0)
     return DegreeProfile(num, den, L % 2)
 
 
@@ -233,7 +233,7 @@ def forward_layers(w: Weights) -> tuple[list[HomPoly], list[HomPoly]]:
     one = HomPoly.one(f, d0)
     qs = [one, one]
     for k in range(1, arch.layers):
-        dels, full = deleted_products(p)
+        dels, full = deleted_products(p, HomPoly.mul, one)
         qs.append(full)
         nxt = []
         for i in range(dims[k + 1]):
@@ -245,14 +245,19 @@ def forward_layers(w: Weights) -> tuple[list[HomPoly], list[HomPoly]]:
     return p, qs
 
 
+def assemble(p: Sequence, qs: Sequence, mul, one) -> tuple[list, object]:
+    """Numerators p_i q_{L-1} q_{L-3} ... and denominator q_L q_{L-2} ... from
+    the top layer's factors p and the product forms qs[0..L]; each product
+    starts at ``one``, mul's identity or a marker it skips."""
+    L = len(qs) - 1
+    num_factor = reduce(mul, qs[L - 1:1:-2], one)
+    return [mul(pi, num_factor) for pi in p], reduce(mul, qs[L:1:-2], one)
+
+
 def forward_recursive(w: Weights) -> RationalTuple:
     """Assemble the output tuple from the layer recursion."""
-    L = w.arch.layers
     p, qs = forward_layers(w)
-    # qs[0] is the constant 1: alternate product forms from the top down
-    num_factor = product([qs[0], *qs[L - 1:1:-2]])
-    den = product([qs[0], *qs[L:1:-2]])
-    nums = tuple(pi.mul(num_factor) for pi in p)
+    nums, den = assemble(p, qs, HomPoly.mul, qs[0])  # qs[0] is the constant 1
     out = RationalTuple(nums, den)
     cmf = out.common_monomial_factor()
     if any(cmf):

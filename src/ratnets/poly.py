@@ -273,21 +273,16 @@ def product(polys: Sequence[HomPoly]) -> HomPoly:
     return acc
 
 
-def deleted_products(polys: Sequence[HomPoly]) -> tuple[list[HomPoly], HomPoly]:
-    """For inputs (g_1..g_n): all products with one factor removed, plus the
+def deleted_products(items: Sequence, mul, one) -> tuple[list, object]:
+    """For items (g_1..g_n): all products with one factor removed, plus the
     full product, via prefix/suffix passes and one product per removed factor
-    (3n multiplications total)."""
-    n = len(polys)
-    f = polys[0].field
-    nv = polys[0].nvars
-    one = HomPoly.one(f, nv)
-    pre = [one]
-    for p in polys:
-        pre.append(pre[-1].mul(p))
-    suf = [one] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = polys[i].mul(suf[i + 1])
-    return [pre[i].mul(suf[i + 1]) for i in range(n)], pre[n]
+    (3n - 1 calls of mul; ``one`` is its identity, or a marker it skips)."""
+    pre, suf = [one], [one]  # products of the first / last j items
+    for g in items:
+        pre.append(mul(pre[-1], g))
+    for g in reversed(items[1:]):
+        suf.append(mul(g, suf[-1]))
+    return [mul(pre[j], suf[-1 - j]) for j in range(len(items))], pre[-1]
 
 
 def sym_contract(indices: Iterable[int], forms: Sequence[HomPoly]) -> HomPoly:

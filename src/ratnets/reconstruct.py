@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,6 +93,24 @@ def _fail(stage: Stage, residual: float = float("inf"),
     return MembershipVerdict(False, stage, None, residual, necessary_only)
 
 
+def _shape_matches(Ps: Sequence[HomPoly], Q: HomPoly, arch: Architecture) -> bool:
+    """The tuple has arch's output count, input width and output degrees."""
+    prof = degrees(arch)
+    return (len(Ps) == arch.dL and Q.nvars == arch.d0 and Q.degree == prof.denominator_degree
+            and all(p.nvars == arch.d0 and p.degree == prof.numerator_degree for p in Ps))
+
+
+def _verified(w: Weights, target: RationalTuple, tol: float) -> MembershipVerdict:
+    """Accept w if its forward map is within tol of target (NaN is not); a
+    shared monomial factor is no fault here, so its warning is dropped."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "output tuple shares the monomial factor", RuntimeWarning)
+        mism = projective_mismatch(forward_recursive(w), target)
+    if not mism <= tol:
+        return _fail(Stage.VERIFICATION_FAIL, mism)
+    return MembershipVerdict(True, Stage.NONE, w, mism)
+
+
 def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
                         tol: float = 1e-6, seed: int = 0,
                         require_real: bool = False) -> MembershipVerdict:
@@ -101,9 +120,7 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     if not arch.is_shallow():
         raise ValueError("expected a one-hidden-layer architecture")
     n, m, k = arch.dims
-    prof = degrees(arch)
-    if (Q.nvars != n or Q.degree != prof.denominator_degree or len(Ps) != k
-            or any(p.nvars != n or p.degree != prof.numerator_degree for p in Ps)):
+    if not _shape_matches(Ps, Q, arch):
         return _fail(Stage.DEGREE_TEST)
     if Q.is_zero():
         return _fail(Stage.FACTOR_TEST)
@@ -115,30 +132,30 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
         return _fail(Stage.FACTOR_TEST, report.factorization.residual if report.factorization else float("inf"))
     rows = [np.asarray(f, dtype=complex) for f in report.factorization.factors]
     forms = [HomPoly.linear(COMPLEX, r) for r in rows]
-    hats, _ = deleted_products(forms)
+    hats, _ = deleted_products(forms, HomPoly.mul, HomPoly.one(COMPLEX, n))
     basis = monomials(n, m - 1)
     A = np.array([[complex(h.coefficient(e)) for h in hats] for e in basis])
     W2 = np.zeros((k, m), dtype=complex)
     for i, p in enumerate(Ps):
         # Q is constant * prod(rows): dividing the numerator by it, not a row,
-        # keeps A's columns on one scale, so lstsq's cutoff drops none of them
-        rhs = np.array([complex(p.coefficient(e)) for e in basis]) / report.factorization.constant
-        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        W2[i] = sol
+        # keeps A's columns on one scale, so lstsq's cutoff drops none of them;
+        # past the float range there is no solution to measure (NaN fails too)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = np.array([complex(p.coefficient(e)) for e in basis]) / report.factorization.constant
+            if not np.isfinite(rhs).all():
+                return _fail(Stage.SPAN_TEST)
+            W2[i] = sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            res = np.max(np.abs(A @ sol - rhs))
         scale = max(np.max(np.abs(rhs)), 1e-300)
-        if np.max(np.abs(A @ sol - rhs)) > tol * scale:
-            return _fail(Stage.SPAN_TEST, float(np.max(np.abs(A @ sol - rhs)) / scale))
+        if not res <= tol * scale:
+            return _fail(Stage.SPAN_TEST, float(res / scale))
     if require_real and np.max(np.abs(W2.imag)) > tol * max(np.max(np.abs(W2)), 1e-300):
         return _fail(Stage.SPAN_TEST)
 
     w = Weights(arch, COMPLEX,
                 (tuple(tuple(complex(v) for v in r) for r in rows),
                  tuple(tuple(complex(v) for v in r) for r in W2)))
-    target = RationalTuple(tuple(Ps), Q)
-    mism = projective_mismatch(forward_recursive(w), target)
-    if mism > tol:
-        return _fail(Stage.VERIFICATION_FAIL, mism)
-    return MembershipVerdict(True, Stage.NONE, w, mism)
+    return _verified(w, RationalTuple(tuple(Ps), Q), tol)
 
 
 def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
@@ -150,9 +167,7 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
     if layers < 2:
         raise ValueError("need at least 2 layers")
     arch = Architecture((2,) * layers + (1,))
-    prof = degrees(arch)
-    if (P.nvars != 2 or Q.nvars != 2 or P.degree != prof.numerator_degree
-            or Q.degree != prof.denominator_degree):
+    if not _shape_matches([P], Q, arch):
         return _fail(Stage.DEGREE_TEST)
     P, Q = _as_complex(P), _as_complex(Q)
     target = RationalTuple((P,), Q)
@@ -183,10 +198,7 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
     c = complex(Q.coefficient((0, 0)))
     mats.append([[complex(P.coefficient((1, 0))) / c, complex(P.coefficient((0, 1))) / c]])
     w = Weights(arch, COMPLEX, tuple(tuple(tuple(row) for row in m) for m in mats))
-    mism = projective_mismatch(forward_recursive(w), target)
-    if mism > tol:
-        return _fail(Stage.VERIFICATION_FAIL, mism)
-    return MembershipVerdict(True, Stage.NONE, w, mism)
+    return _verified(w, target, tol)
 
 
 def _most_independent_pair(vecs: list[np.ndarray]):
@@ -231,11 +243,9 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
     reconstruction, as `reconstruct_auto` takes.  Deeper, a necessary-condition
     screen: numerators must pairwise share all but one linear factor, so every
     pairwise resultant vanishes."""
-    if layers < 1 or not Ps:
-        return _fail(Stage.DEGREE_TEST, necessary_only=True)
-    prof = degrees(Architecture((2,) * layers + (len(Ps),)))
-    if (Q.nvars != 2 or Q.degree != prof.denominator_degree
-            or any(p.nvars != 2 or p.degree != prof.numerator_degree for p in Ps)):
+    if layers < 2:
+        raise ValueError("need at least 2 layers")
+    if not Ps or not _shape_matches(Ps, Q, Architecture((2,) * layers + (len(Ps),))):
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
     if Q.is_zero():  # res(P, 0) = 0 would pass the screen below
         return _fail(Stage.FACTOR_TEST, necessary_only=True)

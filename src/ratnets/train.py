@@ -53,7 +53,7 @@ class Dataset:
 
 @dataclass
 class TrainConfig:
-    arch: tuple[int, ...] = (2, 2, 1)
+    arch = (2, 2, 1)  # not a field: the target and the recovery score take two inputs, one output
     lr: float = 1e-3
     epochs: int = 20000
     seed: int = 0

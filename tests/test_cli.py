@@ -621,3 +621,62 @@ def test_train_diverged_run_prints_only_the_summary(tmp_path, capsys):
     assert code == 0
     assert out == "runs=1 full_success=0 partial_success=0\n"
     assert (err, caught) == ("", [])
+
+
+def _binary_form(degree, *terms):
+    return HomPoly(COMPLEX, 2, degree, {e: complex(c) for e, c in terms})
+
+
+# drawn by test_cli_fuzz.test_extreme_coefficients: P / (factor constant)
+# overflows, and lstsq turned the infinite right-hand side into NaN weights
+OVERFLOWING_RHS = RationalTuple(
+    (_binary_form(1, ((1, 0), 1e308), ((0, 1), -0.06572167817273478)),),
+    _binary_form(2, ((2, 0), -0.3857817287739105), ((1, 1), 0.724798893977169),
+                 ((0, 2), -0.3403891347161195)))
+# a finite right-hand side whose least-squares solution overflows: the span
+# residual is NaN, and the weights it let through held inf
+OVERFLOWING_SOLUTION = RationalTuple(
+    (_binary_form(1, ((1, 0), 0.6078742109681368 - 0.41521825137418117j),
+                  ((0, 1), 0.5283976567479145 - 0.3514576021732614j)),
+     _binary_form(1, ((1, 0), 1e308), ((0, 1), 0.9186201636408176 - 1.3995234019576617j))),
+    _binary_form(2, ((2, 0), 0.5318692401761279 - 0.28365228750332866j),
+                 ((1, 1), 1.2017281937462474 + 0.4693592130290336j),
+                 ((0, 2), 0.13807254981722225 + 0.594576650886483j)))
+
+
+@pytest.mark.parametrize("t, argv", [
+    (OVERFLOWING_RHS, ("reconstruct", "--arch", "2,2,1")),
+    (OVERFLOWING_RHS, ("membership", "--binary")),
+    (OVERFLOWING_SOLUTION, ("reconstruct", "--arch", "2,2,2")),
+], ids=["rhs-reconstruct", "rhs-membership", "solution-reconstruct"])
+def test_overflowing_span_solve_is_a_verdict(tmp_path, capsys, t, argv):
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, err, caught = _run_recording_warnings(capsys, *argv, "--tuple", tfile)
+    assert (code, err, caught) == (2, "", [])
+    verdict = _strict_json(out)
+    assert verdict["in_model"] is False and verdict["stage_failed"] == "SpanTest"
+    assert verdict["residual"] is None
+
+
+def test_reconstruct_tuple_with_a_shared_monomial_factor_warns_nothing(tmp_path, capsys):
+    # the recovered weights' forward map shares the factor x2; verifying them
+    # must not pass forward_recursive's warning about it on to stderr
+    t = RationalTuple(
+        (_binary_form(1, ((1, 0), 648.8039577439586), ((0, 1), 1.0505047130663045e71)),
+         _binary_form(1, ((1, 0), 1.2261443226865548e-114), ((0, 1), -1.9303198276062532e-17))),
+        _binary_form(2, ((2, 0), -1.9526612525555114e-276), ((0, 2), -4.78626733288127e280)))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, err, caught = _run_recording_warnings(capsys, "reconstruct", "--arch", "2,2,2",
+                                                     "--tuple", tfile)
+    assert (code, err, caught) == (0, "", [])
+    assert _strict_json(out)["in_model"] is True
+
+
+@pytest.mark.parametrize("layers", ["0", "1"])
+def test_membership_binary_below_two_layers_is_one_line_error(tmp_path, capsys, layers):
+    # (2, k) has no hidden layer, so these linear numerators over a constant
+    # are in the model; the binary route used to reject them
+    t = RationalTuple((lin(1, 2), lin(3, -1)), HomPoly.one(COMPLEX, 2))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    _assert_one_line_error(*run(capsys, "membership", "--binary", "--layers", layers,
+                                "--tuple", tfile))

@@ -271,8 +271,13 @@ class TestHousekeeping:
     def test_deleted_products_match_naive(self):
         rng = random.Random(6)
         forms = [random_poly(REAL, 2, 1, rng) for _ in range(5)]
-        dels, full = deleted_products(forms)
-        assert coeffs_close(full, product(forms), 1e-12)
-        for i in range(5):
-            naive = product([f for j, f in enumerate(forms) if j != i])
-            assert coeffs_close(dels[i], naive, 1e-12)
+
+        def skip_none(a, b):  # None as the identity, as the GF(p) Jacobian passes it
+            return b if a is None else a if b is None else a.mul(b)
+
+        for mul, one in [(HomPoly.mul, HomPoly.one(REAL, 2)), (skip_none, None)]:
+            dels, full = deleted_products(forms, mul, one)
+            assert coeffs_close(full, product(forms), 1e-12)
+            for i in range(5):
+                naive = product([f for j, f in enumerate(forms) if j != i])
+                assert coeffs_close(dels[i], naive, 1e-12)
