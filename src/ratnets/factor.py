@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, _as_complex, product
+from .poly import HomPoly, _as_complex, deleted_products, product
 from .network import Weights
 
 ROOT_TOL = 1e-10
@@ -112,19 +112,18 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     deg = c.size - 1
     if deg == 0:
         return []
-    # a power-of-two scale to a largest part in [0.5, 1) rounds nothing in range,
-    # and keeps Newton's products finite near either end of the float range
-    e = np.frexp(np.max(np.abs(c.view(float))))[1]
-    c = np.ldexp(c.view(float), -e).view(complex)
+    c, e = _pow2_scaled(c)
     scale = np.max(np.abs(c))
+    if not np.isfinite(scale):  # np.roots would warn, and no root can meet the bound
+        raise NonConvergenceError("coefficients are not finite")
     try:
         # complex even when np.roots finds only real roots (all-zero ones included)
         roots = np.roots(c[::-1]).astype(complex)
     except np.linalg.LinAlgError as ex:
         raise NonConvergenceError(str(ex)) from ex
     dc = c[1:] * np.arange(1, deg + 1)
+    pv = np.polyval(c[::-1], roots)
     for _ in range(NEWTON_STEPS):
-        pv = np.polyval(c[::-1], roots)
         dv = np.polyval(dc[::-1], roots)
         safe = np.abs(dv) > 1e-300
         step = np.zeros_like(roots)
@@ -133,24 +132,39 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
         big = np.abs(step) > 1.0
         step[big] /= np.abs(step[big])
         roots = roots - step
-        if np.all(np.abs(np.polyval(c[::-1], roots))
-                  <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg):
-            break
-    resid = np.abs(np.polyval(c[::-1], roots))
-    bound = ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg
-    if np.any(resid > bound):
-        raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
-    return [complex(r) for r in roots]
+        pv = np.polyval(c[::-1], roots)
+        resid = np.abs(pv)  # NaN fails the test below
+        if np.all(resid <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg):
+            return [complex(r) for r in roots]
+    raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
 
 
-def _elem_sym_all(vals: Sequence[complex], kmax: int) -> np.ndarray:
-    """e_0..e_kmax of vals, by the one-value-at-a-time update."""
-    e = np.zeros(kmax + 1, dtype=complex)
-    e[0] = 1.0
-    for v in vals:
-        for k in range(min(kmax, len(vals)), 0, -1):
-            e[k] += v * e[k - 1]
-    return e
+def _pow2_scaled(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c * 2**-e, e) with the largest real or imaginary part of c scaled into
+    [0.5, 1): exact in range, and products stay finite near either end of it."""
+    e = int(np.frexp(np.max(np.abs(c.view(float))))[1])
+    return np.ldexp(c.view(float), -e).view(complex), e
+
+
+def _guarded(q: HomPoly) -> tuple[HomPoly, float]:
+    """(q over COMPLEX, its largest coefficient magnitude); ValueError if zero or not finite."""
+    if q.is_zero():
+        raise ValueError("cannot factor the zero form")
+    q = _as_complex(q)
+    try:
+        maxmag = q.max_magnitude()
+    except OverflowError:  # abs of a complex beyond the float range
+        maxmag = np.inf
+    if not np.isfinite(maxmag):
+        raise ValueError("cannot factor a form whose coefficients are not finite")
+    return q, maxmag
+
+
+def _checked_split(const: complex, rows: list, q: HomPoly, maxmag: float) -> LinearFactorization:
+    """const * prod(rows) and its residual against q, relative to q's largest magnitude maxmag."""
+    fz = LinearFactorization(const, rows, 0.0)
+    fz.residual = fz.reassemble().sub(q).max_magnitude() / maxmag
+    return fz
 
 
 def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -> FactorReport:
@@ -166,17 +180,13 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     Q∘A, which is never formed.  Soundness rests on the final expansion
     check in the original coordinates, never on the intermediate solves.
     """
-    if Q.is_zero():
-        raise ValueError("cannot factor the zero form")
+    Q, maxmag = _guarded(Q)
     m, n = Q.degree, Q.nvars
     if m < 1 or n < 2:
         raise ValueError("need degree >= 1 and at least 2 variables")
-    Q = _as_complex(Q)
-    maxmag = Q.max_magnitude()
     rng = np.random.default_rng(seed)
     reader = None
-    saw_leading = False
-    last_failure = FactorFailure.VERIFICATION_FAIL
+    failure = FactorFailure.LEADING_COEFF_ZERO_UNFIXABLE
     for attempt in range(MAX_RETRIES + 1):
         if attempt == 0:
             change = None
@@ -190,11 +200,10 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
         try:
             got = _factor_attempt(pure, ref, pencil)
         except NonConvergenceError:
-            last_failure = FactorFailure.ROOT_FIND_FAIL
+            failure = FactorFailure.ROOT_FIND_FAIL
             continue
         if got is None:
             continue  # no pure m-th power in these coordinates
-        saw_leading = True
         const, rows = got
         if change is not None:
             inv = np.linalg.inv(change)
@@ -202,14 +211,11 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
         const, rows = _normalize_factors(const, rows)
         if change is not None:
             const = reader.unscale(const)  # last, so only unscale can overflow, silently
-        fz = LinearFactorization(const, rows, 0.0)
-        fz.residual = fz.reassemble().sub(Q).max_magnitude() / maxmag
+        fz = _checked_split(const, rows, Q, maxmag)
         if fz.residual <= tol:
             return FactorReport(True, fz, _factors_all_real(const, rows), None)
-        last_failure = FactorFailure.VERIFICATION_FAIL
-    if not saw_leading:
-        return FactorReport(False, None, False, FactorFailure.LEADING_COEFF_ZERO_UNFIXABLE)
-    return FactorReport(False, None, False, last_failure)
+        failure = FactorFailure.VERIFICATION_FAIL
+    return FactorReport(False, None, False, failure)
 
 
 def _coordinate_pencil(q: HomPoly, p: int, b: int) -> tuple[list, list[list]]:
@@ -249,8 +255,7 @@ class _PencilReader:
         n, m = Q.nvars, Q.degree
         exps = np.array(list(Q.terms), dtype=np.intp).reshape(-1, n)
         coef = np.array(list(Q.terms.values()), dtype=complex)
-        self.e = int(np.frexp(np.max(np.abs(coef.view(float))))[1])
-        coef = np.ldexp(coef.view(float), -self.e).view(complex)
+        coef, self.e = _pow2_scaled(coef)
         # one monomial table for Q and its partial derivatives: dQ/dx_i has
         # the terms u_i c x**(u - e_i) over the terms with u_i >= 1
         table, weights = [exps], [np.column_stack([coef, np.zeros((len(coef), n))])]
@@ -322,8 +327,9 @@ def _factor_attempt(pure: Sequence[complex], ref: float, pencil
     # remaining columns: m x m elementary-symmetric systems, min-norm solve
     # (repeated roots give identical columns; equal weight split is the
     # correct assignment for genuinely repeated factors)
-    esym_hat = [_elem_sym_all(second[:i] + second[i + 1:], m - 1) for i in range(m)]
-    M = np.array([[esym_hat[i][t] for i in range(m)] for t in range(m)], dtype=complex)
+    # column i: coefficients of prod_{j != i} (1 + r_j y), ascending
+    hats, _ = deleted_products([[1, r] for r in second], np.convolve, np.ones(1))
+    M = np.array(hats, dtype=complex).T
     for var in perm[2:]:
         rhs = np.array([cross[t][var] / c0 for t in range(m)], dtype=complex)
         rows[:, var] = np.linalg.lstsq(M, rhs, rcond=None)[0]
@@ -334,13 +340,8 @@ def _normalize_factors(const: complex, rows: list[tuple]):
     out = []
     for r in rows:
         r = np.asarray(r, dtype=complex)
-        lead = None
-        for v in r:  # first coordinate above threshold, else the largest
-            if abs(v) > 1e-8 * max(np.max(np.abs(r)), 1e-300):
-                lead = v
-                break
-        if lead is None or lead == 0:
-            lead = r[int(np.argmax(np.abs(r)))]
+        mags = np.abs(r)
+        lead = r[np.argmax(mags > 1e-8 * max(mags.max(), 1e-300))]  # first above threshold
         out.append(tuple((r / lead).tolist()))
         const *= lead
     return complex(const), out
@@ -362,26 +363,19 @@ def factor_binary_form(q: HomPoly, tol: float = REASSEMBLY_TOL) -> LinearFactori
     """
     if q.nvars != 2:
         raise ValueError("binary factorization needs exactly 2 variables")
-    if q.is_zero():
-        raise ValueError("cannot factor the zero form")
+    q, maxmag = _guarded(q)
     m = q.degree
-    q = _as_complex(q)
-    maxmag = q.max_magnitude()
     coeffs = [q.coefficient((m - k, k)) for k in range(m + 1)]  # coeff of x1^(m-k) x2^k
-    lead = 0
-    while abs(coeffs[lead]) <= LEADING_TOL * maxmag:
-        lead += 1
+    lead = next(k for k in range(m + 1) if abs(coeffs[k]) > LEADING_TOL * maxmag)
     const = coeffs[lead]
     factors = [(0j, 1 + 0j)] * lead
     deg_t = m - lead
-    if deg_t > 0:
-        # q/x2^lead dehomogenized at x2=1, ascending in x1
-        asc = [coeffs[lead + (deg_t - k)] for k in range(deg_t + 1)]
-        roots = roots_univariate(asc)
-        factors = factors + [(1 + 0j, -r) for r in roots]
-    fz = LinearFactorization(complex(const), factors, 0.0)
-    fz.residual = fz.reassemble().sub(q).max_magnitude() / maxmag
-    if fz.residual > tol:
+    # q/x2^lead dehomogenized at x2=1, ascending in x1
+    asc = [coeffs[lead + (deg_t - k)] for k in range(deg_t + 1)]
+    roots = roots_univariate(asc)
+    factors = factors + [(1 + 0j, -r) for r in roots]
+    fz = _checked_split(complex(const), factors, q, maxmag)
+    if not fz.residual <= tol:
         raise NonConvergenceError(f"binary factor residual {fz.residual:.3e} above {tol}",
                                   fz.residual)
     return fz
@@ -395,14 +389,12 @@ def factor_quadratic_explicit(c11: complex, c12: complex, c22: complex
     the inputs are real with c12^2 - c11*c22 >= 0.
     """
     c11, c12, c22 = complex(c11), complex(c12), complex(c22)
+    if c11 == 0 == c22:  # the form is 2*c12*x*y
+        return (1.0 + 0j, 0j), (0j, 2 * c12)
+    s = np.sqrt(complex(c12 * c12 - c11 * c22))
     if c11 != 0:
-        s = np.sqrt(complex(c12 * c12 - c11 * c22))
         return (c11, c12 + s), (1.0 + 0j, (c12 - s) / c11)
-    if c22 != 0:
-        s = np.sqrt(complex(c12 * c12 - c11 * c22))
-        return (c12 + s, c22), ((c12 - s) / c22, 1.0 + 0j)
-    # c11 = c22 = 0: the form is 2*c12*x*y
-    return (1.0 + 0j, 0j), (0j, 2 * c12)
+    return (c12 + s, c22), ((c12 - s) / c22, 1.0 + 0j)
 
 
 def build_H(w: Weights) -> HomPoly:

@@ -91,9 +91,7 @@ class HomPoly:
         return not self.terms
 
     def max_magnitude(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(self.field.magnitude(c) for c in self.terms.values())
+        return max_or_nan(map(self.field.magnitude, self.terms.values()))
 
     def coefficient(self, exponent: Exponent):
         return self.terms.get(tuple(exponent), self.field.zero())
@@ -241,6 +239,17 @@ class HomPoly:
                             for i, u in enumerate(e) if u)
             bits.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def max_or_nan(values: Iterable[float]) -> float:
+    """max(values, default=0.0), but NaN if any value is NaN, in any order."""
+    best = 0.0
+    for v in values:
+        if v != v:
+            return v
+        if v > best:
+            best = v
+    return best
 
 
 def _mul_terms(field: ScalarField, a: Mapping, b: Mapping) -> dict:

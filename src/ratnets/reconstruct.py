@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, NotDivisibleError, _as_complex, deleted_products, monomials
+from .poly import HomPoly, NotDivisibleError, _as_complex, deleted_products, max_or_nan, monomials
 from .network import Architecture, Weights, RationalTuple, degrees, forward_recursive
 from .factor import NonConvergenceError, factor_binary_form, factor_multilinear
 
@@ -83,8 +83,8 @@ def projective_mismatch(a: RationalTuple, b: RationalTuple) -> float:
     a, b = projective_normalize(a), projective_normalize(b)
     if len(a.numerators) != len(b.numerators):
         raise ValueError("tuples have different output counts")
-    scale = max(p.max_magnitude() for p in a.all_polys())
-    err = max(pa.sub(pb).max_magnitude() for pa, pb in zip(a.all_polys(), b.all_polys()))
+    scale = max_or_nan(p.max_magnitude() for p in a.all_polys())
+    err = max_or_nan(pa.sub(pb).max_magnitude() for pa, pb in zip(a.all_polys(), b.all_polys()))
     return err / scale if scale else err
 
 
@@ -278,11 +278,9 @@ def reconstruct_auto(t: RationalTuple, arch: Architecture, tol: float = 1e-6,
 
 
 def round_trip_residual(w: Weights, seed: int = 0) -> float:
-    """Forward map, reconstruct, forward map again; max relative coefficient
-    error between the two tuples after projective normalization."""
-    target = forward_recursive(w)
-    verdict = reconstruct_auto(target, w.arch, tol=float("inf"), seed=seed)
+    """Forward map, reconstruct, forward map again: the verdict's projective
+    mismatch between the two tuples (ReconstructionError when none verifies)."""
+    verdict = reconstruct_auto(forward_recursive(w), w.arch, tol=float("inf"), seed=seed)
     if verdict.weights is None:
         raise ReconstructionError(verdict)
-    again = forward_recursive(verdict.weights)
-    return projective_mismatch(target, again)
+    return verdict.residual

@@ -216,6 +216,34 @@ def test_factor_binary_root_finder_failure_is_a_verdict(tmp_path, capsys, monkey
                                "failure_reason": "RootFindFail"}
 
 
+def test_factor_root_finder_failure_is_reported_as_such(tmp_path, capsys, monkeypatch):
+    # every attempt finds a pivot and then fails in the root finder; the
+    # report used to say no pivot was found (LeadingCoeffZeroUnfixable)
+    def fail(coeffs):
+        raise NonConvergenceError("max residual above bound")
+
+    monkeypatch.setattr(factor, "roots_univariate", fail)
+    q = product([lin(1, 1, 1), lin(1, -1, 2)])
+    code, out, err = run(capsys, "factor", "--poly", write_poly(tmp_path / "q.json", q))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["failure_reason"] == "RootFindFail"
+
+
+@pytest.mark.parametrize("seed", [16, 17, 21])
+def test_binary_peel_of_an_overflowing_form_is_a_verdict(tmp_path, capsys, seed):
+    # the peel's compose_linear turns x1^3 = -1e308 into infinite coefficients:
+    # seed 16 ended in "absolute value too large", 17 and 21 in an IndexError
+    t = forward_recursive(Weights.random(Architecture((2, 2, 2, 2, 1)), COMPLEX, seed=seed))
+    P = t.numerators[0]
+    t = RationalTuple((HomPoly(COMPLEX, 2, 3, {**P.terms, (3, 0): -1e308 + 0j}),), t.denominator)
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, err, caught = _run_recording_warnings(capsys, "reconstruct", "--binary", "--layers",
+                                                     "4", "--tuple", tfile)
+    assert (code, err, caught) == (2, "", [])
+    verdict = _strict_json(out)
+    assert (verdict["stage_failed"], verdict["residual"]) == ("FactorTest", None)
+
+
 @pytest.mark.parametrize("argv", [("factor",), ("factor", "--binary")])
 def test_negative_tol_is_one_line_error(tmp_path, capsys, argv):
     q = product([lin(2, 1), lin(1, -3)])

@@ -1,16 +1,17 @@
 import itertools
+import math
 import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL
 from ratnets import factor
-from ratnets.factor import (FactorFailure, NonConvergenceError, _PencilReader, build_H,
-                            factor_binary_form, factor_multilinear, factor_quadratic_explicit,
-                            h_slices, roots_univariate)
+from ratnets.factor import (FactorFailure, FactorReport, NonConvergenceError, _PencilReader,
+                            build_H, factor_binary_form, factor_multilinear,
+                            factor_quadratic_explicit, h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
 from ratnets.poly import HomPoly, monomials, product
 
@@ -201,6 +202,15 @@ class TestFactorBinaryForm:
         with pytest.raises(ValueError):
             factor_binary_form(HomPoly.zero(COMPLEX, 2, 3))
 
+    @pytest.mark.parametrize("big", [complex(-math.inf), complex(math.nan),
+                                     complex(1.5e308, 1.5e308)], ids=["inf", "nan", "abs-overflow"])
+    def test_non_finite_form_rejected(self, big):
+        # an infinite largest magnitude let the leading-coefficient scan run
+        # off the coefficient list (IndexError); abs(1.5e308+1.5e308j) overflows
+        q = HomPoly(COMPLEX, 2, 3, {(3, 0): big, (2, 1): 1 + 0j, (0, 3): 2 + 0j})
+        with pytest.raises(ValueError, match="not finite"):
+            factor_binary_form(q)
+
 
 class TestFactorQuadraticExplicit:
     def test_real_split(self, quadratic_all_real):
@@ -382,3 +392,26 @@ class TestRetriesReadThePencil:
             fa, fb = a.factorization, b.factorization
             assert fb.constant == complex(np.ldexp(fa.constant.real, k), np.ldexp(fa.constant.imag, k))
             assert (fb.factors, fb.residual) == (fa.factors, fa.residual)
+
+
+class TestOutcomes:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-1100, 1100))
+    @example(m=3, seed=444, k=1023)  # attempt 0's division overflowed into np.roots
+    def test_scaled_products_end_in_a_split_or_a_typed_error(self, m, seed, k):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+        q = product([lin(*r) for r in rows])
+        with np.errstate(over="ignore"):  # a coefficient beyond the float range is an input too
+            parts = np.ldexp(np.array(list(q.terms.values())).view(float), k)
+        q = HomPoly(COMPLEX, 2, m, dict(zip(q.terms, parts.view(complex).tolist())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert factor_binary_form(q).residual <= factor.REASSEMBLY_TOL
+            except (NonConvergenceError, ValueError):
+                pass
+            try:
+                assert isinstance(factor_multilinear(q), FactorReport)
+            except ValueError:
+                pass

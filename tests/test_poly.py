@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -247,6 +248,13 @@ class TestHousekeeping:
         # residues congruent to 0 mod p are exact zeros
         g = HomPoly(GF, 2, 2, {(2, 0): 0, (1, 1): 1, (0, 2): GF.p})
         assert g.terms == {(1, 1): 1}
+
+    @pytest.mark.parametrize("terms", [{(1, 0): 1.5, (0, 1): math.nan},
+                                       {(1, 0): math.nan, (0, 1): 1.5}],
+                             ids=["nan-last", "nan-first"])
+    def test_max_magnitude_of_a_nan_coefficient_is_nan(self, terms):
+        # Python's max keeps its current best against a NaN: nan-last read 1.5
+        assert math.isnan(HomPoly(REAL, 2, 1, terms).max_magnitude())
 
     def test_invariant_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ratnets.fields import COMPLEX, REAL
 from ratnets.network import Architecture, RationalTuple, Weights, forward_recursive
 from ratnets.poly import HomPoly, product
-from ratnets.reconstruct import (ReconstructionError, Stage,
+from ratnets.reconstruct import (ReconstructionError, Stage, _verified,
                                  membership_binary_multioutput, projective_mismatch,
                                  projective_normalize, reconstruct_auto,
                                  reconstruct_binary, reconstruct_shallow, resultant_binary,
@@ -29,6 +30,19 @@ class TestProjective:
         scaled = type(t)(tuple(p.scale(2.5 - 1j) for p in t.numerators),
                          t.denominator.scale(2.5 - 1j))
         assert projective_mismatch(t, scaled) < 1e-14
+
+    def test_nan_in_a_second_numerator_is_no_match(self):
+        # the maxima over the components kept a finite best against the NaN
+        w = random_complex_weights((2, 2, 2), 3)
+        t = forward_recursive(w)
+        p2 = t.numerators[1]
+        bad = RationalTuple((t.numerators[0],
+                             HomPoly(COMPLEX, 2, 1, {**p2.terms, (1, 0): complex(math.nan)})),
+                            t.denominator)
+        assert math.isnan(projective_mismatch(t, bad))
+        assert math.isnan(projective_mismatch(bad, t))
+        verdict = _verified(w, bad, 1e-6)
+        assert not verdict.in_model and verdict.stage_failed == Stage.VERIFICATION_FAIL
 
     def test_normalize_sets_leading_one(self):
         w = random_complex_weights((2, 2, 1), 2)
