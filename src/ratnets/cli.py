@@ -7,6 +7,7 @@ All randomness flows from --seed flags; --tol overrides module defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -68,13 +69,22 @@ def _load(path: str, parse):
         raise CliError(f"malformed {path}: {ex}") from ex
 
 
+def _sink(out: str | None):
+    """The --out file, or stdout when none is given."""
+    return open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(obj, out: str | None):
+    # serialize first: a value JSON cannot hold leaves no empty --out file
     text = json.dumps(obj, indent=1, allow_nan=False)
-    if out:
-        with open(out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    with _sink(out) as f:
+        print(text, file=f)
+
+
+def _verdict(obj, ok: bool, out: str | None) -> int:
+    """Emit a verdict; exit 0 when affirmative, 2 when negative."""
+    _emit(obj, out)
+    return 0 if ok else 2
 
 
 def cmd_degrees(args) -> int:
@@ -118,23 +128,20 @@ def cmd_eval(args) -> int:
 
 def cmd_factor(args) -> int:
     p = _load(args.poly, lambda obj: HomPoly.from_json(COMPLEX, obj))
-    if args.binary:
-        try:
-            fz = factor_binary_form(p, tol=args.tol)
-        except NonConvergenceError as ex:
-            # an unverified split is a verdict, as for the multilinear factorizer
-            reason = (FactorFailure.ROOT_FIND_FAIL if ex.residual is None
-                      else FactorFailure.VERIFICATION_FAIL)
-            obj = FactorReport(False, None, False, reason).to_json()
-            if ex.residual is not None:
-                obj["residual"] = ex.residual if math.isfinite(ex.residual) else None
-            _emit(obj, args.out)
-            return 2
-        _emit({"decomposable": True, **fz.to_json()}, args.out)
-        return 0
-    report = factor_multilinear(p, tol=args.tol, seed=args.seed)
-    _emit(report.to_json(), args.out)
-    return 0 if report.decomposable else 2
+    if not args.binary:
+        report = factor_multilinear(p, tol=args.tol, seed=args.seed)
+        return _verdict(report.to_json(), report.decomposable, args.out)
+    try:
+        fz = factor_binary_form(p, tol=args.tol)
+    except NonConvergenceError as ex:
+        # an unverified split is a verdict, as for the multilinear factorizer
+        reason = (FactorFailure.ROOT_FIND_FAIL if ex.residual is None
+                  else FactorFailure.VERIFICATION_FAIL)
+        obj = FactorReport(False, None, False, reason).to_json()
+        if ex.residual is not None:
+            obj["residual"] = ex.residual if math.isfinite(ex.residual) else None
+        return _verdict(obj, False, args.out)
+    return _verdict({"decomposable": True, **fz.to_json()}, True, args.out)
 
 
 def cmd_reconstruct(args) -> int:
@@ -149,8 +156,7 @@ def cmd_reconstruct(args) -> int:
         raise CliError("--arch is required unless --binary is given")
     verdict = reconstruct_auto(t, arch, tol=args.tol, seed=args.seed,
                                require_real=args.real_only)
-    _emit(verdict.to_json(), args.out)
-    return 0 if verdict.in_model else 2
+    return _verdict(verdict.to_json(), verdict.in_model, args.out)
 
 
 def cmd_membership(args) -> int:
@@ -158,15 +164,13 @@ def cmd_membership(args) -> int:
     if args.binary:
         verdict = membership_binary_multioutput(list(t.numerators), t.denominator,
                                                 args.layers, tol=args.tol)
-        _emit(verdict.to_json(), args.out)
-        return 0 if verdict.in_model else 2
+        return _verdict(verdict.to_json(), verdict.in_model, args.out)
     if not args.arch:
         raise CliError("--arch is required unless --binary is given")
     arch = _parse_arch(args.arch)
     res = rank_test_membership(list(t.numerators), t.denominator, arch, tol=args.tol)
-    _emit({"in_model": res.ok, "moment_rank": res.rank,
-           "necessary_only": res.necessary_only}, args.out)
-    return 0 if res.ok else 2
+    return _verdict({"in_model": res.ok, "moment_rank": res.rank,
+                     "necessary_only": res.necessary_only}, res.ok, args.out)
 
 
 def cmd_dim(args) -> int:
@@ -189,11 +193,8 @@ def cmd_census(args) -> int:
         return 0
     reports = census(args.max_params, args.max_layers, p=args.prime, seed=args.seed,
                      max_width=args.max_width, workers=args.workers, samples=args.samples)
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            census_to_csv(reports, f)
-    else:
-        census_to_csv(reports, sys.stdout)
+    with _sink(args.out) as f:
+        census_to_csv(reports, f)
     return 0
 
 
@@ -223,102 +224,88 @@ def cmd_train(args) -> int:
     return 0
 
 
+# add_argument keywords of the flags that several subcommands declare alike
+SHARED = {
+    "--arch": dict(required=True),
+    "--weights": dict(required=True),
+    "--tuple": dict(required=True),
+    "--prime": dict(type=int, default=DEFAULT_PRIME),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=2,
+                      help="most random points ranked (one more when they disagree);"
+                      " a point that reaches the proven bound ends the sampling"),
+    "--workers": dict(type=int, default=1),
+    "--layers": dict(type=int, default=2),
+    "--out": {},
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ratnets", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("degrees", help="numerator/denominator degrees for an architecture")
-    p.add_argument("--arch", required=True)
-    p.set_defaults(func=cmd_degrees)
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **SHARED[flag])
+        return p
 
-    p = sub.add_parser("forward", help="output tuple of a (random or given) network")
-    p.add_argument("--arch", required=True)
+    command("degrees", cmd_degrees, "numerator/denominator degrees for an architecture", "--arch")
+
+    p = command("forward", cmd_forward, "output tuple of a (random or given) network",
+                "--arch", "--prime", "--seed", "--out")
     p.add_argument("--weights")
     p.add_argument("--field", default="real", choices=["real", "complex", "gfp"])
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--binary", action="store_true", help="use the binary closed form")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("eval", help="numeric network evaluation at a point")
-    p.add_argument("--weights", required=True)
+    p = command("eval", cmd_eval, "numeric network evaluation at a point", "--weights")
     p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("factor", help="factor a form into linear forms")
+    p = command("factor", cmd_factor, "factor a form into linear forms", "--seed", "--out")
     p.add_argument("--poly", required=True)
     p.add_argument("--binary", action="store_true", help="two-variable complete split")
     p.add_argument("--tol", type=tolerance, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_factor)
 
-    p = sub.add_parser("reconstruct", help="recover weights from an output tuple")
-    p.add_argument("--tuple", required=True)
+    p = command("reconstruct", cmd_reconstruct, "recover weights from an output tuple",
+                "--tuple", "--layers", "--seed", "--out")
     p.add_argument("--arch", help="n,m,k for the one-hidden-layer procedure")
     p.add_argument("--binary", action="store_true")
-    p.add_argument("--layers", type=int, default=2)
     p.add_argument("--tol", type=tolerance, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--real-only", action="store_true", dest="real_only")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_reconstruct)
+    p.add_argument("--real-only", action="store_true")
 
-    p = sub.add_parser("membership", help="membership screens (moment rank / resultants)")
-    p.add_argument("--tuple", required=True)
+    p = command("membership", cmd_membership, "membership screens (moment rank / resultants)",
+                "--tuple", "--layers", "--out")
     p.add_argument("--arch")
     p.add_argument("--binary", action="store_true")
-    p.add_argument("--layers", type=int, default=2)
     p.add_argument("--tol", type=tolerance, default=1e-8)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_membership)
 
-    p = sub.add_parser("dim", help="variety dimension via finite-field Jacobian rank")
-    p.add_argument("--arch", required=True)
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=2,
-                   help="most random points ranked (one more when they disagree);"
-                   " a point that reaches the proven bound ends the rank")
+    p = command("dim", cmd_dim, "variety dimension via finite-field Jacobian rank",
+                "--arch", "--prime", "--seed", "--samples", "--out")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("census", help="dimension survey over bounded architectures")
+    p = command("census", cmd_census, "dimension survey over bounded architectures",
+                "--prime", "--seed", "--samples", "--workers", "--out")
     p.add_argument("--max-params", type=int, default=30)
     p.add_argument("--max-layers", type=int, default=5)
     p.add_argument("--max-width", type=int, default=9)
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=2,
-                   help="most random points ranked (one more when they disagree);"
-                   " a point that reaches the proven bound ends the row")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_census)
+    p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("hpoly", help="product-form polynomial of a shallow net")
-    p.add_argument("--weights", required=True)
+    p = command("hpoly", cmd_hpoly, "product-form polynomial of a shallow net",
+                "--weights", "--out")
     p.add_argument("--slices", action="store_true", help="also emit the tuple slices")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_hpoly)
 
-    p = sub.add_parser("train", help="pole-learning experiment")
+    p = command("train", cmd_train, "pole-learning experiment", "--seed", "--workers")
     p.add_argument("--inits", type=int, default=100)
     p.add_argument("--epochs", type=int, default=20000)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--clip", type=float, default=None)
-    p.add_argument("--exclusion-radius", type=float, default=0.0, dest="exclusion_radius")
+    p.add_argument("--exclusion-radius", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--success-loss", type=float, default=1e-3, dest="success_loss")
-    p.add_argument("--success-angle", type=float, default=5.0, dest="success_angle")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--success-loss", type=float, default=1e-3)
+    p.add_argument("--success-angle", type=float, default=5.0)
+    p.add_argument("--out-dir")
 
     return parser
 

@@ -196,17 +196,18 @@ class HomPoly:
 
         The remainder is the terms free of x_var.  For exact fields it must
         be empty; for float fields it must stay below tol relative to the
-        dividend.
+        dividend.  A NaN coefficient anywhere fails the test.
         """
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} outside 0..{self.nvars - 1}")
         if self.degree < 1:
             raise ValueError("dividend must have degree >= 1")
         f = self.field
-        rem_mag = max((f.magnitude(c) for e, c in self.terms.items() if not e[var]), default=0.0)
+        rem_mag = max_or_nan(f.magnitude(c) for e, c in self.terms.items() if not e[var])
         bound = 0.0 if f.exact else tol * max(self.max_magnitude(), 1e-300)
-        if rem_mag > bound:
-            raise NotDivisibleError(f"remainder magnitude {rem_mag:.3e} exceeds tolerance")
+        if not rem_mag <= bound:
+            raise NotDivisibleError(f"remainder magnitude {rem_mag:.3e} is not within "
+                                    f"the bound {bound:.3e}")
         # stable sort, descending powers of x_var: term order fixes the rounding of later float sums
         kept = sorted((t for t in self.terms.items() if t[0][var]), key=lambda t: -t[0][var])
         quot = {e[:var] + (e[var] - 1,) + e[var + 1:]: c for e, c in kept}

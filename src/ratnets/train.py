@@ -48,7 +48,6 @@ class AllPointsSkippedError(ArithmeticError):
 class Dataset:
     inputs: np.ndarray      # (N, 2)
     targets: np.ndarray     # (N,)
-    exclusion_radius: float
 
 
 @dataclass
@@ -99,7 +98,7 @@ def sample_lattice(exclusion_radius: float = 0.0, grid_points: int = 21) -> Data
     if not keep.any():
         raise ValueError(f"no lattice point lies farther than {exclusion_radius} from a pole line")
     pts = np.stack([x[keep], y[keep]], axis=1)
-    return Dataset(pts, target_g(pts[:, 0], pts[:, 1]), exclusion_radius)
+    return Dataset(pts, target_g(pts[:, 0], pts[:, 1]))
 
 
 def xavier_init(arch, seed) -> list[np.ndarray]:
@@ -224,19 +223,14 @@ def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
 @dataclass
 class AdamState:
     """Adam state of a stack of R runs: row r of params, m and v holds run
-    r's weights and moments flattened in layer order, t[r] its step count."""
+    r's weights and moments flattened in layer order, t[r] its step count.
+    The moments and step counts start at zero."""
     params: np.ndarray
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    t: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.m is None:
-            self.m = np.zeros_like(self.params)
-        if self.v is None:
-            self.v = np.zeros_like(self.params)
-        if self.t is None:
-            self.t = np.zeros(len(self.params), dtype=int)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.t = np.zeros(len(self.params), dtype=int)
 
 
 def adam_step(state: AdamState, grads: np.ndarray, lr: float,
@@ -247,22 +241,20 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float,
     Only the runs flagged in active (default: all) step; the others keep
     their weights, moments and step count.
     """
-    if active is not None and not active.all():
-        sub = AdamState(state.params[active], state.m[active], state.v[active], state.t[active])
-        adam_step(sub, grads[active], lr)
-        state.params[active], state.m[active], state.v[active], state.t[active] = \
-            sub.params, sub.m, sub.v, sub.t
-        return
-    state.t += 1
+    # a slice keeps the all-active step in place; an index array copies the rows
+    rows = slice(None) if active is None or active.all() else np.flatnonzero(active)
+    g = grads[rows]
+    t, m, v, params = state.t[rows] + 1, state.m[rows], state.v[rows], state.params[rows]
     # Python's pow, not numpy's, which differs in the last bit for some t
-    steps = state.t.tolist()
-    state.m *= ADAM_BETA1
-    state.m += (1 - ADAM_BETA1) * grads
-    state.v *= ADAM_BETA2
-    state.v += (1 - ADAM_BETA2) * grads * grads
-    mhat = state.m / np.array([1 - ADAM_BETA1 ** t for t in steps])[:, None]
-    vhat = state.v / np.array([1 - ADAM_BETA2 ** t for t in steps])[:, None]
-    state.params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    steps = t.tolist()
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    mhat = m / np.array([1 - ADAM_BETA1 ** s for s in steps])[:, None]
+    vhat = v / np.array([1 - ADAM_BETA2 ** s for s in steps])[:, None]
+    params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    state.t[rows], state.m[rows], state.v[rows], state.params[rows] = t, m, v, params
 
 
 def singularity_recovery_score(w1: np.ndarray) -> list[float]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import pytest
 
 from ratnets import factor
-from ratnets.cli import main
+from ratnets.cli import build_parser, main, tolerance
 from ratnets.factor import NonConvergenceError
 from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.network import (Architecture, RationalTuple, Weights, degrees, eval_network,
@@ -708,3 +709,85 @@ def test_membership_binary_below_two_layers_is_one_line_error(tmp_path, capsys, 
     tfile = write_tuple(tmp_path / "t.json", t)
     _assert_one_line_error(*run(capsys, "membership", "--binary", "--layers", layers,
                                 "--tuple", tfile))
+
+
+# Every subcommand's options, written out: (option strings, dest, type,
+# default, required, choices, action class).  The help action is left out.
+_STORE, _FLAG = argparse._StoreAction, argparse._StoreTrueAction
+_OUT = ("--out", "out", None, None, False, None, _STORE)
+_SEED = ("--seed", "seed", int, 0, False, None, _STORE)
+_PRIME = ("--prime", "prime", int, 2147483647, False, None, _STORE)
+_LAYERS = ("--layers", "layers", int, 2, False, None, _STORE)
+_SAMPLES = ("--samples", "samples", int, 2, False, None, _STORE)
+_WORKERS = ("--workers", "workers", int, 1, False, None, _STORE)
+_BINARY = ("--binary", "binary", None, False, False, None, _FLAG)
+OPTIONS = {
+    "degrees": [("--arch", "arch", None, None, True, None, _STORE)],
+    "forward": [("--arch", "arch", None, None, True, None, _STORE),
+                ("--weights", "weights", None, None, False, None, _STORE),
+                ("--field", "field", None, "real", False, ["real", "complex", "gfp"], _STORE),
+                _PRIME, _SEED, _BINARY, _OUT],
+    "eval": [("--weights", "weights", None, None, True, None, _STORE),
+             ("--x", "x", None, None, True, None, _STORE)],
+    "factor": [("--poly", "poly", None, None, True, None, _STORE), _BINARY,
+               ("--tol", "tol", tolerance, 1e-8, False, None, _STORE), _SEED, _OUT],
+    "reconstruct": [("--tuple", "tuple", None, None, True, None, _STORE),
+                    ("--arch", "arch", None, None, False, None, _STORE), _BINARY, _LAYERS,
+                    ("--tol", "tol", tolerance, 1e-6, False, None, _STORE), _SEED,
+                    ("--real-only", "real_only", None, False, False, None, _FLAG), _OUT],
+    "membership": [("--tuple", "tuple", None, None, True, None, _STORE),
+                   ("--arch", "arch", None, None, False, None, _STORE), _BINARY, _LAYERS,
+                   ("--tol", "tol", tolerance, 1e-8, False, None, _STORE), _OUT],
+    "dim": [("--arch", "arch", None, None, True, None, _STORE), _PRIME, _SEED, _SAMPLES,
+            ("--json", "json", None, False, False, None, _FLAG), _OUT],
+    "census": [("--max-params", "max_params", int, 30, False, None, _STORE),
+               ("--max-layers", "max_layers", int, 5, False, None, _STORE),
+               ("--max-width", "max_width", int, 9, False, None, _STORE),
+               _PRIME, _SEED, _SAMPLES, _WORKERS,
+               ("--count-only", "count_only", None, False, False, None, _FLAG), _OUT],
+    "hpoly": [("--weights", "weights", None, None, True, None, _STORE),
+              ("--slices", "slices", None, False, False, None, _FLAG), _OUT],
+    "train": [("--inits", "inits", int, 100, False, None, _STORE),
+              ("--epochs", "epochs", int, 20000, False, None, _STORE),
+              ("--lr", "lr", float, 1e-3, False, None, _STORE), _SEED, _WORKERS,
+              ("--clip", "clip", float, None, False, None, _STORE),
+              ("--exclusion-radius", "exclusion_radius", float, 0.0, False, None, _STORE),
+              ("--grid", "grid", int, 21, False, None, _STORE),
+              ("--success-loss", "success_loss", float, 1e-3, False, None, _STORE),
+              ("--success-angle", "success_angle", float, 5.0, False, None, _STORE),
+              ("--out-dir", "out_dir", None, None, False, None, _STORE)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+def test_subcommand_options_are_pinned(name):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OPTIONS)
+    got = {tuple(a.option_strings): (a.dest, a.type, a.default, a.required, a.choices, type(a))
+           for a in sub.choices[name]._actions if not isinstance(a, argparse._HelpAction)}
+    assert got == {(flag,): tuple(rest) for flag, *rest in OPTIONS[name]}
+
+
+def test_unserializable_output_leaves_no_out_file(tmp_path, capsys):
+    # the JSON text is built before --out opens, so an infinite coefficient
+    # is one error line and no empty file
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"arch": [2, 2, 1], "field": "real",
+                                 "mats": [[[1e200, 1e200], [1e200, -1e200]], [[1e200, 1e200]]]}))
+    target = tmp_path / "o.json"
+    _assert_one_line_error(*run(capsys, "forward", "--arch", "2,2,1", "--weights", str(wfile),
+                                "--out", str(target)))
+    assert not target.exists()
+
+
+def test_census_out_file_matches_stdout(tmp_path, capsys):
+    def rows(text):  # every column bar runtime_s
+        return [line.split(",")[:-2] + line.split(",")[-1:] for line in text.split("\n")]
+
+    argv = ("census", "--max-params", "12", "--max-layers", "3")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    target = tmp_path / "tab.csv"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    written = target.read_bytes().decode()
+    assert len(rows(written)) > 2 and rows(written) == rows(out)

@@ -182,6 +182,19 @@ class TestExactDivide:
         assert list(q.terms) == want
         assert [q.terms[(a, b - 1, c)] for a, b, c in mons] == [p.terms[e] for e in mons]
 
+    def test_nan_remainder_is_not_divisible(self):
+        # Python's max and a > test both let NaN through: this returned the constant 1
+        p = HomPoly(COMPLEX, 2, 1, {(1, 0): 1, (0, 1): math.nan})
+        with pytest.raises(NotDivisibleError, match="not within the bound nan"):
+            p.exact_divide(0)
+
+    def test_nan_in_a_kept_term_is_not_divisible(self):
+        # the remainder is empty, but a NaN dividend makes the bound NaN
+        p = HomPoly(COMPLEX, 2, 2, {(2, 0): 1, (1, 1): math.nan})
+        with pytest.raises(NotDivisibleError) as err:
+            p.exact_divide(0)
+        assert "exceeds" not in str(err.value)
+
     @pytest.mark.parametrize("var", [-1, 2, 3])
     def test_variable_out_of_range(self, var):
         p = x(REAL, 2, 0).mul(x(REAL, 2, 1))

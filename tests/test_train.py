@@ -196,6 +196,24 @@ class TestAdam:
         # a run's update never depends on the other runs of the stack
         assert (state.params[2:] == alone.params).all()
 
+    def test_fresh_state_starts_at_zero(self):
+        state = AdamState(np.ones((3, 4)))
+        assert (state.m == 0).all() and (state.v == 0).all() and (state.t == 0).all()
+        assert state.m.shape == state.v.shape == (3, 4) and state.t.shape == (3,)
+
+    def test_all_active_mask_is_the_default_step(self):
+        # train_stack passes an all-True mask on every epoch with no pole hit
+        rng = np.random.default_rng(8)
+        start = rng.normal(size=(3, 6))
+        masked, plain = AdamState(start.copy()), AdamState(start.copy())
+        for g in rng.normal(size=(6, 3, 6)):
+            adam_step(masked, g, 1e-2, np.ones(3, dtype=bool))
+            adam_step(plain, g, 1e-2)
+        for a, b in zip((masked.params, masked.m, masked.v, masked.t),
+                        (plain.params, plain.m, plain.v, plain.t)):
+            assert a.tobytes() == b.tobytes()
+        assert masked.t.tolist() == [6, 6, 6]
+
 
 class TestRecoveryScore:
     def test_exact_rows_scale_invariant(self):
