@@ -196,7 +196,8 @@ class HomPoly:
 
         The remainder is the terms free of x_var.  For exact fields it must
         be empty; for float fields it must stay below tol relative to the
-        dividend.  A NaN coefficient anywhere fails the test.
+        dividend.  A NaN coefficient anywhere, or an infinite one in the
+        remainder, fails the test whatever tol is (tol may be inf).
         """
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} outside 0..{self.nvars - 1}")
@@ -205,7 +206,7 @@ class HomPoly:
         f = self.field
         rem_mag = max_or_nan(f.magnitude(c) for e, c in self.terms.items() if not e[var])
         bound = 0.0 if f.exact else tol * max(self.max_magnitude(), 1e-300)
-        if not rem_mag <= bound:
+        if not (rem_mag <= bound and rem_mag < float("inf")):
             raise NotDivisibleError(f"remainder magnitude {rem_mag:.3e} is not within "
                                     f"the bound {bound:.3e}")
         # stable sort, descending powers of x_var: term order fixes the rounding of later float sums

@@ -251,12 +251,14 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
         return _fail(Stage.FACTOR_TEST, necessary_only=True)
     if layers == 2:  # exact: factor Q, solve for the output layer, measure the residual
         return reconstruct_shallow(Ps, Q, Architecture((2, 2, len(Ps))), tol)
-    Ps = [p.scale(1.0 / max(p.max_magnitude(), 1e-300)) for p in map(_as_complex, Ps)]
-    worst = 0.0
-    for i in range(len(Ps)):
-        for j in range(i + 1, len(Ps)):
-            worst = max(worst, abs(resultant_binary(Ps[i], Ps[j])))
-    if worst > tol:
+    Ps = list(map(_as_complex, Ps))
+    scales = [p.max_magnitude() for p in Ps]
+    if not all(s < float("inf") for s in scales):  # NaN too; scaling would make NaN determinants
+        return _fail(Stage.VERIFICATION_FAIL, necessary_only=True)
+    Ps = [p.scale(1.0 / max(s, 1e-300)) for p, s in zip(Ps, scales)]
+    worst = max_or_nan(abs(resultant_binary(Ps[i], Ps[j]))
+                       for i in range(len(Ps)) for j in range(i + 1, len(Ps)))
+    if not worst <= tol:
         return MembershipVerdict(False, Stage.VERIFICATION_FAIL, None, worst, True)
     return MembershipVerdict(True, Stage.NONE, None, worst, True)
 

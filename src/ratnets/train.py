@@ -9,14 +9,15 @@ when some first-layer row aligns with a true pole normal.
 
 The runs train as one stack: every weight matrix carries a leading run
 axis, shape (R, d_out, d_in), and each epoch is one loss-and-gradient pass
-(`forward_backward_stack`) and one in-place Adam update (`adam_step`) over
-all R runs.  Each run masks its own pole points and keeps its own point
-count, loss, skip count and Adam step count; a run whose every point sits
-at a pole skips that epoch's update.  A single run is the R = 1 case
-(`train_run`, `forward_backward`).  Run i of an experiment draws its
-initialization from (seed, i) and its results depend on nothing else, so
-they are bit-identical however the runs are grouped into stacks or worker
-processes.
+and one in-place Adam update (`adam_step`) over all R runs.  The pass is
+built once per stack with all its temporaries, which every epoch overwrites
+(`forward_backward_stack` builds it for one call).  Each run masks its own
+pole points and keeps its own point count, loss, skip count and Adam step
+count; a run whose every point sits at a pole skips that epoch's update.  A
+single run is the R = 1 case (`train_run`, `forward_backward`).  Run i of
+an experiment draws its initialization from (seed, i) and its results
+depend on nothing else, so they are bit-identical however the runs are
+grouped into stacks or worker processes.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ import numpy as np
 POLE_NORMALS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 POLE_GUARD = 1e-9
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Largest per-layer temporary of one kernel call, in floats (125 KiB): below
-# glibc's 128 KiB mmap threshold an epoch reuses heap memory, above it every
-# temporary page-faults in fresh memory, which doubles the cost per run.
-# Larger stacks go through the kernel in blocks of runs.
-BLOCK_FLOATS = 16000
 
 
 class AllPointsSkippedError(ArithmeticError):
@@ -128,6 +124,73 @@ def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
+    """The loss-and-gradient pass of forward_backward_stack over these mats,
+    built once.  Every temporary is allocated here; each call of the
+    returned function reads mats afresh, overwrites the temporaries and
+    returns the same three (loss, grads, skipped) arrays."""
+    count, total = len(mats[0]), x.shape[1]
+    shapes = [w.shape[1:] for w in mats]
+    us = [np.empty((count, rows, total)) for rows, _ in shapes[:-1]]
+    acts = [x] + [np.empty_like(u) for u in us]
+    das = [np.empty_like(u) for u in us]  # |u| in the forward pass
+    r = np.empty((count, shapes[-1][0], total))
+    square = np.empty_like(r)
+    loss = np.empty(count)
+    mse = loss.reshape(count, 1, 1)  # a view: the sums land in loss
+    grads = np.empty((count, sum(rows * cols for rows, cols in shapes)))
+    views = _flat_views(grads, shapes)
+    skipped = np.zeros(count, dtype=int)
+
+    def run():
+        keep = None  # (R, B) surviving points; None while every point survives
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for w, u, a, a_in, m in zip(mats, us, acts[1:], acts, das):
+                np.matmul(w, a_in, out=u)
+                np.abs(u, out=m)
+                if not (m.size and m.min() >= POLE_GUARD and m.max() < np.inf):
+                    ok = ((m >= POLE_GUARD) & (m < np.inf)).all(axis=1)
+                    keep = ok if keep is None else keep & ok
+                np.divide(1.0, u, out=a)
+            np.matmul(mats[-1], acts[-1], out=r)
+            np.subtract(r, y, out=r)
+        b = total
+        if keep is not None:
+            kept = keep.sum(axis=1)
+            # in the runs that lost points, unit pre-activations and zero
+            # activations and residuals keep those points out of every sum below
+            hit = np.flatnonzero(kept < total)
+            cut = ~keep[hit, None, :]
+            for u, a in zip(us, acts[1:]):
+                u[hit] = np.where(cut, 1.0, u[hit])
+                a[hit] = np.where(cut, 0.0, a[hit])
+            r[hit] = np.where(cut, 0.0, r[hit])
+            b = np.maximum(kept, 1)[:, None, None]
+        np.sum(np.multiply(r, r, out=square), axis=(1, 2), keepdims=True, out=mse)
+        np.divide(mse, b, out=mse)
+        d = r
+        d *= 2.0
+        d /= b
+        for k in range(len(mats) - 1, -1, -1):
+            np.matmul(d, acts[k].swapaxes(-1, -2), out=views[k])
+            if k == 0:
+                break
+            # wT d; with one row in w each entry is one product, so broadcast
+            wt = mats[k].swapaxes(-1, -2)
+            (np.multiply if wt.shape[2] == 1 else np.matmul)(wt, d, out=das[k - 1])
+            d = das[k - 1]
+            d /= np.square(us[k - 1], out=us[k - 1])
+            np.negative(d, out=d)
+        if keep is None:
+            skipped.fill(0)
+        else:
+            loss[kept == 0] = np.inf
+            np.subtract(total, kept, out=skipped)
+        return loss, grads, skipped
+
+    return run
+
+
 def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     """Full-batch MSE losses and exact gradients of R runs at once, by
     reverse accumulation.
@@ -139,67 +202,9 @@ def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray)
     loss (R,), inf for a run with no surviving point; grads (R, P), each
     run's gradient matrices flattened in layer order, zero for such a run;
     skipped (R,) ints.  Each run's results depend only on its own weights,
-    not on the other runs of the stack, so a stack too large for one pass
-    under BLOCK_FLOATS goes through in blocks of runs.
+    not on the other runs of the stack.
     """
-    count, total = len(mats[0]), x.shape[1]
-    width = max(max(w.shape[1:]) for w in mats)
-    blocks = -(-count * width * total // BLOCK_FLOATS)
-    if blocks < 2:
-        return _forward_backward_block(mats, x, y)
-    size = -(-count // blocks)
-    parts = [_forward_backward_block([w[lo:lo + size] for w in mats], x, y)
-             for lo in range(0, count, size)]
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
-def _forward_backward_block(mats, x, y):
-    total = x.shape[1]
-    count = len(mats[0])
-    acts, us = [x], []
-    keep = None  # (R, B) surviving points; None while every point survives
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for w in mats[:-1]:
-            u = w @ acts[-1]
-            mag = np.abs(u)
-            if not (mag.size and mag.min() >= POLE_GUARD and mag.max() < np.inf):
-                ok = ((mag >= POLE_GUARD) & (mag < np.inf)).all(axis=1)
-                keep = ok if keep is None else keep & ok
-            us.append(u)
-            acts.append(1.0 / u)
-        r = mats[-1] @ acts[-1] - y
-    b = total
-    if keep is not None:
-        kept = keep.sum(axis=1)
-        # in the runs that lost points, unit pre-activations and zero
-        # activations and residuals keep those points out of every sum below
-        hit = np.flatnonzero(kept < total)
-        cut = ~keep[hit, None, :]
-        for u, a in zip(us, acts[1:]):
-            u[hit] = np.where(cut, 1.0, u[hit])
-            a[hit] = np.where(cut, 0.0, a[hit])
-        r[hit] = np.where(cut, 0.0, r[hit])
-        b = np.maximum(kept, 1)[:, None, None]
-    loss = ((r * r).sum(axis=(1, 2), keepdims=True) / b).reshape(count)
-
-    grads = np.empty((count, sum(w[0].size for w in mats)))
-    views = _flat_views(grads, [w.shape[1:] for w in mats])
-    dout = r
-    dout *= 2.0
-    dout /= b
-    np.matmul(dout, acts[-1].swapaxes(-1, -2), out=views[-1])
-    da = mats[-1].swapaxes(-1, -2) @ dout
-    for k in range(len(mats) - 2, -1, -1):
-        du = da
-        du /= np.square(us[k], out=us[k])
-        np.negative(du, out=du)
-        np.matmul(du, acts[k].swapaxes(-1, -2), out=views[k])
-        if k > 0:
-            da = mats[k].swapaxes(-1, -2) @ du
-    if keep is None:
-        return loss, grads, np.zeros(count, dtype=int)
-    loss[kept == 0] = np.inf
-    return loss, grads, total - kept
+    return _stack_pass(mats, x, y)()
 
 
 def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
@@ -233,6 +238,11 @@ class AdamState:
         self.t = np.zeros(len(self.params), dtype=int)
 
 
+# 1 - beta ** t for t = 0, 1, ...: Python's pow, not numpy's, which differs
+# in the last bit for some t; rebuilt twice as long when a step passes the end
+_BIAS_CORRECTIONS = np.empty((2, 0))
+
+
 def adam_step(state: AdamState, grads: np.ndarray, lr: float,
               active: np.ndarray | None = None) -> None:
     """One standard update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with per-run
@@ -241,20 +251,27 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float,
     Only the runs flagged in active (default: all) step; the others keep
     their weights, moments and step count.
     """
-    # a slice keeps the all-active step in place; an index array copies the rows
-    rows = slice(None) if active is None or active.all() else np.flatnonzero(active)
+    global _BIAS_CORRECTIONS
+    every = active is None or active.all()
+    # a slice updates the all-active rows in place; an index array copies them
+    rows = slice(None) if every else np.flatnonzero(active)
     g = grads[rows]
     t, m, v, params = state.t[rows] + 1, state.m[rows], state.v[rows], state.params[rows]
-    # Python's pow, not numpy's, which differs in the last bit for some t
-    steps = t.tolist()
+    top = int(t.max(initial=0))
+    if top >= _BIAS_CORRECTIONS.shape[1]:
+        n = max(2 * _BIAS_CORRECTIONS.shape[1], top + 1)
+        _BIAS_CORRECTIONS = np.array([[1 - beta ** s for s in range(n)]
+                                      for beta in (ADAM_BETA1, ADAM_BETA2)])
     m *= ADAM_BETA1
     m += (1 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1 - ADAM_BETA2) * g * g
-    mhat = m / np.array([1 - ADAM_BETA1 ** s for s in steps])[:, None]
-    vhat = v / np.array([1 - ADAM_BETA2 ** s for s in steps])[:, None]
+    mhat = m / _BIAS_CORRECTIONS[0, t][:, None]
+    vhat = v / _BIAS_CORRECTIONS[1, t][:, None]
     params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    state.t[rows], state.m[rows], state.v[rows], state.params[rows] = t, m, v, params
+    state.t[rows] = t
+    if not every:
+        state.m[rows], state.v[rows], state.params[rows] = m, v, params
 
 
 def singularity_recovery_score(w1: np.ndarray) -> list[float]:
@@ -287,15 +304,15 @@ def train_stack(config: TrainConfig, dataset: Dataset,
     state = AdamState(np.concatenate([np.asarray(m, dtype=float).reshape(count, -1)
                                       for m in initial], axis=1))
     mats = _flat_views(state.params, shapes)
-    x = dataset.inputs.T
-    y = dataset.targets
+    x = np.ascontiguousarray(dataset.inputs.T)
     total = x.shape[1]
+    step = _stack_pass(mats, x, dataset.targets)
     losses = np.empty((count, config.epochs))
     skipped = np.empty((count, config.epochs), dtype=int)
     # a diverged run overflows to inf and NaN; its losses and weights record that
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            loss, grads, n_skip = forward_backward_stack(mats, x, y)
+            loss, grads, n_skip = step()
             losses[:, epoch] = loss
             skipped[:, epoch] = n_skip
             if config.clip is not None:

@@ -298,3 +298,8 @@ def oracle_forward_backward():
 @pytest.fixture
 def oracle_train_run():
     return train_run
+
+
+@pytest.fixture
+def oracle_adam():
+    return AdamState, adam_step

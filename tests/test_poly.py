@@ -195,6 +195,16 @@ class TestExactDivide:
             p.exact_divide(0)
         assert "exceeds" not in str(err.value)
 
+    @pytest.mark.parametrize("tol", [1e-9, math.inf])
+    def test_infinite_remainder_is_not_divisible(self, tol):
+        # inf <= tol * inf held, so this returned the constant 1
+        p = HomPoly(COMPLEX, 2, 1, {(1, 0): 1, (0, 1): math.inf})
+        with pytest.raises(NotDivisibleError):
+            p.exact_divide(0, tol)
+        # an infinite bound still passes a finite remainder
+        finite = HomPoly(COMPLEX, 2, 1, {(1, 0): 1, (0, 1): 1e300})
+        assert finite.exact_divide(0, math.inf).terms == {(0, 0): 1}
+
     @pytest.mark.parametrize("var", [-1, 2, 3])
     def test_variable_out_of_range(self, var):
         p = x(REAL, 2, 0).mul(x(REAL, 2, 1))

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,18 @@ class TestResultantScreen:
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.DEGREE_TEST
         assert membership_binary_multioutput([], Q, 3).stage_failed == Stage.DEGREE_TEST
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_numerator_fails_the_screen(self, bad):
+        # max(0.0, nan) is 0.0: a NaN determinant passed with residual 0
+        t = forward_recursive(Weights.random(Architecture((2, 2, 2, 2)), COMPLEX, seed=1))
+        Ps = list(t.numerators)
+        Ps[0] = HomPoly(COMPLEX, 2, Ps[0].degree, {**Ps[0].terms, (Ps[0].degree, 0): bad})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = membership_binary_multioutput(Ps, t.denominator, 3)
+        assert not verdict.in_model
+        assert verdict.stage_failed == Stage.VERIFICATION_FAIL
 
     def test_single_output_vacuous(self):
         P = HomPoly(COMPLEX, 2, 3, {(3, 0): 1 + 0j})

@@ -156,6 +156,33 @@ class TestForwardBackward:
             assert loss[r] == one_loss and skipped[r] == one_skipped
             assert (grads[r] == np.concatenate([g.ravel() for g in one_grads])).all()
 
+    @pytest.mark.parametrize("arch", [(2, 3, 2), (2, 3, 3, 1)])
+    def test_other_shapes_match_single_runs_and_oracle(self, arch, oracle_forward_backward):
+        # (2, 3, 2) back-propagates its two outputs by a matmul, (2, 3, 3, 1)
+        # has two hidden layers; the (1, 0) first-layer row hits x = 0
+        ds = sample_lattice()
+        x = ds.inputs.T
+        y = np.stack([ds.targets, np.cos(ds.targets)]) if arch[-1] == 2 else ds.targets
+        runs = [xavier_init(arch, s) for s in range(4)]
+        runs[1][0][0] = [1.0, 0.0]
+        stack = [np.stack(layer) for layer in zip(*runs)]
+        loss, grads, skipped = forward_backward_stack(stack, x, y)
+        assert skipped[1] >= 20
+        for r, mats in enumerate(runs):
+            one_loss, one_grads, one_skipped = forward_backward(mats, x, y)
+            assert loss[r] == one_loss and skipped[r] == one_skipped
+            assert (grads[r] == np.concatenate([g.ravel() for g in one_grads])).all()
+            want_loss, want_grads, want_skipped = oracle_forward_backward(mats, x, y)
+            assert one_skipped == want_skipped
+            assert one_loss == pytest.approx(want_loss, rel=1e-12)
+            for g, w in zip(one_grads, want_grads):
+                assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+        # each call returns arrays of its own
+        again = forward_backward_stack(stack, x, y)
+        for first, second in zip((loss, grads, skipped), again):
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == second.tobytes()
+
 
 class TestAdam:
     def test_zero_grads_leave_params(self):
@@ -195,6 +222,26 @@ class TestAdam:
         assert state.t.tolist() == [5, 3, 5]
         # a run's update never depends on the other runs of the stack
         assert (state.params[2:] == alone.params).all()
+
+    def test_long_masked_run_matches_oracle_bit_for_bit(self, oracle_adam):
+        # 25,000 steps pass criterion 11's 20,000 epochs and every growth of
+        # the bias-correction tables; run 1 skips every third step
+        oracle_state, oracle_step = oracle_adam
+        rng = np.random.default_rng(21)
+        start = rng.normal(size=(3, 4))
+        state = AdamState(start.copy())
+        alone = [oracle_state([row.copy()]) for row in start]
+        for step, g in enumerate(rng.normal(size=(25000, 3, 4))):
+            active = np.array([True, step % 3 != 0, True])
+            adam_step(state, g, 1e-3, active)
+            for r in np.flatnonzero(active):
+                alone[r] = oracle_step(alone[r], [g[r]], 1e-3)
+                assert state.params[r].tobytes() == alone[r].params[0].tobytes()
+        for r in range(3):
+            assert state.m[r].tobytes() == alone[r].m[0].tobytes()
+            assert state.v[r].tobytes() == alone[r].v[0].tobytes()
+            assert state.t[r] == alone[r].t
+        assert state.t.tolist() == [25000, 16666, 25000]
 
     def test_fresh_state_starts_at_zero(self):
         state = AdamState(np.ones((3, 4)))
