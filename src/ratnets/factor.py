@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, _as_complex, deleted_products, product
+from .poly import HomPoly, _as_complex, _pow2_scaled, deleted_products, product
 from .network import Weights
 
 ROOT_TOL = 1e-10
@@ -139,15 +139,11 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
 
 
-def _pow2_scaled(c: np.ndarray) -> tuple[np.ndarray, int]:
-    """(c * 2**-e, e) with the largest real or imaginary part of c scaled into
-    [0.5, 1): exact in range, and products stay finite near either end of it."""
-    e = int(np.frexp(np.max(np.abs(c.view(float))))[1])
-    return np.ldexp(c.view(float), -e).view(complex), e
-
-
 def _guarded(q: HomPoly) -> tuple[HomPoly, float]:
-    """(q over COMPLEX, its largest coefficient magnitude); ValueError if zero or not finite."""
+    """(q over COMPLEX, its largest coefficient magnitude); ValueError if
+    constant, zero or not finite."""
+    if q.degree < 1:
+        raise ValueError(f"cannot factor a form of degree {q.degree}: need degree >= 1")
     if q.is_zero():
         raise ValueError("cannot factor the zero form")
     q = _as_complex(q)
@@ -182,8 +178,8 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     """
     Q, maxmag = _guarded(Q)
     m, n = Q.degree, Q.nvars
-    if m < 1 or n < 2:
-        raise ValueError("need degree >= 1 and at least 2 variables")
+    if n < 2:
+        raise ValueError("need at least 2 variables")
     rng = np.random.default_rng(seed)
     reader = None
     failure = FactorFailure.LEADING_COEFF_ZERO_UNFIXABLE

@@ -102,7 +102,18 @@ class ScalarField:
 
 
 class _FloatField(ScalarField):
-    """Arithmetic shared by the float fields: Python's own operators."""
+    """Arithmetic shared by the float fields: Python's own operators on the
+    subclass's ``scalar`` type, whose constants ``_zero`` and ``_one`` are
+    returned, not rebuilt: every absent-coefficient lookup asks for zero."""
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
+
+    def from_int(self, n):
+        return self.scalar(n)
 
     def add(self, a, b):
         return a + b
@@ -127,17 +138,8 @@ class _FloatField(ScalarField):
 
 
 class RealField(_FloatField):
-    name = "real"
-    json_name = "real"
-
-    def zero(self):
-        return 0.0
-
-    def one(self):
-        return 1.0
-
-    def from_int(self, n):
-        return float(n)
+    name = json_name = "real"
+    scalar, _zero, _one = float, 0.0, 1.0
 
     def random(self, rng):
         return rng.uniform(-1.0, 1.0)
@@ -150,17 +152,8 @@ class RealField(_FloatField):
 
 
 class ComplexField(_FloatField):
-    name = "complex"
-    json_name = "complex"
-
-    def zero(self):
-        return 0j
-
-    def one(self):
-        return 1 + 0j
-
-    def from_int(self, n):
-        return complex(n)
+    name = json_name = "complex"
+    scalar, _zero, _one = complex, 0j, 1 + 0j
 
     def random(self, rng):
         return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))

@@ -28,9 +28,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import DEFAULT_PRIME, PrimeField, is_prime
+from .fields import COMPLEX, DEFAULT_PRIME, PrimeField, is_prime
 from .network import Architecture, ambient_dim, assemble, degrees, param_count
-from .poly import HomPoly, deleted_products, monomial_count, monomials
+from .poly import HomPoly, _pow2_scaled, deleted_products, monomial_count, monomials
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
 WORD_PRIME_LIMIT = 2 ** 62  # below it a*b - q*p fits in int64 (see _mul_mod)
@@ -114,12 +114,6 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a * b - q * p) % p).view(np.uint64)
 
 
-def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a + b mod p for residue arrays of one dtype; the sum stays below
-    2p, which fits every backend."""
-    return (a + b) % p
-
-
 def gf_rank(rows, p: int) -> int:
     """Rank over GF(p) of integer rows (a 2-D array or a list of rows), by
     vectorized elimination along the shorter side."""
@@ -137,7 +131,7 @@ def gf_rank(rows, p: int) -> int:
             piv = rank + nonzero[0]
             a[[rank, piv]] = a[[piv, rank]]
         # each row below minus (its first entry / pivot) times the pivot row,
-        # which stays unnormalised; the sum is _add_mod in place
+        # which stays unnormalised; the sum, below 2p, is reduced in place
         neg_inv = a.dtype.type(p - pow(int(a[rank, col]), -1, p))
         below = a[rank + 1:, col:]
         below += _mul_mod(_mul_mod(below[:, :1], neg_inv, p), a[rank, col:], p)
@@ -180,15 +174,15 @@ def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
             return terms.sum(axis=1) % p
         acc = terms[:, 0]
         for j in range(1, terms.shape[1]):
-            acc = _add_mod(acc, terms[:, j], p)
+            acc = (acc + terms[:, j]) % p  # below 2p, which fits uint64
         return acc
 
     def mul(a, b):  # (value, tangent) pairs of shapes (N,), (N, P); None is one
         if a is None or b is None:
             return b if a is None else a
         (av, at), (bv, bt) = a, b
-        return (_mul_mod(av, bv, p),
-                _add_mod(_mul_mod(av[:, None], bt, p), _mul_mod(bv[:, None], at, p), p))
+        return (_mul_mod(av, bv, p),  # and a sum below 2p, which fits uint64:
+                (_mul_mod(av[:, None], bt, p) + _mul_mod(bv[:, None], at, p)) % p)
 
     qs, offset = [None, None], 0  # product forms, indexed as in network.forward_layers
     for k, w in enumerate(mats):
@@ -280,7 +274,7 @@ def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
+    if s[0] == 0:
         return 0
     return int(np.sum(s > tol * s[0]))
 
@@ -374,12 +368,22 @@ def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     function) and the moment matrix has numerical rank at most the hidden
     width.  A necessary condition only, at every hidden width: limits of
     on-model tuples pass too, such as P = y, Q = x^2 at (2, 2, 1), which is
-    no sum a / l1 + b / l2."""
+    no sum a / l1 + b / l2.
+
+    The matrix is built from the tuple scaled by one power of two, exact in
+    range, so its multiplicities cannot overflow; a coefficient that is not
+    finite fails, with rank -1 (none is measured)."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
-    rank = numerical_rank(build_moment_matrix(Ps, Q, arch), tol)
-    d1 = arch.dims[1]
-    return MomentRank(rank <= d1 and not Q.is_zero(), rank)
+    polys = [*Ps, Q]
+    values = _pow2_scaled(np.array([c for p in polys for c in p.terms.values()], dtype=complex))[0]
+    it = iter(values.tolist())
+    polys = [HomPoly(COMPLEX, p.nvars, p.degree, {e: next(it) for e in p.terms}) for p in polys]
+    matrix = build_moment_matrix(polys[:-1], polys[-1], arch)
+    if not np.isfinite(matrix).all():
+        return MomentRank(False, -1)
+    rank = numerical_rank(matrix, tol)
+    return MomentRank(rank <= arch.dims[1] and not Q.is_zero(), rank)
 
 
 # -- census --------------------------------------------------------------------

@@ -283,44 +283,29 @@ def _dot(f: ScalarField, xs, ys):
     return acc
 
 
-def _swap_rows(m):
-    return (m[1], m[0])
-
-
 def forward_binary(w: Weights) -> RationalTuple:
-    """Closed form for architectures (2, 2, ..., 2, dL).
+    """Closed form for architectures (2, 2, ..., 2, dL), over any field.
 
-    Built from the matrix expressions: the stage-i quadratic form is
-    (1/2) x^T A_{i-1}^T S A_{i-1} x with S the 2x2 swap and
-    A_i = W_i S W_{i-1} ... S W_1; the final linear forms are the rows of
+    Built from the matrix chain A_1 = W_1, A_i = W_i S A_{i-1} with S the
+    2x2 swap: the stage-i quadratic form (1/2) x^T A_{i-1}^T S A_{i-1} x is
+    (a_1 . x)(a_2 . x), the product of A_{i-1}'s two rows, so no 1/2 is
+    taken and GF(2) works too; the final linear forms are the rows of
     W_L S A_{L-1}.  This route shares no code with forward_recursive.
     """
     arch, f = w.arch, w.field
     if not arch.is_binary():
         raise ArchitectureError(f"{arch} is not binary (all hidden widths 2)")
     L = arch.layers
-    half = f.inv(f.from_int(2))
     chain = w.mats[0]  # A_1 = W_1
     quads = [HomPoly.one(f, 2), HomPoly.one(f, 2)]  # stages 0 and 1
     for i in range(2, L + 1):
-        # (1/2) x^T chain^T S chain x, expanded on the monomial basis
-        sc = _swap_rows(chain)
-        g = _mat_mul(f, _transpose(chain), sc)
-        quads.append(HomPoly(f, 2, 2, {
-            (2, 0): f.mul(half, g[0][0]),
-            (1, 1): f.mul(half, f.add(g[0][1], g[1][0])),
-            (0, 2): f.mul(half, g[1][1]),
-        }))
-        chain = _mat_mul(f, w.mats[i - 1], _swap_rows(chain))
+        quads.append(HomPoly.linear(f, chain[0]).mul(HomPoly.linear(f, chain[1])))
+        chain = _mat_mul(f, w.mats[i - 1], (chain[1], chain[0]))
     # after the loop chain = W_L S A_{L-1}, rows give the output linear forms
     lin = [HomPoly.linear(f, row) for row in chain]
     num_factor = _alternating_product_list(quads, L - 1, f)
     den = _alternating_product_list(quads, L, f)
     return RationalTuple(tuple(p.mul(num_factor) for p in lin), den)
-
-
-def _transpose(m):
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
 def _alternating_product_list(qs, top, f):

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .fields import COMPLEX, FieldMismatchError, ScalarField, _FloatField, checked_number
 
 Exponent = tuple[int, ...]
@@ -252,6 +254,14 @@ def max_or_nan(values: Iterable[float]) -> float:
         if v > best:
             best = v
     return best
+
+
+def _pow2_scaled(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c * 2**-e, e) with the largest real or imaginary part of c scaled into
+    [0.5, 1) (e = 0 if c is empty or zero): exact in range, and products stay
+    finite near either end of it."""
+    e = int(np.frexp(np.max(np.abs(c.view(float)), initial=0.0))[1])
+    return np.ldexp(c.view(float), -e).view(complex), e
 
 
 def _mul_terms(field: ScalarField, a: Mapping, b: Mapping) -> dict:

@@ -130,7 +130,7 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     report = factor_multilinear(Q, tol=min(tol, 1e-8), seed=seed)
     if not report.decomposable or (require_real and not report.all_real):
         return _fail(Stage.FACTOR_TEST, report.factorization.residual if report.factorization else float("inf"))
-    rows = [np.asarray(f, dtype=complex) for f in report.factorization.factors]
+    rows = report.factorization.factors  # tuples of Python complex
     forms = [HomPoly.linear(COMPLEX, r) for r in rows]
     hats, _ = deleted_products(forms, HomPoly.mul, HomPoly.one(COMPLEX, n))
     basis = monomials(n, m - 1)
@@ -152,9 +152,7 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     if require_real and np.max(np.abs(W2.imag)) > tol * max(np.max(np.abs(W2)), 1e-300):
         return _fail(Stage.SPAN_TEST)
 
-    w = Weights(arch, COMPLEX,
-                (tuple(tuple(complex(v) for v in r) for r in rows),
-                 tuple(tuple(complex(v) for v in r) for r in W2)))
+    w = Weights(arch, COMPLEX, (rows, W2.tolist()))
     return _verified(w, RationalTuple(tuple(Ps), Q), tol)
 
 
@@ -197,7 +195,7 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
         mats.append(W1.tolist())
     c = complex(Q.coefficient((0, 0)))
     mats.append([[complex(P.coefficient((1, 0))) / c, complex(P.coefficient((0, 1))) / c]])
-    w = Weights(arch, COMPLEX, tuple(tuple(tuple(row) for row in m) for m in mats))
+    w = Weights(arch, COMPLEX, mats)
     return _verified(w, target, tol)
 
 

@@ -137,6 +137,15 @@ def test_factor_malformed_terms_is_one_line_error(tmp_path, capsys):
     _assert_one_line_error(*run(capsys, "factor", "--poly", str(f)))
 
 
+@pytest.mark.parametrize("flags", [[], ["--binary"]], ids=["multilinear", "binary"])
+def test_factor_constant_form_is_one_line_error(tmp_path, capsys, flags):
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps({"nvars": 2, "degree": 0, "terms": [{"exp": [0, 0], "re": 3.0}]}))
+    code, out, err = run(capsys, "factor", *flags, "--poly", str(f))
+    _assert_one_line_error(code, out, err)
+    assert "degree 0" in err
+
+
 def test_reconstruct_malformed_numerators_is_one_line_error(tmp_path, capsys):
     t = forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=1)).to_json()
     t["numerators"] = 3
@@ -406,6 +415,21 @@ def test_membership_moment_rank_is_necessary_only_at_width_two(tmp_path, capsys)
     assert json.loads(out) == {"in_model": True, "moment_rank": 2, "necessary_only": True}
     code, _, _ = run(capsys, "reconstruct", "--arch", "2,2,1", "--tuple", tfile)
     assert code == 2
+
+
+def test_membership_moment_rank_of_a_huge_coefficient_is_measured(tmp_path, capsys):
+    # 3! * 1e308 overflows a moment matrix built from the tuple as given, and
+    # its NaN singular values then counted as rank 0 and passed
+    t = forward_recursive(Weights.random(Architecture((3, 3, 2)), COMPLEX, seed=1))
+    terms = dict(t.denominator.terms)
+    terms[(3, 0, 0)] = complex(1e308)
+    tfile = write_tuple(tmp_path / "t.json", RationalTuple(t.numerators, HomPoly(COMPLEX, 3, 3, terms)))
+    code, out, err = run(capsys, "membership", "--arch", "3,3,2", "--tuple", tfile)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"in_model": True, "moment_rank": 1, "necessary_only": True}
+    # reconstruct, whose mismatch is relative to the largest coefficient, agrees
+    code, out, _ = run(capsys, "reconstruct", "--arch", "3,3,2", "--tuple", tfile)
+    assert code == 0 and json.loads(out)["in_model"] is True
 
 
 @pytest.mark.parametrize("layers", [2, 3])

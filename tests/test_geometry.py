@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratnets import geometry
 from ratnets.fields import COMPLEX, PrimeField
-from ratnets.geometry import (_add_mod, _mul_mod, _point_count, _point_jacobian, _residues,
+from ratnets.geometry import (_mul_mod, _point_count, _point_jacobian, _residues,
                               build_moment_matrix,
                               census, census_to_csv, enumerate_architectures,
                               expected_dim, fiber_upper_bound, filling_binary,
@@ -282,7 +283,6 @@ class TestModPBackends:
         ys = data.draw(st.lists(residue, min_size=n, max_size=n))
         a, b = _residues(xs, p), _residues(ys, p)
         assert _mul_mod(a, b, p).tolist() == [x * y % p for x, y in zip(xs, ys)]
-        assert _add_mod(a, b, p).tolist() == [(x + y) % p for x, y in zip(xs, ys)]
         # broadcast, with either operand the smaller, as in the tangent products
         outer = [[x * y % p for y in ys] for x in xs]
         assert _mul_mod(a[:, None], b[None, :], p).tolist() == outer
@@ -423,6 +423,40 @@ class TestMomentMatrix:
         left = np.stack([W1[1], W1[0]], axis=1)       # rows (a_2i, a_1i)
         right = np.concatenate([W2.T, W1], axis=1)    # 2 x (d2 + d0)
         assert np.max(np.abs(mm - left @ right)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from([(2, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 2), (4, 2, 3), (2, 4, 2)]),
+           seed=st.integers(0, 10 ** 6), on_model=st.booleans(), k=st.integers(-1000, 1000))
+    def test_power_of_two_scale_keeps_the_verdict(self, dims, seed, on_model, k):
+        if on_model:
+            t = forward_recursive(Weights.random(Architecture(dims), COMPLEX, seed=seed))
+            nums, den = list(t.numerators), t.denominator
+        else:
+            nums, den = random_ambient_tuple(*dims, random.Random(seed))
+
+        def scaled(p):
+            return HomPoly(COMPLEX, p.nvars, p.degree,
+                           {e: complex(math.ldexp(c.real, k), math.ldexp(c.imag, k))
+                            for e, c in p.terms.items()})
+
+        a = rank_test_membership(nums, den, dims)
+        b = rank_test_membership([scaled(p) for p in nums], scaled(den), dims)
+        assert (b.ok, b.rank) == (a.ok, a.rank)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(0, float("inf"))])
+    @pytest.mark.parametrize("in_denominator", [False, True])
+    def test_non_finite_coefficient_never_passes(self, bad, in_denominator):
+        nums, den = on_model_tuple(3, 2, 4)
+        p = den if in_denominator else nums[0]
+        bad_p = HomPoly(COMPLEX, p.nvars, p.degree, {**p.terms, next(iter(p.terms)): bad})
+        if in_denominator:
+            den = bad_p
+        else:
+            nums[0] = bad_p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rank_test_membership(nums, den, (3, 2, 2))
+        assert not res.ok
 
     def test_dimension_claim_for_width_two(self):
         for (n, m) in [(2, 2), (3, 1), (3, 3)]:

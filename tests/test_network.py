@@ -160,10 +160,14 @@ class TestForwardBinary:
         for pa, pb in zip(a.numerators, b.numerators):
             assert pa.terms == pb.terms
 
+    # over GF(2) and GF(3) the tuple often shares a monomial factor, which the
+    # recursion reports; the closed form must match it all the same
+    @pytest.mark.filterwarnings("ignore:output tuple shares the monomial factor")
     @settings(max_examples=40, deadline=None)
-    @given(layers=st.integers(2, 6), d_out=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
-    def test_agrees_with_recursion_over_gf_property(self, layers, d_out, seed):
-        w = Weights.random(Architecture((2,) * layers + (d_out,)), GF, seed=seed)
+    @given(layers=st.integers(2, 6), d_out=st.integers(1, 4), seed=st.integers(0, 2 ** 32),
+           p=st.sampled_from([2, 3, 2147483647]))
+    def test_agrees_with_recursion_over_gf_property(self, layers, d_out, seed, p):
+        w = Weights.random(Architecture((2,) * layers + (d_out,)), PrimeField(p), seed=seed)
         a, b = forward_binary(w), forward_recursive(w)
         assert [p.terms for p in a.all_polys()] == [p.terms for p in b.all_polys()]
 

@@ -1,18 +1,25 @@
 """The README's CLI examples that state their output (``# prints ...``) run
-through cli.main and print exactly that, and every line of its CLI usage
-block parses with cli.build_parser, so the docs cannot drift from the code."""
+through cli.main and print exactly that, every line of its CLI usage block
+parses with cli.build_parser, and every backticked `module.name` it names
+exists, so the docs cannot drift from the code."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import ratnets
 from ratnets.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 EXAMPLES = re.findall(r"^ratnets (.+?)\s+# prints (.+)$", README, re.M)
 USAGE = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", README, re.M | re.S)[1]
+MODULES = {m.name for m in pkgutil.iter_modules(ratnets.__path__)}
+REFERENCES = sorted({(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", README)
+                     if mod in MODULES})
 
 
 def test_readme_states_its_examples():
@@ -31,3 +38,11 @@ def test_usage_line_parses(line):
     prog, *argv = shlex.split(line, comments=True)
     assert prog == "ratnets"
     build_parser().parse_args(argv)
+
+
+def test_readme_code_references_resolve():
+    # a deletion that the README still names fails here
+    assert REFERENCES, "no backticked module.name found"
+    missing = [f"{mod}.{name}" for mod, name in REFERENCES
+               if not hasattr(importlib.import_module(f"ratnets.{mod}"), name)]
+    assert missing == []
