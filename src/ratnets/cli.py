@@ -104,6 +104,10 @@ def cmd_forward(args) -> int:
         w = Weights.random(arch, field, seed=args.seed)
     t = forward_binary(w) if args.binary else forward_recursive(w)
     _emit(t.to_json(), args.out)
+    cmf = t.common_monomial_factor()
+    if any(cmf):
+        print(f"note: output tuple shares the monomial factor {cmf}; "
+              "the map is taken without cancellation", file=sys.stderr)
     return 0
 
 

@@ -28,9 +28,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import COMPLEX, DEFAULT_PRIME, PrimeField, is_prime
-from .network import Architecture, ambient_dim, assemble, degrees, param_count
-from .poly import HomPoly, _pow2_scaled, deleted_products, monomial_count, monomials
+from .fields import DEFAULT_PRIME, PrimeField, is_prime
+from .network import Architecture, ambient_dim, assemble, degrees, param_count, shape_matches
+from .poly import HomPoly, _pow2_scaled_forms, deleted_products, monomial_count, monomials
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
 WORD_PRIME_LIMIT = 2 ** 62  # below it a*b - q*p fits in int64 (see _mul_mod)
@@ -345,11 +345,9 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
         arch = Architecture(tuple(arch))
     if not arch.is_shallow():
         raise ValueError("moment matrix is defined for one-hidden-layer shapes")
+    if not shape_matches(Ps, Q, arch):
+        raise ValueError(f"tuple shape does not match the architecture {arch}")
     d0, d1, d2 = arch.dims
-    if any(f.nvars != d0 for f in (*Ps, Q)):
-        raise ValueError(f"tuple variable counts do not match the input width {d0}")
-    if Q.degree != d1 or any(p.degree != d1 - 1 for p in Ps) or len(Ps) != d2:
-        raise ValueError("tuple degrees do not match the architecture")
     rows = monomials(d0, d1 - 1)  # a multiset of input indices is its exponent tuple
     out = np.zeros((len(rows), d2 + d0), dtype=complex)
     for r, e in enumerate(rows):
@@ -375,11 +373,8 @@ def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     finite fails, with rank -1 (none is measured)."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
-    polys = [*Ps, Q]
-    values = _pow2_scaled(np.array([c for p in polys for c in p.terms.values()], dtype=complex))[0]
-    it = iter(values.tolist())
-    polys = [HomPoly(COMPLEX, p.nvars, p.degree, {e: next(it) for e in p.terms}) for p in polys]
-    matrix = build_moment_matrix(polys[:-1], polys[-1], arch)
+    *scaled, scaled_q = _pow2_scaled_forms([*Ps, Q])
+    matrix = build_moment_matrix(scaled, scaled_q, arch)
     if not np.isfinite(matrix).all():
         return MomentRank(False, -1)
     rank = numerical_rank(matrix, tol)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import random
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -114,6 +113,13 @@ def degrees(arch: Architecture) -> DegreeProfile:
     n, m = layer_degrees(arch)
     (num,), den = assemble([n[L]], m, operator.add, 0)
     return DegreeProfile(num, den, L % 2)
+
+
+def shape_matches(Ps: Sequence[HomPoly], Q: HomPoly, arch: Architecture) -> bool:
+    """The tuple (Ps, Q) has arch's output count, input width and output degrees."""
+    prof = degrees(arch)
+    return (len(Ps) == arch.dL and Q.nvars == arch.d0 and Q.degree == prof.denominator_degree
+            and all(p.nvars == arch.d0 and p.degree == prof.numerator_degree for p in Ps))
 
 
 def ambient_dim(arch: Architecture) -> int:
@@ -258,12 +264,7 @@ def forward_recursive(w: Weights) -> RationalTuple:
     """Assemble the output tuple from the layer recursion."""
     p, qs = forward_layers(w)
     nums, den = assemble(p, qs, HomPoly.mul, qs[0])  # qs[0] is the constant 1
-    out = RationalTuple(nums, den)
-    cmf = out.common_monomial_factor()
-    if any(cmf):
-        warnings.warn(f"output tuple shares the monomial factor {cmf}; "
-                      "the map is taken without cancellation", RuntimeWarning)
-    return out
+    return RationalTuple(nums, den)
 
 
 # -- binary closed form ------------------------------------------------------

@@ -264,6 +264,14 @@ def _pow2_scaled(c: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(c.view(float), -e).view(complex), e
 
 
+def _pow2_scaled_forms(polys: Sequence[HomPoly]) -> list[HomPoly]:
+    """The forms over COMPLEX, all scaled by the one power of two that
+    _pow2_scaled picks for their coefficients together."""
+    values = _pow2_scaled(np.array([c for p in polys for c in p.terms.values()], dtype=complex))[0]
+    it = iter(values.tolist())
+    return [HomPoly(COMPLEX, p.nvars, p.degree, {e: next(it) for e in p.terms}) for p in polys]
+
+
 def _mul_terms(field: ScalarField, a: Mapping, b: Mapping) -> dict:
     """Product of two term mappings; exact zeros are kept."""
     add, mul = field.add, field.mul

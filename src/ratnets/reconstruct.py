@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, NotDivisibleError, _as_complex, deleted_products, max_or_nan, monomials
-from .network import Architecture, Weights, RationalTuple, degrees, forward_recursive
+from .poly import (HomPoly, NotDivisibleError, _as_complex, _pow2_scaled_forms, deleted_products,
+                   max_or_nan, monomials)
+from .network import Architecture, Weights, RationalTuple, forward_recursive, shape_matches
 from .factor import NonConvergenceError, factor_binary_form, factor_multilinear
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -93,19 +93,9 @@ def _fail(stage: Stage, residual: float = float("inf"),
     return MembershipVerdict(False, stage, None, residual, necessary_only)
 
 
-def _shape_matches(Ps: Sequence[HomPoly], Q: HomPoly, arch: Architecture) -> bool:
-    """The tuple has arch's output count, input width and output degrees."""
-    prof = degrees(arch)
-    return (len(Ps) == arch.dL and Q.nvars == arch.d0 and Q.degree == prof.denominator_degree
-            and all(p.nvars == arch.d0 and p.degree == prof.numerator_degree for p in Ps))
-
-
 def _verified(w: Weights, target: RationalTuple, tol: float) -> MembershipVerdict:
-    """Accept w if its forward map is within tol of target (NaN is not); a
-    shared monomial factor is no fault here, so its warning is dropped."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "output tuple shares the monomial factor", RuntimeWarning)
-        mism = projective_mismatch(forward_recursive(w), target)
+    """Accept w if its forward map is within tol of target (NaN is not)."""
+    mism = projective_mismatch(forward_recursive(w), target)
     if not mism <= tol:
         return _fail(Stage.VERIFICATION_FAIL, mism)
     return MembershipVerdict(True, Stage.NONE, w, mism)
@@ -120,14 +110,14 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     if not arch.is_shallow():
         raise ValueError("expected a one-hidden-layer architecture")
     n, m, k = arch.dims
-    if not _shape_matches(Ps, Q, arch):
+    if not shape_matches(Ps, Q, arch):
         return _fail(Stage.DEGREE_TEST)
-    if Q.is_zero():
-        return _fail(Stage.FACTOR_TEST)
     Q = _as_complex(Q)
     Ps = [_as_complex(p) for p in Ps]
-
-    report = factor_multilinear(Q, tol=min(tol, 1e-8), seed=seed)
+    try:
+        report = factor_multilinear(Q, tol=min(tol, 1e-8), seed=seed)
+    except ValueError:  # the zero form, or coefficients that are not finite
+        return _fail(Stage.FACTOR_TEST)
     if not report.decomposable or (require_real and not report.all_real):
         return _fail(Stage.FACTOR_TEST, report.factorization.residual if report.factorization else float("inf"))
     rows = report.factorization.factors  # tuples of Python complex
@@ -165,7 +155,7 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
     if layers < 2:
         raise ValueError("need at least 2 layers")
     arch = Architecture((2,) * layers + (1,))
-    if not _shape_matches([P], Q, arch):
+    if not shape_matches([P], Q, arch):
         return _fail(Stage.DEGREE_TEST)
     P, Q = _as_complex(P), _as_complex(Q)
     target = RationalTuple((P,), Q)
@@ -243,17 +233,18 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
     pairwise resultant vanishes."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
-    if not Ps or not _shape_matches(Ps, Q, Architecture((2,) * layers + (len(Ps),))):
+    if not Ps or not shape_matches(Ps, Q, Architecture((2,) * layers + (len(Ps),))):
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
     if Q.is_zero():  # res(P, 0) = 0 would pass the screen below
         return _fail(Stage.FACTOR_TEST, necessary_only=True)
     if layers == 2:  # exact: factor Q, solve for the output layer, measure the residual
         return reconstruct_shallow(Ps, Q, Architecture((2, 2, len(Ps))), tol)
-    Ps = list(map(_as_complex, Ps))
+    # each numerator into range by an exact power of two, then to largest magnitude 1
+    Ps = [_pow2_scaled_forms([_as_complex(p)])[0] for p in Ps]
     scales = [p.max_magnitude() for p in Ps]
     if not all(s < float("inf") for s in scales):  # NaN too; scaling would make NaN determinants
         return _fail(Stage.VERIFICATION_FAIL, necessary_only=True)
-    Ps = [p.scale(1.0 / max(s, 1e-300)) for p, s in zip(Ps, scales)]
+    Ps = [p.scale(1.0 / s) if s else p for p, s in zip(Ps, scales)]
     worst = max_or_nan(abs(resultant_binary(Ps[i], Ps[j]))
                        for i in range(len(Ps)) for j in range(i + 1, len(Ps)))
     if not worst <= tol:

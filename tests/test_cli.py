@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import random
 import warnings
 
@@ -815,3 +816,140 @@ def test_census_out_file_matches_stdout(tmp_path, capsys):
     assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
     written = target.read_bytes().decode()
     assert len(rows(written)) > 2 and rows(written) == rows(out)
+
+
+# a (2, 2, 1) network whose two hidden units read the same coordinate: its
+# tuple 5 x1 / x1^2 shares the monomial factor x1
+SHARED_FACTOR_WEIGHTS = {"arch": [2, 2, 1], "field": "real", "mats": [[[1, 0], [1, 0]], [[2, 3]]]}
+SHARED_FACTOR_TUPLE = """{
+ "numerators": [
+  {
+   "nvars": 2,
+   "degree": 1,
+   "terms": [
+    {
+     "exp": [
+      1,
+      0
+     ],
+     "re": 5.0
+    }
+   ]
+  }
+ ],
+ "denominator": {
+  "nvars": 2,
+  "degree": 2,
+  "terms": [
+   {
+    "exp": [
+     2,
+     0
+    ],
+    "re": 1.0
+   }
+  ]
+ }
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("--binary",)], ids=["recursive", "binary"])
+def test_forward_notes_a_shared_monomial_factor_once(tmp_path, capsys, flags):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(SHARED_FACTOR_WEIGHTS))
+    code, out, err, caught = _run_recording_warnings(capsys, "forward", "--arch", "2,2,1",
+                                                     "--weights", str(wfile), *flags)
+    assert (code, out, caught) == (0, SHARED_FACTOR_TUPLE, [])
+    assert err == ("note: output tuple shares the monomial factor (1, 0); "
+                   "the map is taken without cancellation\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--binary",)], ids=["recursive", "binary"])
+def test_forward_without_a_shared_factor_prints_no_note(capsys, flags):
+    code, out, err = run(capsys, "forward", "--arch", "2,2,2,1", "--seed", "3", *flags)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["denominator"]["degree"] == 2
+
+
+def test_forward_weights_of_another_architecture_is_one_line_error(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(SHARED_FACTOR_WEIGHTS))
+    _assert_one_line_error(*run(capsys, "forward", "--arch", "2,3,1", "--weights", str(wfile)))
+
+
+def test_eval_at_a_pole_is_one_line_error(tmp_path, capsys):
+    # the first hidden unit reads x1 - x2, which vanishes at (1, 1)
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"arch": [2, 2, 1], "field": "real",
+                                 "mats": [[[1, -1], [1, 1]], [[1, 1]]]}))
+    code, out, err = run(capsys, "eval", "--weights", str(wfile), "--x", "1,1")
+    _assert_one_line_error(code, out, err)
+    assert err.startswith("error: pole hit:")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "membership"])
+def test_tuple_command_without_arch_is_one_line_error(tmp_path, capsys, command):
+    t = forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=1))
+    _assert_one_line_error(*run(capsys, command, "--tuple", write_tuple(tmp_path / "t.json", t)))
+
+
+def test_reconstruct_binary_with_two_numerators_is_one_line_error(tmp_path, capsys):
+    t = forward_recursive(Weights.random(Architecture((2, 2, 2, 2)), COMPLEX, seed=1))
+    code, out, err = run(capsys, "reconstruct", "--binary", "--layers", "3",
+                         "--tuple", write_tuple(tmp_path / "t.json", t))
+    _assert_one_line_error(code, out, err)
+    assert "single numerator" in err
+
+
+@pytest.mark.parametrize("dims, rank, ambient, params", [
+    ((3, 3, 3, 3), 22, 136, 27), ((2, 3, 4, 3), 24, 39, 30), ((4, 3, 2, 2, 3), 22, 372, 28),
+    ((2, 2, 2, 3, 2, 1), 14, 15, 22), ((2, 2, 4, 2, 2, 1), 17, 23, 26)])
+def test_dim_json_reference_rows(capsys, dims, rank, ambient, params):
+    code, out, err = run(capsys, "dim", "--arch", ",".join(map(str, dims)), "--json")
+    assert (code, err) == (0, "")
+    report = _strict_json(out)
+    assert report.pop("runtime_seconds") >= 0
+    assert report == {"arch": list(dims), "jacobian_rank": rank, "ambient_dim": ambient,
+                      "param_count": params, "conjectured_dim": rank, "fiber_upper_bound": rank,
+                      "prime": 2147483647, "seed": 0, "status": "ok"}
+
+
+def _scaled_tuple(t, k):
+    def scaled(p):
+        return HomPoly(COMPLEX, p.nvars, p.degree,
+                       {e: complex(math.ldexp(c.real, k), math.ldexp(c.imag, k))
+                        for e, c in p.terms.items()})
+    return RationalTuple(tuple(map(scaled, t.numerators)), scaled(t.denominator))
+
+
+@pytest.mark.parametrize("k", [0, -1010])
+def test_membership_resultant_screen_of_a_tuple_scaled_by_2_to_minus_1010(tmp_path, capsys, k):
+    # an off-model (2, 2, 2, 2) tuple; at 2^-1010 its coefficients are about
+    # 1e-304, below the old 1e-300 floor of the screen's scale, and its
+    # resultants shrank below the tolerance, so it passed (exit 0)
+    t = _scaled_tuple(random_tuple(Architecture((2, 2, 2, 2)), 0), k)
+    code, out, err = run(capsys, "membership", "--binary", "--layers", "3",
+                         "--tuple", write_tuple(tmp_path / "t.json", t))
+    assert (code, err) == (2, "")
+    verdict = _strict_json(out)
+    assert verdict["in_model"] is False and verdict["stage_failed"] == "VerificationFail"
+    assert verdict["residual"] == pytest.approx(0.9365, abs=1e-4)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (3, 3, 2)])
+def test_reconstruct_shallow_denominator_of_overflowing_magnitude_is_factor_test(
+        tmp_path, capsys, dims):
+    # |1.5e308 + 1.5e308j| overflows: the shallow route printed a one-line
+    # error (exit 1) where the binary peel gives this verdict
+    t = forward_recursive(Weights.random(Architecture(dims), COMPLEX, seed=1))
+    terms = dict(t.denominator.terms)
+    terms[next(iter(terms))] = 1.5e308 + 1.5e308j
+    t = RationalTuple(t.numerators, HomPoly(COMPLEX, dims[0], t.denominator.degree, terms))
+    code, out, err, caught = _run_recording_warnings(
+        capsys, "reconstruct", "--arch", ",".join(map(str, dims)),
+        "--tuple", write_tuple(tmp_path / "t.json", t))
+    assert (code, err, caught) == (2, "", [])
+    verdict = _strict_json(out)
+    assert (verdict["in_model"], verdict["stage_failed"], verdict["residual"]) == (
+        False, "FactorTest", None)

@@ -374,6 +374,18 @@ class TestMomentMatrix:
                 mult = 2 if i == j else 1
                 assert mm[i, 1 + j] == mult * complex(den.coefficient(tuple(e)))
 
+    @pytest.mark.parametrize("change", ["count", "width", "degree"])
+    def test_shape_mismatch_is_one_error(self, change):
+        nums, den = on_model_tuple(3, 2, 4)
+        if change == "count":
+            nums = nums[:1]
+        elif change == "width":
+            den = HomPoly.zero(COMPLEX, 4, den.degree)
+        else:
+            nums[0] = nums[0].mul(HomPoly.linear(COMPLEX, [1j, 0j, 0j]))
+        with pytest.raises(ValueError, match=r"tuple shape does not match the architecture 3,2,2"):
+            build_moment_matrix(nums, den, (3, 2, 2))
+
     def test_on_model_rank_two(self):
         for seed in range(10):
             nums, den = on_model_tuple(4, 3, seed)

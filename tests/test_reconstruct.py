@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL
-from ratnets.network import Architecture, RationalTuple, Weights, forward_recursive
-from ratnets.poly import HomPoly, product
+from ratnets.geometry import rank_test_membership
+from ratnets.network import Architecture, RationalTuple, Weights, degrees, forward_recursive
+from ratnets.poly import HomPoly, monomials, product
 from ratnets.reconstruct import (ReconstructionError, Stage, _verified,
                                  membership_binary_multioutput, projective_mismatch,
                                  projective_normalize, reconstruct_auto,
@@ -22,6 +23,20 @@ def lin(*coeffs):
 
 def random_complex_weights(dims, seed):
     return Weights.random(Architecture(dims), COMPLEX, seed=seed)
+
+
+def random_tuple(arch, seed):
+    """Random complex coefficients with the degrees of arch's output tuple."""
+    rng = random.Random(seed)
+    prof = degrees(arch)
+
+    def form(degree):
+        return HomPoly(COMPLEX, arch.d0, degree,
+                       {e: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                        for e in monomials(arch.d0, degree)})
+
+    return RationalTuple(tuple(form(prof.numerator_degree) for _ in range(arch.dL)),
+                         form(prof.denominator_degree))
 
 
 class TestProjective:
@@ -94,6 +109,13 @@ class TestReconstructShallow:
         Q = HomPoly(COMPLEX, 2, 2, {})
         verdict = reconstruct_shallow([lin(1, 0)], Q, (2, 2, 1))
         assert verdict.stage_failed == Stage.FACTOR_TEST
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0), 1.5e308 + 1.5e308j])
+    def test_denominator_the_factorizer_refuses_fails_factor_test(self, bad):
+        # the factorizer's input guard, as for the binary peel
+        Q = HomPoly(COMPLEX, 2, 2, {(2, 0): complex(bad), (0, 2): 1 + 0j})
+        verdict = reconstruct_shallow([lin(1, 0)], Q, (2, 2, 1))
+        assert (verdict.in_model, verdict.stage_failed) == (False, Stage.FACTOR_TEST)
 
     @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 3, 1), (4, 3, 3)])
     def test_round_trip_random(self, dims):
@@ -304,6 +326,41 @@ class TestScale:
         assert base.in_model
         assert (got.in_model, got.stage_failed, got.residual) == \
             (base.in_model, base.stage_failed, base.residual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from([
+               (reconstruct_auto, (2, 2, 1)), (reconstruct_auto, (3, 3, 2)),
+               (reconstruct_auto, (2, 2, 2, 1)), (reconstruct_auto, (2, 2, 2, 2, 1)),
+               (rank_test_membership, (2, 2, 1)), (rank_test_membership, (3, 2, 2)),
+               (rank_test_membership, (3, 3, 2)),
+               (membership_binary_multioutput, (2, 2, 2)),
+               (membership_binary_multioutput, (2, 2, 2, 2)),
+               (membership_binary_multioutput, (2, 2, 2, 3)),
+               (membership_binary_multioutput, (2, 2, 2, 2, 2))]),
+           seed=st.integers(0, 10 ** 6), on_model=st.booleans(), k=st.integers(-1000, 1000))
+    def test_every_screen_ignores_a_power_of_two_scale(self, case, seed, on_model, k):
+        # the reconstructions, the moment rank and the resultant screen bring
+        # their input into range by powers of two, so 2**k changes no bit of
+        # the verdict, on or off the model
+        screen, dims = case
+        arch = Architecture(dims)
+        t = (forward_recursive(random_complex_weights(dims, seed)) if on_model
+             else random_tuple(arch, seed))
+        s = 2.0 ** k
+        scaled = RationalTuple(tuple(p.scale(s) for p in t.numerators), t.denominator.scale(s))
+
+        def outcome(t):
+            if screen is reconstruct_auto:
+                v = reconstruct_auto(t, arch)
+            elif screen is rank_test_membership:
+                v = rank_test_membership(list(t.numerators), t.denominator, arch)
+                return v.ok, v.rank
+            else:
+                v = membership_binary_multioutput(list(t.numerators), t.denominator,
+                                                  arch.layers)
+            return v.in_model, v.stage_failed, repr(v.residual)
+
+        assert outcome(scaled) == outcome(t)
 
     @pytest.mark.parametrize("dims", [(2, 5, 1), (3, 4, 2), (2, 3, 1)])
     @pytest.mark.parametrize("scale", [1e-20, 1e-6, 1e-3, 1e5, 1e20])
