@@ -166,13 +166,12 @@ def cmd_reconstruct(args) -> int:
 def cmd_membership(args) -> int:
     t = _load(args.tuple, lambda obj: RationalTuple.from_json(COMPLEX, obj))
     if args.binary:
-        verdict = membership_binary_multioutput(list(t.numerators), t.denominator,
-                                                args.layers, tol=args.tol)
+        verdict = membership_binary_multioutput(t, args.layers, tol=args.tol)
         return _verdict(verdict.to_json(), verdict.in_model, args.out)
     if not args.arch:
         raise CliError("--arch is required unless --binary is given")
     arch = _parse_arch(args.arch)
-    res = rank_test_membership(list(t.numerators), t.denominator, arch, tol=args.tol)
+    res = rank_test_membership(t, arch, tol=args.tol)
     return _verdict({"in_model": res.ok, "moment_rank": res.rank,
                      "necessary_only": res.necessary_only}, res.ok, args.out)
 
@@ -208,9 +207,7 @@ def cmd_hpoly(args) -> int:
     obj = H.to_json()
     if args.slices:
         n, _, k = w.arch.dims
-        nums, den = h_slices(H, n, k)
-        obj = {"H": obj, "numerators": [p.to_json() for p in nums],
-               "denominator": den.to_json()}
+        obj = {"H": obj, **h_slices(H, n, k).to_json()}
     _emit(obj, args.out)
     return 0
 

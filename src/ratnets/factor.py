@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import COMPLEX
 from .poly import HomPoly, _as_complex, _pow2_scaled, deleted_products, product
-from .network import Weights
+from .network import RationalTuple, Weights
 
 ROOT_TOL = 1e-10
 REASSEMBLY_TOL = 1e-8
@@ -410,9 +410,9 @@ def build_H(w: Weights) -> HomPoly:
                       for j in range(m))])
 
 
-def h_slices(H: HomPoly, n: int, k: int) -> tuple[list[HomPoly], HomPoly]:
-    """Split H into ([coefficient of z_1, ..., z_k], z-free part), each a
-    form in the first n variables."""
+def h_slices(H: HomPoly, n: int, k: int) -> RationalTuple:
+    """Split H into the tuple (coefficients of z_1, ..., z_k; z-free part),
+    each a form in the first n variables."""
     f = H.field
     m = H.degree
     den: dict = {}
@@ -424,4 +424,4 @@ def h_slices(H: HomPoly, n: int, k: int) -> tuple[list[HomPoly], HomPoly]:
             den[e[:n]] = c
         elif zdeg == 1:
             nums[ztail.index(1)][e[:n]] = c
-    return ([HomPoly(f, n, m - 1, t) for t in nums], HomPoly(f, n, m, den))
+    return RationalTuple([HomPoly(f, n, m - 1, t) for t in nums], HomPoly(f, n, m, den))

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, factorial, prod
 from multiprocessing import Pool
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .fields import DEFAULT_PRIME, PrimeField, is_prime
-from .network import Architecture, ambient_dim, assemble, degrees, param_count, shape_matches
-from .poly import HomPoly, _pow2_scaled_forms, deleted_products, monomial_count, monomials
+from .network import Architecture, RationalTuple, ambient_dim, assemble, degrees, param_count, shape_matches
+from .poly import _pow2_scaled_forms, deleted_products, monomial_count, monomials
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
 WORD_PRIME_LIMIT = 2 ** 62  # below it a*b - q*p fits in int64 (see _mul_mod)
@@ -274,8 +274,6 @@ def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0:
-        return 0
     return int(np.sum(s > tol * s[0]))
 
 
@@ -331,7 +329,7 @@ class MomentRank:
     necessary_only = True  # not a field: rank <= d1 holds on the closure too
 
 
-def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
+def build_moment_matrix(t: RationalTuple, arch) -> np.ndarray:
     """Coefficient matrix whose rank tests one-hidden-layer membership.
 
     Rows are multisets of size d1 - 1 over the input variables; columns are
@@ -345,8 +343,9 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
         arch = Architecture(tuple(arch))
     if not arch.is_shallow():
         raise ValueError("moment matrix is defined for one-hidden-layer shapes")
-    if not shape_matches(Ps, Q, arch):
+    if not shape_matches(t, arch):
         raise ValueError(f"tuple shape does not match the architecture {arch}")
+    Ps, Q = t.numerators, t.denominator
     d0, d1, d2 = arch.dims
     rows = monomials(d0, d1 - 1)  # a multiset of input indices is its exponent tuple
     out = np.zeros((len(rows), d2 + d0), dtype=complex)
@@ -360,8 +359,7 @@ def build_moment_matrix(Ps: Sequence[HomPoly], Q: HomPoly, arch) -> np.ndarray:
     return out
 
 
-def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
-                         tol: float = 1e-10) -> MomentRank:
+def rank_test_membership(t: RationalTuple, arch, tol: float = 1e-10) -> MomentRank:
     """True when the denominator is nonzero (a zero one defines no rational
     function) and the moment matrix has numerical rank at most the hidden
     width.  A necessary condition only, at every hidden width: limits of
@@ -373,12 +371,12 @@ def rank_test_membership(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     finite fails, with rank -1 (none is measured)."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
-    *scaled, scaled_q = _pow2_scaled_forms([*Ps, Q])
-    matrix = build_moment_matrix(scaled, scaled_q, arch)
+    *scaled, scaled_q = _pow2_scaled_forms(t.all_polys())
+    matrix = build_moment_matrix(RationalTuple(scaled, scaled_q), arch)
     if not np.isfinite(matrix).all():
         return MomentRank(False, -1)
     rank = numerical_rank(matrix, tol)
-    return MomentRank(rank <= arch.dims[1] and not Q.is_zero(), rank)
+    return MomentRank(rank <= arch.dims[1] and not t.denominator.is_zero(), rank)
 
 
 # -- census --------------------------------------------------------------------

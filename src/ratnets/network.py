@@ -115,11 +115,12 @@ def degrees(arch: Architecture) -> DegreeProfile:
     return DegreeProfile(num, den, L % 2)
 
 
-def shape_matches(Ps: Sequence[HomPoly], Q: HomPoly, arch: Architecture) -> bool:
-    """The tuple (Ps, Q) has arch's output count, input width and output degrees."""
+def shape_matches(t: RationalTuple, arch: Architecture) -> bool:
+    """The tuple t has arch's output count, input width and output degrees."""
     prof = degrees(arch)
-    return (len(Ps) == arch.dL and Q.nvars == arch.d0 and Q.degree == prof.denominator_degree
-            and all(p.nvars == arch.d0 and p.degree == prof.numerator_degree for p in Ps))
+    Q = t.denominator
+    return (len(t.numerators) == arch.dL and Q.nvars == arch.d0 and Q.degree == prof.denominator_degree
+            and all(p.nvars == arch.d0 and p.degree == prof.numerator_degree for p in t.numerators))
 
 
 def ambient_dim(arch: Architecture) -> int:

@@ -234,16 +234,6 @@ class HomPoly:
         terms = {tuple(map(index, t["exp"])): field.coeff_from_json(t) for t in obj["terms"]}
         return cls(field, index(obj["nvars"]), index(obj["degree"]), terms)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(f"x{i + 1}^{u}" if u > 1 else f"x{i + 1}"
-                            for i, u in enumerate(e) if u)
-            bits.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
-
 
 def max_or_nan(values: Iterable[float]) -> float:
     """max(values, default=0.0), but NaN if any value is NaN, in any order."""
@@ -265,8 +255,9 @@ def _pow2_scaled(c: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _pow2_scaled_forms(polys: Sequence[HomPoly]) -> list[HomPoly]:
-    """The forms over COMPLEX, all scaled by the one power of two that
-    _pow2_scaled picks for their coefficients together."""
+    """The forms over COMPLEX (read by _as_complex), all scaled by the one
+    power of two that _pow2_scaled picks for their coefficients together."""
+    polys = [_as_complex(p) for p in polys]
     values = _pow2_scaled(np.array([c for p in polys for c in p.terms.values()], dtype=complex))[0]
     it = iter(values.tolist())
     return [HomPoly(COMPLEX, p.nvars, p.degree, {e: next(it) for e in p.terms}) for p in polys]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -101,8 +100,7 @@ def _verified(w: Weights, target: RationalTuple, tol: float) -> MembershipVerdic
     return MembershipVerdict(True, Stage.NONE, w, mism)
 
 
-def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
-                        tol: float = 1e-6, seed: int = 0,
+def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0,
                         require_real: bool = False) -> MembershipVerdict:
     """Recover one-hidden-layer weights from a candidate output tuple."""
     if not isinstance(arch, Architecture):
@@ -110,10 +108,9 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     if not arch.is_shallow():
         raise ValueError("expected a one-hidden-layer architecture")
     n, m, k = arch.dims
-    if not shape_matches(Ps, Q, arch):
+    if not shape_matches(t, arch):
         return _fail(Stage.DEGREE_TEST)
-    Q = _as_complex(Q)
-    Ps = [_as_complex(p) for p in Ps]
+    Q = _as_complex(t.denominator)
     try:
         report = factor_multilinear(Q, tol=min(tol, 1e-8), seed=seed)
     except ValueError:  # the zero form, or coefficients that are not finite
@@ -126,7 +123,7 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
     basis = monomials(n, m - 1)
     A = np.array([[complex(h.coefficient(e)) for h in hats] for e in basis])
     W2 = np.zeros((k, m), dtype=complex)
-    for i, p in enumerate(Ps):
+    for i, p in enumerate(map(_as_complex, t.numerators)):
         # Q is constant * prod(rows): dividing the numerator by it, not a row,
         # keeps A's columns on one scale, so lstsq's cutoff drops none of them;
         # past the float range there is no solution to measure (NaN fails too)
@@ -143,22 +140,20 @@ def reconstruct_shallow(Ps: Sequence[HomPoly], Q: HomPoly, arch,
         return _fail(Stage.SPAN_TEST)
 
     w = Weights(arch, COMPLEX, (rows, W2.tolist()))
-    return _verified(w, RationalTuple(tuple(Ps), Q), tol)
+    return _verified(w, t, tol)
 
 
-def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
-                       tol: float = 1e-6) -> MembershipVerdict:
-    """Recover (2, ..., 2, 1) weights from a single-output binary pair: one
+def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> MembershipVerdict:
+    """Recover (2, ..., 2, 1) weights from a single-output binary tuple: one
     peel per layer from depth L down to 2, each factoring the denominator
     (even depth) or the numerator (odd depth); the last matrix is the linear
     numerator left over the constant denominator."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
     arch = Architecture((2,) * layers + (1,))
-    if not shape_matches([P], Q, arch):
+    if not shape_matches(t, arch):
         return _fail(Stage.DEGREE_TEST)
-    P, Q = _as_complex(P), _as_complex(Q)
-    target = RationalTuple((P,), Q)
+    P, Q = _as_complex(t.numerators[0]), _as_complex(t.denominator)
     mats = []
     for depth in range(layers, 1, -1):
         even = depth % 2 == 0
@@ -186,7 +181,7 @@ def reconstruct_binary(P: HomPoly, Q: HomPoly, layers: int,
     c = complex(Q.coefficient((0, 0)))
     mats.append([[complex(P.coefficient((1, 0))) / c, complex(P.coefficient((0, 1))) / c]])
     w = Weights(arch, COMPLEX, mats)
-    return _verified(w, target, tol)
+    return _verified(w, t, tol)
 
 
 def _most_independent_pair(vecs: list[np.ndarray]):
@@ -224,7 +219,7 @@ def resultant_binary(p: HomPoly, q: HomPoly) -> complex:
     return complex(np.linalg.det(S))
 
 
-def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int,
+def membership_binary_multioutput(t: RationalTuple, layers: int,
                                   tol: float = 1e-8) -> MembershipVerdict:
     """Membership for multi-output binary architectures.  Two layers are the
     one-hidden-layer shape (2, 2, k): an exact verdict from the shallow
@@ -233,14 +228,15 @@ def membership_binary_multioutput(Ps: Sequence[HomPoly], Q: HomPoly, layers: int
     pairwise resultant vanishes."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
-    if not Ps or not shape_matches(Ps, Q, Architecture((2,) * layers + (len(Ps),))):
+    k = len(t.numerators)
+    if not k or not shape_matches(t, Architecture((2,) * layers + (k,))):
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
-    if Q.is_zero():  # res(P, 0) = 0 would pass the screen below
+    if t.denominator.is_zero():  # res(P, 0) = 0 would pass the screen below
         return _fail(Stage.FACTOR_TEST, necessary_only=True)
     if layers == 2:  # exact: factor Q, solve for the output layer, measure the residual
-        return reconstruct_shallow(Ps, Q, Architecture((2, 2, len(Ps))), tol)
+        return reconstruct_shallow(t, Architecture((2, 2, k)), tol)
     # each numerator into range by an exact power of two, then to largest magnitude 1
-    Ps = [_pow2_scaled_forms([_as_complex(p)])[0] for p in Ps]
+    Ps = [_pow2_scaled_forms([p])[0] for p in t.numerators]
     scales = [p.max_magnitude() for p in Ps]
     if not all(s < float("inf") for s in scales):  # NaN too; scaling would make NaN determinants
         return _fail(Stage.VERIFICATION_FAIL, necessary_only=True)
@@ -257,14 +253,11 @@ def reconstruct_auto(t: RationalTuple, arch: Architecture, tol: float = 1e-6,
     """Dispatch to the shallow or deep-binary procedure for this shape;
     require_real is for the shallow one only (ValueError on a binary tower)."""
     if arch.is_shallow():
-        return reconstruct_shallow(list(t.numerators), t.denominator, arch, tol=tol, seed=seed,
-                                   require_real=require_real)
+        return reconstruct_shallow(t, arch, tol=tol, seed=seed, require_real=require_real)
     if arch.is_binary() and arch.dL == 1:
         if require_real:
             raise ValueError("real-only reconstruction needs a one-hidden-layer architecture")
-        if len(t.numerators) != 1:
-            return _fail(Stage.DEGREE_TEST)
-        return reconstruct_binary(t.numerators[0], t.denominator, arch.layers, tol=tol)
+        return reconstruct_binary(t, arch.layers, tol=tol)
     raise ValueError(f"no reconstruction procedure for architecture {arch}")
 
 

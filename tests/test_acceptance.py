@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ratnets.fields import COMPLEX, REAL, PrimeField
-from ratnets.network import (Architecture, DomainError, Weights, ambient_dim,
+from ratnets.network import (Architecture, DomainError, RationalTuple, Weights, ambient_dim,
                              apply_symmetry, degrees, eval_network, forward_binary,
                              forward_recursive, param_count)
 from ratnets.poly import HomPoly, monomials, product, sym_contract
@@ -143,8 +143,7 @@ def test_criterion_05_shallow_round_trip():
                     for trial in range(100):
                         w = Weights.random(arch, COMPLEX, seed=trial * 997 + n * 100 + m * 10 + k)
                         t = forward_recursive(w)
-                        verdict = reconstruct_shallow(list(t.numerators), t.denominator,
-                                                      arch, tol=1e-6, seed=trial)
+                        verdict = reconstruct_shallow(t, arch, tol=1e-6, seed=trial)
                         if verdict.in_model and verdict.residual <= 1e-6:
                             ok += 1
                     assert ok >= 95, ((n, m, k), ok)
@@ -158,8 +157,7 @@ def test_criterion_06_binary_round_trip():
             for trial in range(100):
                 w = Weights.random(arch, COMPLEX, seed=trial * 1009 + layers)
                 t = forward_recursive(w)
-                verdict = reconstruct_binary(t.numerators[0], t.denominator,
-                                             layers, tol=1e-6)
+                verdict = reconstruct_binary(t, layers, tol=1e-6)
                 if verdict.in_model and verdict.residual <= 1e-6:
                     ok += 1
             assert ok >= 95, (layers, ok)
@@ -207,7 +205,7 @@ def test_criterion_09_moment_matrix_and_width_two_dimension():
             for _ in range(5):
                 w = Weights.random(arch, COMPLEX, seed=rng.randrange(10 ** 6))
                 t = forward_recursive(w)
-                mm = build_moment_matrix(list(t.numerators), t.denominator, arch)
+                mm = build_moment_matrix(t, arch)
                 assert numerical_rank(mm) == 2, (n, m)
                 on_checked += 1
         # off-model detection needs input width >= 3: with width 2 the matrix
@@ -225,7 +223,7 @@ def test_criterion_09_moment_matrix_and_width_two_dimension():
                 den = HomPoly(COMPLEX, n, 2,
                               {e: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                for e in monomials(n, 2)})
-                mm = build_moment_matrix(nums, den, arch)
+                mm = build_moment_matrix(RationalTuple(nums, den), arch)
                 assert numerical_rank(mm) >= 3, (n, m)
                 off_checked += 1
         assert on_checked == off_checked == 100
@@ -325,9 +323,9 @@ def test_criterion_12_property_suites(sym_contract_reference):
         for dims in ((3, 3, 1), (2, 3, 2), (4, 2, 3)):
             w = Weights.random(Architecture(dims), REAL, seed=dims[0])
             H = build_H(w)
-            nums, den = h_slices(H, dims[0], dims[2])
+            s = h_slices(H, dims[0], dims[2])
             t = forward_recursive(w)
-            for a, b in zip(nums + [den], list(t.numerators) + [t.denominator]):
+            for a, b in zip(s.all_polys(), t.all_polys()):
                 for e in set(a.terms) | set(b.terms):
                     assert abs(a.coefficient(e) - b.coefficient(e)) < 1e-12
 
@@ -344,9 +342,9 @@ def test_criterion_12_property_suites(sym_contract_reference):
         for seed in range(10):
             w = Weights.random(Architecture((2, 2, 2, 2)), COMPLEX, seed=seed)
             t = forward_recursive(w)
-            assert membership_binary_multioutput(list(t.numerators), t.denominator, 3).in_model
+            assert membership_binary_multioutput(t, 3).in_model
             Ps = [HomPoly(COMPLEX, 2, 3,
                           {(3 - j, j): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                            for j in range(4)}) for _ in range(2)]
-            bad = membership_binary_multioutput(Ps, t.denominator, 3)
+            bad = membership_binary_multioutput(RationalTuple(Ps, t.denominator), 3)
             assert not bad.in_model

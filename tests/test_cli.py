@@ -953,3 +953,26 @@ def test_reconstruct_shallow_denominator_of_overflowing_magnitude_is_factor_test
     verdict = _strict_json(out)
     assert (verdict["in_model"], verdict["stage_failed"], verdict["residual"]) == (
         False, "FactorTest", None)
+
+
+@pytest.mark.parametrize("tol, code, stage", [("0", 2, "VerificationFail"), ("1e-3", 0, "None")])
+def test_binary_peel_remainder_above_tol_is_verification_fail(tmp_path, capsys, tol, code, stage):
+    # at --tol 0 a peel's division by x1 leaves a rounding-size remainder:
+    # the division fails, and the verdict has no residual to report
+    t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), COMPLEX, seed=1))
+    got, out, err = run(capsys, "reconstruct", "--binary", "--layers", "3", "--tol", tol,
+                        "--tuple", write_tuple(tmp_path / "t.json", t))
+    verdict = _strict_json(out)
+    assert (got, err, verdict["stage_failed"]) == (code, "", stage)
+    assert (verdict["residual"] is None) == (code == 2)
+
+
+@pytest.mark.parametrize("flags, code, stage", [((), 0, "None"), (("--real-only",), 2, "SpanTest")])
+def test_real_only_rejects_a_complex_output_layer(tmp_path, capsys, flags, code, stage):
+    # the denominator splits over the reals, so only the output layer's
+    # imaginary part keeps this tuple out of the real model
+    w = Weights(Architecture((2, 3, 1)), COMPLEX, ([[1, 2], [3, -1], [0.5, 1]], [[1 + 1j, 2, -1]]))
+    got, out, err = run(capsys, "reconstruct", "--arch", "2,3,1", *flags,
+                        "--tuple", write_tuple(tmp_path / "t.json", forward_recursive(w)))
+    verdict = _strict_json(out)
+    assert (got, err, verdict["in_model"], verdict["stage_failed"]) == (code, "", code == 0, stage)

@@ -17,7 +17,7 @@ from ratnets.geometry import (_mul_mod, _point_count, _point_jacobian, _residues
                               expected_dim, fiber_upper_bound, filling_binary,
                               filling_shallow, gf_rank, jacobian_rank_mod_p, numerical_rank,
                               rank_test_membership)
-from ratnets.network import (Architecture, Weights, ambient_dim, degrees,
+from ratnets.network import (Architecture, RationalTuple, Weights, ambient_dim, degrees,
                              forward_recursive, param_count)
 from ratnets.poly import HomPoly, monomials
 from ratnets.reconstruct import reconstruct_shallow
@@ -362,7 +362,7 @@ class TestMomentMatrix:
         # block with doubled diagonal
         rng = random.Random(7)
         nums, den = random_ambient_tuple(3, 2, 1, rng)
-        mm = build_moment_matrix(nums, den, (3, 2, 1))
+        mm = build_moment_matrix(RationalTuple(nums, den), (3, 2, 1))
         assert mm.shape == (3, 4)
         for i in range(3):
             e_i = tuple(1 if t == i else 0 for t in range(3))
@@ -384,19 +384,19 @@ class TestMomentMatrix:
         else:
             nums[0] = nums[0].mul(HomPoly.linear(COMPLEX, [1j, 0j, 0j]))
         with pytest.raises(ValueError, match=r"tuple shape does not match the architecture 3,2,2"):
-            build_moment_matrix(nums, den, (3, 2, 2))
+            build_moment_matrix(RationalTuple(nums, den), (3, 2, 2))
 
     def test_on_model_rank_two(self):
         for seed in range(10):
             nums, den = on_model_tuple(4, 3, seed)
-            mm = build_moment_matrix(nums, den, (4, 2, 3))
+            mm = build_moment_matrix(RationalTuple(nums, den), (4, 2, 3))
             assert numerical_rank(mm) == 2
 
     def test_ambient_rank_exceeds_two(self):
         rng = random.Random(8)
         for _ in range(10):
             nums, den = random_ambient_tuple(4, 2, 3, rng)
-            mm = build_moment_matrix(nums, den, (4, 2, 3))
+            mm = build_moment_matrix(RationalTuple(nums, den), (4, 2, 3))
             assert numerical_rank(mm) >= 3
 
     def test_perturbed_on_model_rejected(self):
@@ -405,13 +405,13 @@ class TestMomentMatrix:
         key = next(iter(bumped))
         bumped[key] = bumped[key] + 1e-2
         den2 = HomPoly(COMPLEX, 5, 2, bumped)
-        assert rank_test_membership(nums, den, (5, 2, 2)).ok
-        assert not rank_test_membership(nums, den2, (5, 2, 2)).ok
+        assert rank_test_membership(RationalTuple(nums, den), (5, 2, 2)).ok
+        assert not rank_test_membership(RationalTuple(nums, den2), (5, 2, 2)).ok
 
     def test_wide_hidden_flagged_necessary_only(self):
         w = Weights.random(Architecture((3, 3, 1)), COMPLEX, seed=2)
         t = forward_recursive(w)
-        res = rank_test_membership(list(t.numerators), t.denominator, (3, 3, 1))
+        res = rank_test_membership(t, (3, 3, 1))
         assert res.ok
         assert res.necessary_only
 
@@ -420,16 +420,17 @@ class TestMomentMatrix:
         # a / l1 + b / l2: the rank screen passes it and claims no more
         x1, x2 = (HomPoly.linear(COMPLEX, [1 + 0j, 0j, 0j]),
                   HomPoly.linear(COMPLEX, [0j, 1 + 0j, 0j]))
-        res = rank_test_membership([x2], x1.mul(x1), (3, 2, 1))
+        res = rank_test_membership(RationalTuple([x2], x1.mul(x1)), (3, 2, 1))
         assert res.ok and res.rank == 2
         assert res.necessary_only
-        assert not reconstruct_shallow([x2], x1.mul(x1), Architecture((3, 2, 1))).in_model
+        assert not reconstruct_shallow(RationalTuple([x2], x1.mul(x1)),
+                                       Architecture((3, 2, 1))).in_model
 
     def test_factorization_reproduces_matrix(self):
         # on-model matrix equals (column-swapped W1^T) @ [W2^T | W1]
         w = Weights.random(Architecture((4, 2, 3)), COMPLEX, seed=9)
         nums, den = list(forward_recursive(w).numerators), forward_recursive(w).denominator
-        mm = build_moment_matrix(nums, den, (4, 2, 3))
+        mm = build_moment_matrix(RationalTuple(nums, den), (4, 2, 3))
         W1 = np.array(w.mats[0], dtype=complex)
         W2 = np.array(w.mats[1], dtype=complex)
         left = np.stack([W1[1], W1[0]], axis=1)       # rows (a_2i, a_1i)
@@ -451,8 +452,8 @@ class TestMomentMatrix:
                            {e: complex(math.ldexp(c.real, k), math.ldexp(c.imag, k))
                             for e, c in p.terms.items()})
 
-        a = rank_test_membership(nums, den, dims)
-        b = rank_test_membership([scaled(p) for p in nums], scaled(den), dims)
+        a = rank_test_membership(RationalTuple(nums, den), dims)
+        b = rank_test_membership(RationalTuple([scaled(p) for p in nums], scaled(den)), dims)
         assert (b.ok, b.rank) == (a.ok, a.rank)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(0, float("inf"))])
@@ -467,8 +468,17 @@ class TestMomentMatrix:
             nums[0] = bad_p
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = rank_test_membership(nums, den, (3, 2, 2))
+            res = rank_test_membership(RationalTuple(nums, den), (3, 2, 2))
         assert not res.ok
+
+    def test_exact_field_tuple_is_a_type_error(self):
+        # GF(101) residues have no complex image; read as complex numbers,
+        # this on-model tuple was rejected with moment rank 3
+        arch = Architecture((3, 2, 2))
+        t = forward_recursive(Weights.random(arch, PrimeField(101), seed=1))
+        for screen in (rank_test_membership, reconstruct_shallow):
+            with pytest.raises(TypeError, match="no complex image"):
+                screen(t, arch)
 
     def test_dimension_claim_for_width_two(self):
         for (n, m) in [(2, 2), (3, 1), (3, 3)]:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL, PrimeField
-from ratnets.network import (Architecture, ArchitectureError, DomainError, Weights,
-                             ambient_dim, apply_symmetry, degrees, eval_network,
+from ratnets.network import (Architecture, ArchitectureError, DomainError, RationalTuple,
+                             Weights, ambient_dim, apply_symmetry, degrees, eval_network,
                              forward_binary, forward_layers, forward_recursive,
                              layer_degrees, param_count, shape_matches)
 from ratnets.poly import HomPoly
@@ -83,11 +83,14 @@ class TestDegrees:
         arch = Architecture(dims)
         t = forward_recursive(Weights.random(arch, GF, seed=2))
         Ps, Q = list(t.numerators), t.denominator
-        assert shape_matches(Ps, Q, arch)
-        assert not shape_matches(Ps[1:] or Ps * 2, Q, arch)  # output count
-        assert not shape_matches(Ps, Q.mul(HomPoly.linear(GF, [1] * arch.d0)), arch)  # degree
-        assert not shape_matches([HomPoly.zero(GF, arch.d0, 0)] + Ps[1:], Q, arch)  # numerator
-        assert not shape_matches(Ps, HomPoly.zero(GF, arch.d0 + 1, Q.degree), arch)  # width
+        assert shape_matches(RationalTuple(Ps, Q), arch)
+        assert not shape_matches(RationalTuple(Ps[1:] or Ps * 2, Q), arch)  # output count
+        assert not shape_matches(RationalTuple(Ps, Q.mul(HomPoly.linear(GF, [1] * arch.d0))),
+                                 arch)  # degree
+        assert not shape_matches(RationalTuple([HomPoly.zero(GF, arch.d0, 0)] + Ps[1:], Q),
+                                 arch)  # numerator
+        assert not shape_matches(RationalTuple(Ps, HomPoly.zero(GF, arch.d0 + 1, Q.degree)),
+                                 arch)  # width
 
 
 class TestForwardRecursive:

@@ -70,7 +70,7 @@ class TestReconstructShallow:
     def test_symmetric_example(self):
         P = HomPoly(COMPLEX, 3, 2, {(0, 1, 1): 1 + 0j, (1, 0, 1): 1 + 0j, (1, 1, 0): 1 + 0j})
         Q = HomPoly(COMPLEX, 3, 3, {(1, 1, 1): 1 + 0j})
-        verdict = reconstruct_shallow([P], Q, (3, 3, 1), tol=1e-8)
+        verdict = reconstruct_shallow(RationalTuple([P], Q), (3, 3, 1), tol=1e-8)
         assert verdict.in_model
         assert verdict.residual < 1e-8
         # rows must be coordinate directions up to scale/permutation
@@ -87,34 +87,34 @@ class TestReconstructShallow:
         m = 4
         Q = product([lin(1, 0), lin(1, 0), lin(1, 1), lin(1, -1)])
         P = HomPoly(COMPLEX, 2, m - 1, {(0, m - 1): 1 + 0j})
-        verdict = reconstruct_shallow([P], Q, (2, m, 1), tol=1e-8)
+        verdict = reconstruct_shallow(RationalTuple([P], Q), (2, m, 1), tol=1e-8)
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.SPAN_TEST
 
     def test_degree_gate(self):
         P = HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j})
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j})
-        verdict = reconstruct_shallow([P], Q, (2, 3, 1))
+        verdict = reconstruct_shallow(RationalTuple([P], Q), (2, 3, 1))
         assert verdict.stage_failed == Stage.DEGREE_TEST
 
     def test_factor_gate(self):
         # full-rank quadric denominator in 3 vars is not a product of forms
         Q = HomPoly(COMPLEX, 3, 2, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j})
         P = HomPoly(COMPLEX, 3, 1, {(1, 0, 0): 1 + 0j})
-        verdict = reconstruct_shallow([P], Q, (3, 2, 1))
+        verdict = reconstruct_shallow(RationalTuple([P], Q), (3, 2, 1))
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.FACTOR_TEST
 
     def test_zero_denominator_fails_factor_test(self):
         Q = HomPoly(COMPLEX, 2, 2, {})
-        verdict = reconstruct_shallow([lin(1, 0)], Q, (2, 2, 1))
+        verdict = reconstruct_shallow(RationalTuple([lin(1, 0)], Q), (2, 2, 1))
         assert verdict.stage_failed == Stage.FACTOR_TEST
 
     @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0), 1.5e308 + 1.5e308j])
     def test_denominator_the_factorizer_refuses_fails_factor_test(self, bad):
         # the factorizer's input guard, as for the binary peel
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): complex(bad), (0, 2): 1 + 0j})
-        verdict = reconstruct_shallow([lin(1, 0)], Q, (2, 2, 1))
+        verdict = reconstruct_shallow(RationalTuple([lin(1, 0)], Q), (2, 2, 1))
         assert (verdict.in_model, verdict.stage_failed) == (False, Stage.FACTOR_TEST)
 
     @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 3, 1), (4, 3, 3)])
@@ -122,8 +122,7 @@ class TestReconstructShallow:
         for seed in range(5):
             w = random_complex_weights(dims, 40 + seed)
             t = forward_recursive(w)
-            verdict = reconstruct_shallow(list(t.numerators), t.denominator, dims,
-                                          tol=1e-6, seed=seed)
+            verdict = reconstruct_shallow(t, dims, tol=1e-6, seed=seed)
             assert verdict.in_model
             assert verdict.residual <= 1e-6
 
@@ -131,13 +130,12 @@ class TestReconstructShallow:
         w = Weights(Architecture((2, 2, 1)), COMPLEX,
                     (((1 + 0j, 0j), (0j, 1 + 0j)), ((1 + 0j, 1 + 0j),)))
         t = forward_recursive(w)
-        ok = reconstruct_shallow(list(t.numerators), t.denominator, (2, 2, 1),
-                                 require_real=True)
+        ok = reconstruct_shallow(t, (2, 2, 1), require_real=True)
         assert ok.in_model
         # x^2 + y^2 denominator has no real split
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j, (0, 2): 1 + 0j})
         P = HomPoly(COMPLEX, 2, 1, {(1, 0): 1 + 0j})
-        bad = reconstruct_shallow([P], Q, (2, 2, 1), require_real=True)
+        bad = reconstruct_shallow(RationalTuple([P], Q), (2, 2, 1), require_real=True)
         assert not bad.in_model
         assert bad.stage_failed == Stage.FACTOR_TEST
 
@@ -146,7 +144,7 @@ class TestReconstructBinary:
     def test_depth_two_plain_pair(self):
         P = lin(1, 1)
         Q = lin(1, 0).mul(lin(0, 1))  # x1 x2
-        verdict = reconstruct_binary(P, Q, 2, tol=1e-9)
+        verdict = reconstruct_binary(RationalTuple([P], Q), 2, tol=1e-9)
         assert verdict.in_model
         assert verdict.residual < 1e-9
 
@@ -155,8 +153,7 @@ class TestReconstructBinary:
         for seed in range(5):
             w = random_complex_weights((2,) * layers + (1,), 60 + seed)
             t = forward_recursive(w)
-            verdict = reconstruct_binary(t.numerators[0], t.denominator, layers,
-                                         tol=1e-6)
+            verdict = reconstruct_binary(t, layers, tol=1e-6)
             assert verdict.in_model, verdict.stage_failed
             assert verdict.residual <= 1e-6
 
@@ -164,14 +161,14 @@ class TestReconstructBinary:
         # a large scale on distinct factors is no sign of a repeated factor
         P = lin(1, 2)
         Q = lin(1, 1).mul(lin(1, -1)).scale(1e8)
-        verdict = reconstruct_binary(P, Q, 2, tol=1e-9)
+        verdict = reconstruct_binary(RationalTuple([P], Q), 2, tol=1e-9)
         assert verdict.in_model, verdict.stage_failed
         assert verdict.residual < 1e-9
 
     def test_depth_six_tower_with_unbalanced_last_peel(self):
         w = random_complex_weights((2,) * 6 + (1,), 11434421)
         t = forward_recursive(w)
-        verdict = reconstruct_binary(t.numerators[0], t.denominator, 6)
+        verdict = reconstruct_binary(t, 6)
         assert verdict.in_model, verdict.stage_failed
         assert verdict.residual <= 1e-6
 
@@ -179,14 +176,14 @@ class TestReconstructBinary:
         # denominator a 4th power: every factor proportional
         Q = product([lin(1, 1)] * 4)
         P = HomPoly(COMPLEX, 2, 3, {(3, 0): 1 + 0j, (0, 3): 2 + 0j})
-        verdict = reconstruct_binary(P, Q, 4)
+        verdict = reconstruct_binary(RationalTuple([P], Q), 4)
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.REPEATED_FACTORS
 
     def test_degree_gate(self):
         P = HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j})
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j})
-        assert reconstruct_binary(P, Q, 3).stage_failed == Stage.DEGREE_TEST
+        assert reconstruct_binary(RationalTuple([P], Q), 3).stage_failed == Stage.DEGREE_TEST
 
     def test_generic_ambient_pair_is_reachable(self):
         # single-output towers fill their ambient space: a generic pair of
@@ -196,7 +193,7 @@ class TestReconstructBinary:
                                     for k in range(4)})
         Q = HomPoly(COMPLEX, 2, 4, {(4 - k, k): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                     for k in range(5)})
-        verdict = reconstruct_binary(P, Q, 4, tol=1e-8)
+        verdict = reconstruct_binary(RationalTuple([P], Q), 4, tol=1e-8)
         assert verdict.in_model
         assert verdict.residual <= 1e-8
 
@@ -220,7 +217,7 @@ class TestResultantScreen:
     def test_on_model_numerators_pass(self):
         w = random_complex_weights((2, 2, 2, 2), 90)  # layers=3, two outputs
         t = forward_recursive(w)
-        verdict = membership_binary_multioutput(list(t.numerators), t.denominator, 3)
+        verdict = membership_binary_multioutput(t, 3)
         assert verdict.in_model
         assert verdict.necessary_only
 
@@ -229,7 +226,7 @@ class TestResultantScreen:
         Ps = [HomPoly(COMPLEX, 2, 3, {(3 - k, k): complex(rng.uniform(-1, 1))
                                       for k in range(4)}) for _ in range(2)]
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j, (0, 2): 1 + 0j})
-        verdict = membership_binary_multioutput(Ps, Q, 3)
+        verdict = membership_binary_multioutput(RationalTuple(Ps, Q), 3)
         assert not verdict.in_model
 
     def test_layers_fix_the_degrees(self):
@@ -237,10 +234,11 @@ class TestResultantScreen:
         Ps = [HomPoly(COMPLEX, 2, 7, {(7 - k, k): complex(rng.uniform(-1, 1))
                                       for k in range(8)}) for _ in range(2)]
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j, (0, 2): 1 + 0j})
-        verdict = membership_binary_multioutput(Ps, Q, 3)
+        verdict = membership_binary_multioutput(RationalTuple(Ps, Q), 3)
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.DEGREE_TEST
-        assert membership_binary_multioutput([], Q, 3).stage_failed == Stage.DEGREE_TEST
+        assert (membership_binary_multioutput(RationalTuple([], Q), 3).stage_failed
+                == Stage.DEGREE_TEST)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_numerator_fails_the_screen(self, bad):
@@ -250,14 +248,14 @@ class TestResultantScreen:
         Ps[0] = HomPoly(COMPLEX, 2, Ps[0].degree, {**Ps[0].terms, (Ps[0].degree, 0): bad})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verdict = membership_binary_multioutput(Ps, t.denominator, 3)
+            verdict = membership_binary_multioutput(RationalTuple(Ps, t.denominator), 3)
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.VERIFICATION_FAIL
 
     def test_single_output_vacuous(self):
         P = HomPoly(COMPLEX, 2, 3, {(3, 0): 1 + 0j})
         Q = HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j})
-        assert membership_binary_multioutput([P], Q, 3).in_model
+        assert membership_binary_multioutput(RationalTuple([P], Q), 3).in_model
 
 
 class TestRoundTrip:
@@ -285,6 +283,13 @@ class TestRoundTrip:
             except ReconstructionError:
                 pass
         assert ok >= 19
+
+    def test_zero_first_layer_row_raises_at_factor_test(self):
+        # a zero row makes the denominator the zero form, which has no factorization
+        w = Weights(Architecture((2, 2, 1)), COMPLEX, ([[0, 0], [1, 2]], [[1, 1]]))
+        with pytest.raises(ReconstructionError) as err:
+            round_trip_residual(w)
+        assert err.value.verdict.stage_failed == Stage.FACTOR_TEST
 
     def test_auto_passes_real_only_to_shallow(self):
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j, (0, 2): 1 + 0j})
@@ -353,11 +358,10 @@ class TestScale:
             if screen is reconstruct_auto:
                 v = reconstruct_auto(t, arch)
             elif screen is rank_test_membership:
-                v = rank_test_membership(list(t.numerators), t.denominator, arch)
+                v = rank_test_membership(t, arch)
                 return v.ok, v.rank
             else:
-                v = membership_binary_multioutput(list(t.numerators), t.denominator,
-                                                  arch.layers)
+                v = membership_binary_multioutput(t, arch.layers)
             return v.in_model, v.stage_failed, repr(v.residual)
 
         assert outcome(scaled) == outcome(t)
