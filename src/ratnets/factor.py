@@ -100,11 +100,12 @@ class FactorReport:
 
 
 def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
-    """Roots (with multiplicity) of sum(coeffs[k] * y**k).
+    """The deg roots (with multiplicity) of sum(coeffs[k] * y**k), or
+    NonConvergenceError.
 
     Companion-matrix eigenvalues followed by up to NEWTON_STEPS Newton
     polishing steps; every root r must satisfy
-    |p(r)| <= ROOT_TOL * max|coeffs| * max(1, |r|)**deg.
+    |p(r)| <= ROOT_TOL * max|coeffs| * max(1, |r|)**deg, with a finite left side.
     """
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size == 0 or c[-1] == 0:
@@ -114,29 +115,34 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
         return []
     c, e = _pow2_scaled(c)
     scale = np.max(np.abs(c))
-    if not np.isfinite(scale):  # np.roots would warn, and no root can meet the bound
+    if not np.isfinite(scale):  # no root can meet the bound
         raise NonConvergenceError("coefficients are not finite")
-    try:
-        # complex even when np.roots finds only real roots (all-zero ones included)
-        roots = np.roots(c[::-1]).astype(complex)
-    except np.linalg.LinAlgError as ex:
-        raise NonConvergenceError(str(ex)) from ex
-    dc = c[1:] * np.arange(1, deg + 1)
-    pv = np.polyval(c[::-1], roots)
-    for _ in range(NEWTON_STEPS):
-        dv = np.polyval(dc[::-1], roots)
-        safe = np.abs(dv) > 1e-300
-        step = np.zeros_like(roots)
-        step[safe] = pv[safe] / dv[safe]
-        # damp steps near multiple roots where Newton overshoots
-        big = np.abs(step) > 1.0
-        step[big] /= np.abs(step[big])
-        roots = roots - step
+    if c[-1] == 0:  # np.roots would drop it and return fewer than deg roots
+        raise NonConvergenceError("leading coefficient is below the float range of the largest")
+    # an overflow or NaN on the way is left to the residual test, which it fails
+    with np.errstate(all="ignore"):
+        try:
+            # complex even when np.roots finds only real roots (all-zero ones included)
+            roots = np.roots(c[::-1]).astype(complex)
+        except np.linalg.LinAlgError as ex:
+            raise NonConvergenceError(str(ex)) from ex
+        dc = c[1:] * np.arange(1, deg + 1)
         pv = np.polyval(c[::-1], roots)
-        resid = np.abs(pv)  # NaN fails the test below
-        if np.all(resid <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg):
-            return [complex(r) for r in roots]
-    raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
+        for _ in range(NEWTON_STEPS):
+            dv = np.polyval(dc[::-1], roots)
+            safe = np.abs(dv) > 1e-300
+            step = np.zeros_like(roots)
+            step[safe] = pv[safe] / dv[safe]
+            # damp steps near multiple roots where Newton overshoots
+            big = np.abs(step) > 1.0
+            step[big] /= np.abs(step[big])
+            roots = roots - step
+            pv = np.polyval(c[::-1], roots)
+            resid = np.abs(pv)
+            if (np.isfinite(resid).all()
+                    and np.all(resid <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg)):
+                return [complex(r) for r in roots]
+        raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
 
 
 def _guarded(q: HomPoly) -> tuple[HomPoly, float]:
@@ -147,10 +153,7 @@ def _guarded(q: HomPoly) -> tuple[HomPoly, float]:
     if q.is_zero():
         raise ValueError("cannot factor the zero form")
     q = _as_complex(q)
-    try:
-        maxmag = q.max_magnitude()
-    except OverflowError:  # abs of a complex beyond the float range
-        maxmag = np.inf
+    maxmag = q.max_magnitude()
     if not np.isfinite(maxmag):
         raise ValueError("cannot factor a form whose coefficients are not finite")
     return q, maxmag

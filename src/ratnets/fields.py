@@ -9,8 +9,9 @@ polynomial dictionaries stay lightweight:
 
 A field object owns every operation on its scalars; callers never assume a
 concrete representation.  ``magnitude`` maps a scalar to a float used for
-tolerance checks; for exact fields it is a 0/1 indicator, so a "magnitude
-below threshold" test degenerates to an exact zero test.
+tolerance checks, inf for a complex whose modulus is beyond the float range;
+for exact fields it is a 0/1 indicator, so a "magnitude below threshold" test
+degenerates to an exact zero test.
 """
 
 from __future__ import annotations
@@ -134,7 +135,10 @@ class _FloatField(ScalarField):
         return a == 0
 
     def magnitude(self, a):
-        return abs(a)
+        try:
+            return abs(a)
+        except OverflowError:  # a complex whose modulus is beyond the float range
+            return float("inf")
 
 
 class RealField(_FloatField):

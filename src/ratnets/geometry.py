@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import DEFAULT_PRIME, PrimeField, is_prime
 from .network import Architecture, RationalTuple, ambient_dim, assemble, degrees, param_count, shape_matches
-from .poly import _pow2_scaled_forms, deleted_products, monomial_count, monomials
+from .poly import _as_complex, _pow2_scaled_forms, deleted_products, monomial_count, monomials
 
 SMALL_PRIME_LIMIT = 2 ** 31  # below it a product of two residues fits in int64
 WORD_PRIME_LIMIT = 2 ** 62  # below it a*b - q*p fits in int64 (see _mul_mod)
@@ -345,17 +345,17 @@ def build_moment_matrix(t: RationalTuple, arch) -> np.ndarray:
         raise ValueError("moment matrix is defined for one-hidden-layer shapes")
     if not shape_matches(t, arch):
         raise ValueError(f"tuple shape does not match the architecture {arch}")
-    Ps, Q = t.numerators, t.denominator
+    *Ps, Q = map(_as_complex, t.all_polys())  # a TypeError for an exact field
     d0, d1, d2 = arch.dims
     rows = monomials(d0, d1 - 1)  # a multiset of input indices is its exponent tuple
     out = np.zeros((len(rows), d2 + d0), dtype=complex)
     for r, e in enumerate(rows):
         base_mult = prod(map(factorial, e))
         for k in range(d2):
-            out[r, k] = base_mult * complex(Ps[k].coefficient(e))
+            out[r, k] = base_mult * Ps[k].coefficient(e)
         for j in range(d0):
             full = e[:j] + (e[j] + 1,) + e[j + 1:]
-            out[r, d2 + j] = prod(map(factorial, full)) * complex(Q.coefficient(full))
+            out[r, d2 + j] = prod(map(factorial, full)) * Q.coefficient(full)
     return out
 
 

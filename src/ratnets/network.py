@@ -34,12 +34,10 @@ class Architecture:
     """Dimension vector (d_0, ..., d_L); L = number of weight matrices.
 
     Input and hidden widths below 2 stall the degree growth of the output,
-    so they are rejected unless ``diagnostic`` is set (used only to examine
-    the width-1 degeneracy itself).
+    so they are rejected.
     """
 
     dims: tuple[int, ...]
-    diagnostic: bool = False
 
     def __post_init__(self):
         try:
@@ -51,10 +49,10 @@ class Architecture:
             raise ArchitectureError("need at least an input and an output layer")
         if any(d < 1 for d in dims):
             raise ArchitectureError("all widths must be positive")
-        if not self.diagnostic and any(d < 2 for d in dims[:-1]):
+        if any(d < 2 for d in dims[:-1]):
             raise ArchitectureError(
                 f"input and hidden widths must be >= 2, got {dims} "
-                "(width-1 layers stop degree growth; use diagnostic=True to study them)")
+                "(width-1 layers stop degree growth)")
 
     @property
     def layers(self) -> int:
@@ -203,22 +201,13 @@ class RationalTuple:
     def __post_init__(self):
         object.__setattr__(self, "numerators", tuple(self.numerators))
 
-    @property
-    def nvars(self) -> int:
-        return self.denominator.nvars
-
     def all_polys(self) -> list[HomPoly]:
         return list(self.numerators) + [self.denominator]
 
     def common_monomial_factor(self) -> tuple[int, ...]:
         """Largest monomial dividing every component (all-zero if none)."""
-        mins = None
-        for p in self.all_polys():
-            if p.is_zero():
-                continue
-            for e in p.terms:
-                mins = list(e) if mins is None else [min(a, b) for a, b in zip(mins, e)]
-        return tuple(mins) if mins else (0,) * self.nvars
+        exps = [e for p in self.all_polys() for e in p.terms]
+        return tuple(map(min, zip(*exps))) if exps else (0,) * self.denominator.nvars
 
     def to_json(self) -> dict:
         return {"numerators": [p.to_json() for p in self.numerators],

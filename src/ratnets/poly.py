@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -28,20 +29,10 @@ class NotDivisibleError(ArithmeticError):
 
 
 def monomials(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, grlex descending."""
-    out: list[Exponent] = []
-
-    def rec(prefix: list[int], rem: int, k: int):
-        if k == nvars - 1:
-            out.append(tuple(prefix + [rem]))
-            return
-        for e in range(rem, -1, -1):
-            rec(prefix + [e], rem - e, k + 1)
-
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec([], degree, 0)
-    return out
+    """All exponent tuples of the given total degree, grlex descending: each
+    multiset of variable indices, in lexicographic order, counted per variable."""
+    return [tuple(map(c.count, range(nvars)))
+            for c in combinations_with_replacement(range(nvars), degree)]
 
 
 def monomial_count(nvars: int, degree: int) -> int:
@@ -97,9 +88,6 @@ class HomPoly:
 
     def coefficient(self, exponent: Exponent):
         return self.terms.get(tuple(exponent), self.field.zero())
-
-    def sorted_terms(self) -> list[tuple[Exponent, object]]:
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -220,7 +208,7 @@ class HomPoly:
 
     def to_json(self) -> dict:
         terms = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items(), key=lambda t: t[0], reverse=True):
             entry = {"exp": list(e)}
             entry.update(self.field.coeff_to_json(c))
             terms.append(entry)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -68,21 +69,24 @@ def projective_normalize(t: RationalTuple) -> RationalTuple:
     q = _as_complex(t.denominator)
     if q.is_zero():
         raise ValueError("denominator is identically zero")
-    pivot = complex(q.coefficient((q.degree,) + (0,) * (q.nvars - 1)))
-    mx = q.max_magnitude()
-    if abs(pivot) <= 1e-12 * mx:
-        pivot = max(q.terms.values(), key=lambda c: abs(complex(c)))
-    s = 1.0 / complex(pivot)
+    mag = q.field.magnitude
+    pivot = q.coefficient((q.degree,) + (0,) * (q.nvars - 1))
+    if mag(pivot) <= 1e-12 * q.max_magnitude():
+        pivot = max(q.terms.values(), key=mag)
+    s = 1.0 / pivot
     return RationalTuple(tuple(_as_complex(p).scale(s) for p in t.numerators), q.scale(s))
 
 
 def projective_mismatch(a: RationalTuple, b: RationalTuple) -> float:
     """Max coefficient deviation between the normalized tuples, relative to
-    the first tuple's largest coefficient magnitude."""
+    the first tuple's largest coefficient magnitude; NaN when that is not
+    finite, since a finite deviation relative to it would read as 0."""
     a, b = projective_normalize(a), projective_normalize(b)
     if len(a.numerators) != len(b.numerators):
         raise ValueError("tuples have different output counts")
     scale = max_or_nan(p.max_magnitude() for p in a.all_polys())
+    if not math.isfinite(scale):
+        return math.nan
     err = max_or_nan(pa.sub(pb).max_magnitude() for pa, pb in zip(a.all_polys(), b.all_polys()))
     return err / scale if scale else err
 
@@ -185,18 +189,12 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
 
 
 def _most_independent_pair(vecs: list[np.ndarray]):
-    """The two direction vectors with the smallest normalized inner product;
-    None when every pair is proportional within tolerance."""
+    """The two direction vectors (of at least two) with the smallest
+    normalized inner product, the first such pair on a tie; None when it is
+    proportional within tolerance."""
     units = [v / np.linalg.norm(v) for v in vecs]
-    best = None
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            overlap = abs(np.vdot(units[i], units[j]))
-            if best is None or overlap < best[0]:
-                best = (overlap, i, j)
-    if best is None:
-        return None
-    overlap, i, j = best
+    overlap, i, j = min((abs(np.vdot(units[i], units[j])), i, j)
+                        for i, j in combinations(range(len(units)), 2))
     if 1.0 - overlap < PROPORTIONAL_TOL:
         return None
     return vecs[i], vecs[j]

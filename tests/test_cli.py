@@ -255,6 +255,24 @@ def test_binary_peel_of_an_overflowing_form_is_a_verdict(tmp_path, capsys, seed)
     assert (verdict["stage_failed"], verdict["residual"]) == ("FactorTest", None)
 
 
+@pytest.mark.parametrize("route", [("--binary", "--layers", "3"), ("--arch", "2,2,2,1")],
+                         ids=["binary", "arch"])
+def test_reconstruct_of_a_coefficient_at_the_float_limit_is_a_verdict(tmp_path, capsys, route):
+    # x1^2 x2 = 1e308 is a finite JSON number, but the peeled forms' complex
+    # moduli overflow: both routes printed "error: absolute value too large"
+    # (exit 1), and with the magnitude alone fixed the forward-map check read
+    # a finite error over an infinite scale as residual 0.0, in model
+    t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), COMPLEX, seed=5))
+    P = t.numerators[0]
+    t = RationalTuple((HomPoly(COMPLEX, 2, 3, {**P.terms, (2, 1): 1e308 + 0j}),), t.denominator)
+    tfile = write_tuple(tmp_path / "t.json", t)
+    code, out, err, caught = _run_recording_warnings(capsys, "reconstruct", *route, "--tuple", tfile)
+    assert (code, err, caught) == (2, "", [])
+    verdict = _strict_json(out)
+    assert (verdict["in_model"], verdict["stage_failed"], verdict["residual"]) == \
+        (False, "VerificationFail", None)
+
+
 @pytest.mark.parametrize("argv", [("factor",), ("factor", "--binary")])
 def test_negative_tol_is_one_line_error(tmp_path, capsys, argv):
     q = product([lin(2, 1), lin(1, -3)])

@@ -75,6 +75,37 @@ class TestRootsUnivariate:
         assert roots == [0j]
         assert isinstance(roots[0], complex)
 
+    def test_leading_coefficient_below_the_float_range_is_non_convergence(self):
+        # the power-of-two scale flushes 1e-300 to 0 next to 1e300, and
+        # np.roots dropped it: three roots came back for degree 4
+        with pytest.raises(NonConvergenceError):
+            roots_univariate([1.0, 0.0, 0.0, 1e300, 1e-300])
+
+    def test_root_near_the_float_limit_emits_no_warning(self):
+        # the residual bound max(1, |r|)**3 overflows at r = -1e200, which
+        # warned "overflow encountered in power"
+        roots = roots_univariate([1e-200, 0.0, 1e200, 1.0])
+        assert len(roots) == 3
+        assert min(roots, key=lambda r: r.real) == pytest.approx(-1e200)
+
+    def test_polishing_that_misses_its_bound_is_non_convergence(self):
+        # next to the root near -1e19, the companion eigenvalues of the three
+        # with |y| near 0.02 are 0, where p' = 0 too: Newton cannot move them
+        with pytest.raises(NonConvergenceError, match="max residual"):
+            roots_univariate([1e19, 0.0, 0.0, -1e24, -1e5])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-320, 308)),
+                    min_size=2, max_size=9))
+    def test_deg_roots_or_non_convergence(self, signed_exponents):
+        # nonzero coefficients across the whole float range, warnings as errors
+        coeffs = [s * 10.0 ** x for s, x in signed_exponents]
+        try:
+            roots = roots_univariate(coeffs)
+        except NonConvergenceError:
+            return
+        assert len(roots) == len(coeffs) - 1
+
 
 class TestFactorMultilinear:
     def test_example_cubic(self):

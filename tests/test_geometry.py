@@ -480,6 +480,14 @@ class TestMomentMatrix:
             with pytest.raises(TypeError, match="no complex image"):
                 screen(t, arch)
 
+    def test_moment_matrix_of_an_exact_field_tuple_is_a_type_error(self):
+        # build_moment_matrix took complex() of each residue: this on-model
+        # tuple gave a matrix of numerical rank 3, where the model's is 2
+        arch = Architecture((3, 2, 2))
+        t = forward_recursive(Weights.random(arch, PrimeField(101), seed=1))
+        with pytest.raises(TypeError, match="no complex image"):
+            build_moment_matrix(t, arch)
+
     def test_dimension_claim_for_width_two(self):
         for (n, m) in [(2, 2), (3, 1), (3, 3)]:
             rep = jacobian_rank_mod_p(Architecture((n, 2, m)), seed=5)

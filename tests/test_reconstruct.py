@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL
 from ratnets.geometry import rank_test_membership
@@ -59,6 +59,15 @@ class TestProjective:
         assert math.isnan(projective_mismatch(bad, t))
         verdict = _verified(w, bad, 1e-6)
         assert not verdict.in_model and verdict.stage_failed == Stage.VERIFICATION_FAIL
+
+    def test_mismatch_over_a_scale_beyond_the_float_range_is_nan(self):
+        # the modulus of 1.5e308 + 1.5e308j is inf: a normalized tuple against
+        # itself deviates by 0, and 0 / inf read as an exact match
+        t = projective_normalize(forward_recursive(random_complex_weights((2, 2, 1), 3)))
+        p = t.numerators[0]
+        big = RationalTuple((HomPoly(COMPLEX, 2, 1, {**p.terms, (1, 0): 1.5e308 + 1.5e308j}),),
+                            t.denominator)
+        assert math.isnan(projective_mismatch(big, big))
 
     def test_normalize_sets_leading_one(self):
         w = random_complex_weights((2, 2, 1), 2)
@@ -365,6 +374,42 @@ class TestScale:
             return v.in_model, v.stage_failed, repr(v.residual)
 
         assert outcome(scaled) == outcome(t)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from([
+               (reconstruct_auto, (2, 2, 1)), (reconstruct_auto, (3, 3, 2)),
+               (reconstruct_auto, (2, 2, 2, 1)), (reconstruct_auto, (2, 2, 2, 2, 1)),
+               (rank_test_membership, (2, 2, 1)), (rank_test_membership, (3, 2, 2)),
+               (rank_test_membership, (3, 3, 2)),
+               (membership_binary_multioutput, (2, 2, 2)),
+               (membership_binary_multioutput, (2, 2, 2, 1)),
+               (membership_binary_multioutput, (2, 2, 2, 3)),
+               (membership_binary_multioutput, (2, 2, 2, 2, 2))]),
+           seed=st.integers(0, 10 ** 6), slot=st.integers(0, 10 ** 6),
+           value=st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan,
+                                  complex(1.5e308, 1.5e308)]))
+    # the seed-5 numerator's x1^2 x2: "absolute value too large" before
+    # field.magnitude read a complex beyond the float range as inf
+    @example(case=(reconstruct_auto, (2, 2, 2, 1)), seed=5, slot=1, value=1e308)
+    def test_an_injected_extreme_coefficient_ends_as_a_verdict(self, case, seed, slot, value):
+        # one coefficient of an on-model tuple at or beyond the float range:
+        # every screen returns its verdict (warnings are errors), and a pass
+        # never rests on a residual or rank that was not measured
+        screen, dims = case
+        arch = Architecture(dims)
+        polys = forward_recursive(random_complex_weights(dims, seed)).all_polys()
+        slots = [(i, e) for i, p in enumerate(polys) for e in p.terms]
+        i, e = slots[slot % len(slots)]
+        p = polys[i]
+        polys[i] = HomPoly(COMPLEX, p.nvars, p.degree, {**p.terms, e: complex(value)})
+        t = RationalTuple(tuple(polys[:-1]), polys[-1])
+        if screen is rank_test_membership:
+            v = rank_test_membership(t, arch)
+            assert not v.ok or v.rank >= 0
+        else:
+            v = (reconstruct_auto(t, arch) if screen is reconstruct_auto
+                 else membership_binary_multioutput(t, arch.layers))
+            assert not v.in_model or math.isfinite(v.residual)
 
     @pytest.mark.parametrize("dims", [(2, 5, 1), (3, 4, 2), (2, 3, 1)])
     @pytest.mark.parametrize("scale", [1e-20, 1e-6, 1e-3, 1e5, 1e20])
