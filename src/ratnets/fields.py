@@ -240,8 +240,15 @@ class PrimeField(ScalarField):
         return pow(a, -1, self.p)
 
     def random(self, rng):
-        # nonzero draw: zero weights create degenerate networks
-        return rng.randrange(1, self.p)
+        return self.randoms(rng, 1)[0]
+
+    def randoms(self, rng: random.Random, n: int) -> list[int]:
+        """n nonzero draws (zero weights create degenerate networks), equal to n
+        successive rng.randrange(1, p): both skip getrandbits words >= p - 1."""
+        bits, out = (self.p - 1).bit_length(), []
+        while len(out) < n:
+            out += [r + 1 for r in map(rng.getrandbits, [bits] * (n - len(out))) if r < self.p - 1]
+        return out
 
     def coeff_to_json(self, a):
         return {"re": int(a)}

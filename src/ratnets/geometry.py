@@ -8,10 +8,10 @@ That Jacobian is the coefficient Jacobian times Vandermonde blocks, which
 keep its rank at enough generic points; elimination mod p then gives the
 rank with no numerical tolerance.
 
-Residues mod p are numpy arrays whose dtype follows from p and the
-platform, and every product of two goes through _mul_mod: int64 with
-``a * b % p`` below 2^31; uint64 with a long-double quotient estimate below
-2^62 where long double has a 64-bit mantissa (x86-64); Python ints in
+Residues mod p are numpy arrays whose dtype follows from p and the platform,
+and every product, plus any addend, takes _mul_mod's one remainder: int64 with
+``(c + a * b) % p`` below 2^31; uint64 with a long-double quotient estimate
+below 2^62 where long double has a 64-bit mantissa (x86-64); Python ints in
 object arrays above, or where long double is plain double.
 """
 
@@ -96,22 +96,23 @@ def _inverse(p: int) -> np.longdouble:
     return np.longdouble(1) / np.array(p, dtype=np.uint64).astype(np.longdouble)
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a * b mod p elementwise (broadcasting) for residue arrays of one dtype.
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, add: np.ndarray | None = None) -> np.ndarray:
+    """(add + a * b) mod p, add defaulting to 0, elementwise (broadcasting) for
+    residue arrays of one dtype, with one remainder.
 
     uint64 residues take the quotient estimate q of a*b/p in long double
     from a precomputed 1/p (Shoup's MulMod; Moller and Granlund 2011): with
     a 64-bit mantissa and a, b <= p < 2^62 it is within one of the true
     quotient, so a*b - q*p, taken in wrapping 64-bit arithmetic, lies in
-    [-p, 2p) and one remainder by p finishes it.
+    [-p, 2p); adding p and the addend puts it in [0, 4p), below 2^64.
     """
     if a.dtype != np.uint64:
-        return a * b % p
+        return (a * b if add is None else add + a * b) % p
     if a.size < b.size:  # scale the smaller operand by 1/p
         a, b = b, a
     a, b = a.view(np.int64), b.view(np.int64)
     q = (a * (b * _inverse(p))).astype(np.int64)
-    return ((a * b - q * p) % p).view(np.uint64)
+    return ((a * b - q * p).view(np.uint64) + (p if add is None else add + p)) % p
 
 
 def gf_rank(rows, p: int) -> int:
@@ -124,21 +125,18 @@ def gf_rank(rows, p: int) -> int:
         a = a.T
     rank = 0
     for col in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if nonzero.size == 0:
-            continue
-        if nonzero[0]:
-            piv = rank + nonzero[0]
-            a[[rank, piv]] = a[[piv, rank]]
-        # each row below minus (its first entry / pivot) times the pivot row,
-        # which stays unnormalised; the sum, below 2p, is reduced in place
-        neg_inv = a.dtype.type(p - pow(int(a[rank, col]), -1, p))
-        below = a[rank + 1:, col:]
-        below += _mul_mod(_mul_mod(below[:, :1], neg_inv, p), a[rank, col:], p)
-        below %= p
+        if not a[rank, col]:  # search below and swap only for a zero pivot entry
+            nonzero = a[rank:, col].nonzero()[0]
+            if nonzero.size == 0:
+                continue
+            a[rank], a[rank + nonzero[0]] = a[rank + nonzero[0]], a[rank].copy()
+        pivot_row, below = a[rank, col:], a[rank + 1:, col:]
         rank += 1
         if rank == a.shape[0]:
             break
+        # each row below minus (its first entry / pivot) times the unnormalised pivot row
+        neg_inv = a.dtype.type(p - pow(int(pivot_row[0]), -1, p))
+        below[...] = _mul_mod(_mul_mod(below[:, :1], neg_inv, p), pivot_row, p, below)
     return rank
 
 
@@ -161,45 +159,41 @@ def _point_jacobian(arch: Architecture, mats, points, p: int) -> np.ndarray:
     Row s is weight s (row-major, layer by layer); column c*N + t is
     component c (numerators, then the denominator) at points[t].  This is
     the coefficient Jacobian times a block-diagonal matrix of monomials at
-    the points.  Every product and every sum is reduced, dot products
-    included: a sum of unreduced int64 products would wrap, and so would a
-    sum of five uint64 residues.
+    the points.  A value and its P tangents at the N points are one dual, an
+    (N, 1 + P) array with the value in column 0.  Every sum is reduced with
+    the product it adds: an unreduced sum of int64 products or uint64 residues wraps.
     """
     dims, nparams = arch.dims, param_count(arch)
-    ins = _residues(points, p).T
+    ins = _residues(points, p).T[..., None]  # the inputs' duals: values, no tangents
 
-    def apply(w, v):  # rows of the residue matrix w against the stacked values v
-        terms = _mul_mod(w.reshape(w.shape + (1,) * (v.ndim - 1)), v, p)
-        if terms.dtype != np.uint64:
-            return terms.sum(axis=1) % p
-        acc = terms[:, 0]
-        for j in range(1, terms.shape[1]):
-            acc = (acc + terms[:, j]) % p  # below 2p, which fits uint64
+    def apply(w, v):  # rows of the residue matrix w against the stacked duals v
+        acc = _mul_mod(w[:, 0, None, None], v[0], p)
+        for j in range(1, len(v)):
+            acc = _mul_mod(w[:, j, None, None], v[j], p, acc)
         return acc
 
-    def mul(a, b):  # (value, tangent) pairs of shapes (N,), (N, P); None is one
+    def mul(a, b):  # duals; None is one
         if a is None or b is None:
             return b if a is None else a
-        (av, at), (bv, bt) = a, b
-        return (_mul_mod(av, bv, p),  # and a sum below 2p, which fits uint64:
-                (_mul_mod(av[:, None], bt, p) + _mul_mod(bv[:, None], at, p)) % p)
+        out = _mul_mod(a[:, :1], b, p)  # a's value times b's value and tangents
+        out[:, 1:] = _mul_mod(b[:, :1], a[:, 1:], p, out[:, 1:])
+        return out
 
     qs, offset = [None, None], 0  # product forms, indexed as in network.forward_layers
     for k, w in enumerate(mats):
         if k:  # the deleted products of the previous layer
-            dels, full = deleted_products(list(zip(vals, tans)), mul, None)
+            dels, full = deleted_products(duals, mul, None)
             qs.append(full)
-            ins, in_tans = np.stack([v for v, _ in dels]), np.stack([t for _, t in dels])
-        w = _residues(w, p)
-        vals = apply(w, ins)
-        tans = apply(w, in_tans) if k else np.zeros(vals.shape + (nparams,), dtype=vals.dtype)
-        for i in range(dims[k + 1]):  # the derivative in w[i][j] is ins[j]
-            tans[i, :, offset + i * dims[k]:offset + (i + 1) * dims[k]] = ins.T
+            ins = np.stack(dels)
+        duals = apply(_residues(w, p), ins)
+        if not k:  # layer 0 ran on values alone
+            duals = np.concatenate([duals, np.zeros(duals.shape[:2] + (nparams,), duals.dtype)], -1)
+        for i in range(dims[k + 1]):  # the derivative in w[i][j] is the value of ins[j]
+            duals[i, :, 1 + offset + i * dims[k]:1 + offset + (i + 1) * dims[k]] = ins[..., 0].T
         offset += dims[k + 1] * dims[k]
 
-    nums, den = assemble(list(zip(vals, tans)), qs, mul, None)
-    outs = [t for _, t in nums] + [den[1]]
-    return np.stack(outs).transpose(2, 0, 1).reshape(nparams, -1)
+    nums, den = assemble(duals, qs, mul, None)
+    return np.stack([d[:, 1:] for d in nums + [den]]).transpose(2, 0, 1).reshape(nparams, -1)
 
 
 def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
@@ -239,16 +233,15 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         raise ValueError("modulus must be a prime above 10^6")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    gf = PrimeField(p)
-    n_points, bound = _point_count(arch), expected_dim(arch)
+    gf, n_points, bound = PrimeField(p), _point_count(arch), expected_dim(arch)
     few = min(n_points, ceil(bound / (arch.dL + 1)) + SPARE_POINTS)
     t0 = time.monotonic()
 
     def rank_at(t: int) -> int:
-        rng = random.Random(seed + 104729 * t)
-        mats = [[[gf.random(rng) for _ in range(cols)] for _ in range(rows)]
+        draws = iter(gf.randoms(random.Random(seed + 104729 * t), param_count(arch) + n_points * arch.d0))
+        mats = [[[next(draws) for _ in range(cols)] for _ in range(rows)]
                 for rows, cols in arch.shapes()]
-        points = [[gf.random(rng) for _ in range(arch.d0)] for _ in range(n_points)]
+        points = [[next(draws) for _ in range(arch.d0)] for _ in range(n_points)]
         # lists of row views: the benchmark's gf_rank cell counter tests `if rows`
         jac = _point_jacobian(arch, mats, points[:few], p)
         rank = gf_rank(list(jac), p)

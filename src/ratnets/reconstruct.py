@@ -220,10 +220,10 @@ def resultant_binary(p: HomPoly, q: HomPoly) -> complex:
 def membership_binary_multioutput(t: RationalTuple, layers: int,
                                   tol: float = 1e-8) -> MembershipVerdict:
     """Membership for multi-output binary architectures.  Two layers are the
-    one-hidden-layer shape (2, 2, k): an exact verdict from the shallow
-    reconstruction, as `reconstruct_auto` takes.  Deeper, a necessary-condition
-    screen: numerators must pairwise share all but one linear factor, so every
-    pairwise resultant vanishes."""
+    one-hidden-layer shape (2, 2, k), and one output is the single-output
+    tower: exact verdicts from the reconstruction `reconstruct_auto` takes.
+    Otherwise a necessary-condition screen: numerators must pairwise share
+    all but one linear factor, so every pairwise resultant vanishes."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
     k = len(t.numerators)
@@ -233,6 +233,8 @@ def membership_binary_multioutput(t: RationalTuple, layers: int,
         return _fail(Stage.FACTOR_TEST, necessary_only=True)
     if layers == 2:  # exact: factor Q, solve for the output layer, measure the residual
         return reconstruct_shallow(t, Architecture((2, 2, k)), tol)
+    if k == 1:  # exact: peel the tower; no pair of numerators to screen
+        return reconstruct_binary(t, layers, tol)
     # each numerator into range by an exact power of two, then to largest magnitude 1
     Ps = [_pow2_scaled_forms([p])[0] for p in t.numerators]
     scales = [p.max_magnitude() for p in Ps]

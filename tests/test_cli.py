@@ -273,6 +273,23 @@ def test_reconstruct_of_a_coefficient_at_the_float_limit_is_a_verdict(tmp_path, 
         (False, "VerificationFail", None)
 
 
+def test_membership_binary_of_a_single_output_tuple_is_its_reconstruction(tmp_path, capsys):
+    # the float-limit tuple above: with one numerator there is no pairwise
+    # resultant, and the screen read it in model with residual 0.0 (exit 0)
+    t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), COMPLEX, seed=5))
+    P = t.numerators[0]
+    t = RationalTuple((HomPoly(COMPLEX, 2, 3, {**P.terms, (2, 1): 1e308 + 0j}),), t.denominator)
+    tfile = write_tuple(tmp_path / "t.json", t)
+    outs = []
+    for command in ("membership", "reconstruct"):
+        code, out, err, caught = _run_recording_warnings(capsys, command, "--binary", "--layers",
+                                                         "3", "--tuple", tfile)
+        assert (code, err, caught) == (2, "", [])
+        outs.append(_strict_json(out))
+    assert outs[0] == outs[1]
+    assert (outs[0]["stage_failed"], outs[0]["necessary_only"]) == ("VerificationFail", False)
+
+
 @pytest.mark.parametrize("argv", [("factor",), ("factor", "--binary")])
 def test_negative_tol_is_one_line_error(tmp_path, capsys, argv):
     q = product([lin(2, 1), lin(1, -3)])

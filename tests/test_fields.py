@@ -49,6 +49,19 @@ def test_prime_field_random_nonzero():
     assert draws == {1, 2, 3, 4, 5, 6}
 
 
+@pytest.mark.parametrize("p", [10 ** 6 + 3, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 62 + 135])
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_prime_field_randoms_continue_the_randrange_stream(p, n):
+    # 10^6 + 3 rejects about 5 % of its 20-bit words, so a batch needs refills
+    gf = PrimeField(p)
+    batch, single, reference = random.Random(n), random.Random(n), random.Random(n)
+    got = gf.randoms(batch, n)
+    assert got == [gf.random(single) for _ in range(n)] == [reference.randrange(1, p)
+                                                            for _ in range(n)]
+    assert all(1 <= v < p for v in got)
+    assert batch.random() == single.random() == reference.random()  # the streams stay in step
+
+
 GF = PrimeField(101)
 FLOATS = [0.0, -0.0, math.nan, math.inf, 5e-324]
 

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -53,6 +54,17 @@ class TestGfRank:
             rows = [[sum(b[i][t] * c[t][j] for t in range(inner)) for j in range(n)]
                     for i in range(m)]
         assert gf_rank(rows, p) == gf_rank_oracle(rows, p)
+
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1, 2 ** 62 + 135])
+    @pytest.mark.parametrize("rows,want", [
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], 3),  # zero pivot entry: swap; rank reaches 3 rows
+        ([[1, 2, 3], [2, 4, 7], [3, 6, 1], [4, 8, 5]], 2),  # column 1 zero at and below rank 1
+        ([[1, 0, 0, 5, 6], [0, 1, 0, 7, 8], [0, 0, 1, 9, 1]], 3),  # wide: rank 3 before the last column
+    ], ids=["swap", "zero-column", "wide"])
+    def test_pivot_branches_match_the_oracle(self, gf_rank_oracle, rows, want, p):
+        for mat in (rows, [[-x % p for x in row] for row in rows]):  # and entries near p
+            assert gf_rank(mat, p) == gf_rank_oracle(mat, p) == want
+            assert gf_rank([list(c) for c in zip(*mat)], p) == want
 
 
 class TestExpectedDim:
@@ -289,6 +301,35 @@ class TestModPBackends:
         assert _mul_mod(a[:1, None], b[None, :], p).tolist() == outer[:1]
         assert _mul_mod(a[:, None], b[None, :1], p).tolist() == [row[:1] for row in outer]
         assert _mul_mod(a, a.dtype.type(ys[0]), p).tolist() == [x * ys[0] % p for x in xs]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2 ** 31 - 1, P61, P62_BELOW]), n=st.integers(1, 8),
+           m=st.integers(1, 8), seed=st.integers(0, 2 ** 32), fallback=st.booleans())
+    def test_fused_add_matches_python_ints(self, data, p, n, m, seed, fallback):
+        # a column times a row plus a block, as in gf_rank's pivot step; at
+        # P62_BELOW the sum before the remainder comes within 4p of 2^64.
+        # Uniform residues, since a few percent of their products have a
+        # quotient estimate one too high (a*b - q*p < 0), with edge values
+        rng = random.Random(seed)
+        xs, ys = [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(m)]
+        block = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+        for row in [xs, ys] + block:
+            for i in data.draw(st.lists(st.integers(0, len(row) - 1), max_size=2)):
+                row[i] = data.draw(st.sampled_from([0, 1, p - 2, p - 1]))
+        with unittest.mock.patch.object(geometry, "LONG_DOUBLE_MANTISSA",
+                                        52 if fallback else geometry.LONG_DOUBLE_MANTISSA):
+            a, b, add = _residues(xs, p), _residues(ys, p), _residues(block, p)
+        assert a.dtype == (np.int64 if p < 2 ** 31 else object if fallback or not UINT64_BACKEND
+                           else np.uint64)
+        want = [[(c + x * y) % p for y, c in zip(ys, row)] for x, row in zip(xs, block)]
+        assert _mul_mod(a[:, None], b, p, add).tolist() == want
+        assert _mul_mod(b, a[:, None], p, add).tolist() == want
+        # a zero or no addend: a*b - q*p plus p alone must not fall below zero
+        products = [[x * y % p for y in ys] for x in xs]
+        assert _mul_mod(a[:, None], b, p, add * 0).tolist() == products
+        assert _mul_mod(a[:, None], b, p).tolist() == products
+        # the column against one residue, as gf_rank scales it
+        assert _mul_mod(a[:, None], b.dtype.type(ys[0]), p).tolist() == [[x * ys[0] % p] for x in xs]
 
     @pytest.mark.parametrize("p", [P61, P62_BELOW])
     @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 3, 2, 1), (6, 2, 1), (2, 7, 2, 1)])

@@ -261,10 +261,19 @@ class TestResultantScreen:
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.VERIFICATION_FAIL
 
-    def test_single_output_vacuous(self):
+    def test_single_output_is_reconstructed(self):
+        # one numerator has no pair to screen: the screen passed every tuple,
+        # P = x^3 over Q = xy too, whose cube has no two independent factors
         P = HomPoly(COMPLEX, 2, 3, {(3, 0): 1 + 0j})
         Q = HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j})
-        assert membership_binary_multioutput(RationalTuple([P], Q), 3).in_model
+        verdict = membership_binary_multioutput(RationalTuple([P], Q), 3)
+        assert (verdict.in_model, verdict.stage_failed, verdict.necessary_only) == \
+            (False, Stage.REPEATED_FACTORS, False)
+        for layers in (3, 4):
+            t = forward_recursive(random_complex_weights((2,) * layers + (1,), 93))
+            verdict = membership_binary_multioutput(t, layers)
+            assert verdict.to_json() == reconstruct_binary(t, layers, 1e-8).to_json()
+            assert verdict.in_model and verdict.weights is not None and not verdict.necessary_only
 
 
 class TestRoundTrip:
