@@ -33,7 +33,6 @@ REASSEMBLY_TOL = 1e-8
 REALITY_TOL = 1e-7
 LEADING_TOL = 1e-10
 MAX_RETRIES = 5
-NEWTON_STEPS = 12
 
 
 class NonConvergenceError(ArithmeticError):
@@ -103,8 +102,8 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     """The deg roots (with multiplicity) of sum(coeffs[k] * y**k), or
     NonConvergenceError.
 
-    Companion-matrix eigenvalues followed by up to NEWTON_STEPS Newton
-    polishing steps; every root r must satisfy
+    The roots are the companion-matrix eigenvalues, which np.roots finds
+    backward stably; every root r must satisfy
     |p(r)| <= ROOT_TOL * max|coeffs| * max(1, |r|)**deg, with a finite left side.
     """
     c = np.asarray(list(coeffs), dtype=complex)
@@ -126,23 +125,11 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
             roots = np.roots(c[::-1]).astype(complex)
         except np.linalg.LinAlgError as ex:
             raise NonConvergenceError(str(ex)) from ex
-        dc = c[1:] * np.arange(1, deg + 1)
-        pv = np.polyval(c[::-1], roots)
-        for _ in range(NEWTON_STEPS):
-            dv = np.polyval(dc[::-1], roots)
-            safe = np.abs(dv) > 1e-300
-            step = np.zeros_like(roots)
-            step[safe] = pv[safe] / dv[safe]
-            # damp steps near multiple roots where Newton overshoots
-            big = np.abs(step) > 1.0
-            step[big] /= np.abs(step[big])
-            roots = roots - step
-            pv = np.polyval(c[::-1], roots)
-            resid = np.abs(pv)
-            if (np.isfinite(resid).all()
-                    and np.all(resid <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg)):
-                return [complex(r) for r in roots]
-        raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
+        resid = np.abs(np.polyval(c[::-1], roots))
+        if not (np.isfinite(resid).all()
+                and np.all(resid <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg)):
+            raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
+    return [complex(r) for r in roots]
 
 
 def _guarded(q: HomPoly) -> tuple[HomPoly, float]:

@@ -162,9 +162,7 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
     for depth in range(layers, 1, -1):
         even = depth % 2 == 0
         try:
-            # loose reassembly bound: clustered (near-multiple) roots cannot
-            # meet a tight one, and soundness rests on the final forward-map check
-            fz = factor_binary_form(Q if even else P, tol=1e-4)
+            fz = factor_binary_form(Q if even else P)
         except (NonConvergenceError, ValueError):
             return _fail(Stage.FACTOR_TEST)
         pair = _most_independent_pair([np.asarray(f, dtype=complex) for f in fz.factors])
@@ -190,14 +188,16 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
 
 def _most_independent_pair(vecs: list[np.ndarray]):
     """The two direction vectors (of at least two) with the smallest
-    normalized inner product, the first such pair on a tie; None when it is
-    proportional within tolerance."""
+    normalized inner product, the first such pair on a tie, each scaled to
+    unit norm; None when it is proportional within tolerance.  Unit rows keep
+    the peel's substitution balanced: scaling a hidden neuron leaves the
+    function unchanged, so the next form's factors should not see that scale."""
     units = [v / np.linalg.norm(v) for v in vecs]
     overlap, i, j = min((abs(np.vdot(units[i], units[j])), i, j)
                         for i, j in combinations(range(len(units)), 2))
     if 1.0 - overlap < PROPORTIONAL_TOL:
         return None
-    return vecs[i], vecs[j]
+    return units[i], units[j]
 
 
 def resultant_binary(p: HomPoly, q: HomPoly) -> complex:

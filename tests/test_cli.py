@@ -203,16 +203,33 @@ def test_factor_decomposable_and_not(tmp_path, capsys):
     assert json.loads(out)["decomposable"] is False
 
 
-def test_factor_binary_unverified_split_is_a_verdict(tmp_path, capsys):
-    # the numerator of a depth-5 tower is a product of linear forms by
-    # construction, but its split reassembles to 3.0e-8, above the default 1e-8
+def clustered_numerator():
+    """The numerator of a depth-5 tower: a product of linear forms by
+    construction, with clustered roots."""
     w = Weights.random(Architecture((2, 2, 2, 2, 2, 1)), REAL, seed=1)
-    num = forward_recursive(w).numerators[0]
-    code, out, err = run(capsys, "factor", "--binary", "--poly", write_poly(tmp_path / "q.json", num))
+    return forward_recursive(w).numerators[0]
+
+
+def test_factor_binary_unverified_split_is_a_verdict(tmp_path, capsys):
+    # no split of a float form reassembles exactly, so --tol 0 rejects one
+    # that is a product of linear forms, as a verdict with its residual
+    path = write_poly(tmp_path / "q.json", clustered_numerator())
+    code, out, err = run(capsys, "factor", "--binary", "--tol", "0", "--poly", path)
     assert (code, err) == (2, "")
     blob = json.loads(out)
     assert (blob["decomposable"], blob["failure_reason"]) == (False, "VerificationFail")
-    assert 1e-8 < blob["residual"] < 1e-7
+    assert 0 < blob["residual"] <= 1e-8
+
+
+def test_factor_binary_clustered_numerator_factors(tmp_path, capsys):
+    # its clustered roots reassembled to 3.0e-8 after a Newton polish; the
+    # companion eigenvalues meet the default 1e-8
+    path = write_poly(tmp_path / "q.json", clustered_numerator())
+    code, out, err = run(capsys, "factor", "--binary", "--poly", path)
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert blob["decomposable"] is True
+    assert blob["residual"] <= 1e-8
 
 
 def test_factor_binary_root_finder_failure_is_a_verdict(tmp_path, capsys, monkeypatch):

@@ -206,8 +206,8 @@ def test_scaled_tuples(workdir, which, k):
 
 
 def test_regression_binary_peel_of_a_1e308_numerator(workdir):
-    # found by test_tuple_inputs: the numerator's root finder overflowed in its
-    # Newton step, and numpy printed RuntimeWarnings beside a FactorTest verdict
+    # found by test_tuple_inputs: the numerator's polynomial overflowed at its
+    # roots, and numpy printed RuntimeWarnings beside a FactorTest verdict
     arch, t = TUPLES[3]
     obj = t.to_json()
     obj["numerators"][0]["terms"][0]["re"] = 1e308

@@ -67,8 +67,8 @@ class TestRootsUnivariate:
             roots_univariate([1.0, 2.0, 0.0])
 
     def test_all_zero_roots_are_complex(self):
-        # np.roots returns float64 when every root is 0; Newton polishing
-        # must not cast its complex steps onto it
+        # np.roots returns float64 when every root is 0; the roots still
+        # come back complex
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             roots = roots_univariate([0, 2])
@@ -88,9 +88,9 @@ class TestRootsUnivariate:
         assert len(roots) == 3
         assert min(roots, key=lambda r: r.real) == pytest.approx(-1e200)
 
-    def test_polishing_that_misses_its_bound_is_non_convergence(self):
+    def test_eigenvalues_that_miss_their_bound_are_non_convergence(self):
         # next to the root near -1e19, the companion eigenvalues of the three
-        # with |y| near 0.02 are 0, where p' = 0 too: Newton cannot move them
+        # with |y| near 0.02 come out as 0, where |p| = 1e19 misses the bound
         with pytest.raises(NonConvergenceError, match="max residual"):
             roots_univariate([1e19, 0.0, 0.0, -1e24, -1e5])
 
@@ -228,6 +228,23 @@ class TestFactorBinaryForm:
         fz = factor_binary_form(q)
         assert len(fz.factors) == 3
         assert all(abs(f[0]) < 1e-12 for f in fz.factors)
+
+    def test_sixteenfold_root_factors(self):
+        # a Newton polish moved the 16 eigenvalues one at a time, and their
+        # product reassembled to 5.7e-2
+        fz = factor_binary_form(product([lin(1, -1)] * 16))
+        assert len(fz.factors) == 16
+        assert fz.residual <= 1e-8
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(centre=st.complex_numbers(max_magnitude=4),
+           offsets=st.lists(st.one_of(st.floats(-1e-3, 1e-3).map(complex),
+                                      st.complex_numbers(max_magnitude=1e-3)),
+                            min_size=2, max_size=9))
+    def test_clustered_roots_factor(self, centre, offsets):
+        # the roots of q lie within 1e-3 of one centre
+        q = product([lin(1, -(centre + d)) for d in offsets])
+        assert factor_binary_form(q).residual <= 1e-8
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """The README's CLI examples that state their output (``# prints ...``) run
 through cli.main and print exactly that, every line of its CLI usage block
-parses with cli.build_parser, and every backticked `module.name` it names
-exists, so the docs cannot drift from the code."""
+parses with cli.build_parser, and every backticked `module.name` or bare
+`CONSTANT` it names exists, so the docs cannot drift from the code."""
 
 import importlib
 import pkgutil
@@ -20,6 +20,7 @@ USAGE = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", README, re.M | re.S)[1]
 MODULES = {m.name for m in pkgutil.iter_modules(ratnets.__path__)}
 REFERENCES = sorted({(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", README)
                      if mod in MODULES})
+CONSTANTS = sorted(set(re.findall(r"`([A-Z][A-Z0-9_]*)`", README)))
 
 
 def test_readme_states_its_examples():
@@ -45,4 +46,12 @@ def test_readme_code_references_resolve():
     assert REFERENCES, "no backticked module.name found"
     missing = [f"{mod}.{name}" for mod, name in REFERENCES
                if not hasattr(importlib.import_module(f"ratnets.{mod}"), name)]
+    assert missing == []
+
+
+def test_readme_constants_resolve():
+    # a bare name such as `MAX_RETRIES` escapes the `module.name` check above
+    assert "MAX_RETRIES" in CONSTANTS
+    modules = [importlib.import_module(f"ratnets.{mod}") for mod in MODULES]
+    missing = [name for name in CONSTANTS if not any(hasattr(m, name) for m in modules)]
     assert missing == []

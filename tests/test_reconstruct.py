@@ -39,6 +39,13 @@ def random_tuple(arch, seed):
                          form(prof.denominator_degree))
 
 
+def swapped_inputs(t):
+    """t with x1 and x2 exchanged."""
+    swap = [[0, 1], [1, 0]]
+    return RationalTuple(tuple(p.compose_linear(swap) for p in t.numerators),
+                         t.denominator.compose_linear(swap))
+
+
 class TestProjective:
     def test_scaled_tuples_match(self):
         w = random_complex_weights((3, 3, 2), 1)
@@ -180,6 +187,24 @@ class TestReconstructBinary:
         verdict = reconstruct_binary(t, 6)
         assert verdict.in_model, verdict.stage_failed
         assert verdict.residual <= 1e-6
+
+    @pytest.mark.parametrize("seed", [51, 204])
+    def test_depth_three_tower_with_swapped_inputs(self, seed):
+        # after the swap one peeled root is 116 (seed 51) or 28,875 (seed 204);
+        # substituting that unscaled row squeezed the next form's factors
+        # into one direction, and the peel stopped at RepeatedFactors
+        t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), REAL, seed=seed))
+        verdict = reconstruct_binary(swapped_inputs(t), 3)
+        assert verdict.in_model, verdict.stage_failed
+        assert verdict.residual <= 1e-6
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layers=st.integers(3, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_swapping_the_inputs_keeps_the_verdict(self, layers, seed):
+        # x1 <-> x2 maps the model to itself (W1 -> W1 SWAP)
+        t = forward_recursive(Weights.random(Architecture((2,) * layers + (1,)), REAL, seed=seed))
+        assert (reconstruct_binary(t, layers).in_model
+                == reconstruct_binary(swapped_inputs(t), layers).in_model)
 
     def test_repeated_factor_rejected(self):
         # denominator a 4th power: every factor proportional
