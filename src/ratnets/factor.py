@@ -12,7 +12,8 @@ A retry under a random change of variables A never expands Q∘A: the
 procedure reads only the pure powers of Q∘A and its coefficients on one
 pencil, and those come from Q and its gradient evaluated at roots of unity
 on that pencil, then interpolated (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 8 and 10).
+Computer Algebra*, ch. 8 and 10); nor does a retry expand a split that Q's
+values at a few points prove too far off (`_PencilReader.misses`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +35,7 @@ REASSEMBLY_TOL = 1e-8
 REALITY_TOL = 1e-7
 LEADING_TOL = 1e-10
 MAX_RETRIES = 5
+SCREEN_POINTS = 3  # a retry's split is screened at this many points exp(2πi u), u from default_rng(0)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -164,7 +167,8 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     (`_PencilReader`), and its pivot test compares each pure power
     Q(A e_i) with max_j |Q(A e_j)|, not with the largest coefficient of
     Q∘A, which is never formed.  Soundness rests on the final expansion
-    check in the original coordinates, never on the intermediate solves.
+    check in the original coordinates, never on the intermediate solves; a
+    retry's split that `_PencilReader.misses` flags is rejected without it.
     """
     Q, maxmag = _guarded(Q)
     m, n = Q.degree, Q.nvars
@@ -196,6 +200,9 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
             rows = [tuple(r @ inv) for r in rows]
         const, rows = _normalize_factors(const, rows)
         if change is not None:
+            if reader.misses(const, rows, tol):
+                failure = FactorFailure.VERIFICATION_FAIL
+                continue
             const = reader.unscale(const)  # last, so only unscale can overflow, silently
         fz = _checked_split(const, rows, Q, maxmag)
         if fz.residual <= tol:
@@ -259,6 +266,9 @@ class _PencilReader:
         k = np.arange(m + 1)
         self.nodes = np.exp(2j * np.pi * k / (m + 1))
         self.inverse_dft = np.exp(-2j * np.pi * (np.outer(k, k) % (m + 1)) / (m + 1)) / (m + 1)
+        self.points = np.exp(2j * np.pi * np.random.default_rng(0).random((SCREEN_POINTS, n)))
+        self.at = self.values(self.points)[:, 0]
+        self.mass, self.top, self.count = np.abs(coef).sum(), np.abs(coef).max(), comb(m + n - 1, m)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row j: [Q, dQ/dx_1, ..., dQ/dx_n] of 2**-e Q at the point X[j]."""
@@ -277,6 +287,31 @@ class _PencilReader:
             return coeffs[:, 0], coeffs[:self.m, 1:]
 
         return pure, pencil
+
+    def misses(self, const: complex, rows: list[tuple], tol: float) -> bool:
+        """Whether the split const * prod(rows), const on `read`'s 2**-e
+        scale, is sure to reassemble to Q with a residual above tol.
+
+        At x with every |x_i| = 1, |c prod(r_i . x) - Q(x)| is at most the sum
+        of the gaps between their M = C(m + n - 1, m) coefficients, so at most
+        M * residual * max|q_e|.  The split misses when the gap computed at
+        some point exceeds that with residual = tol plus a rounding margin,
+        16u(m + M)(|c| prod||r_i||_1 + sum|q_e| + M tol max|q_e|) for both
+        evaluations, the expansion `_checked_split` makes and its quotient
+        (u = 2**-53), and 2**(-1072 - e)(mnM + 1) prod||r_i||_1 for what
+        underflow in that expansion and in `unscale` can lose.  So a split
+        that misses has a `_checked_split` residual above tol, and a NaN or
+        inf gap misses nothing.  Costs m * n products per point.
+        """
+        r = np.array(rows)
+        norms = np.prod(np.abs(r).sum(axis=1))
+        with np.errstate(all="ignore"):
+            gap = np.abs(const * np.prod(self.points @ r.T, axis=1) - self.at)
+            allowed = self.count * tol * self.top
+            rounding = 2.0 ** -49 * (self.m + self.count) * (np.abs(const) * norms + self.mass + allowed)
+            underflow = np.ldexp((self.m * self.n * self.count + 1) * norms, -1072 - self.e)
+            bound = allowed + rounding + underflow
+        return bool(np.any(np.isfinite(gap) & (gap > bound)))
 
     def unscale(self, c: complex) -> complex:
         # an overflow to inf is what Python arithmetic on Q∘A gives, silently

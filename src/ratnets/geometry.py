@@ -233,12 +233,12 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         raise ValueError("modulus must be a prime above 10^6")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    gf, n_points, bound = PrimeField(p), _point_count(arch), expected_dim(arch)
+    gf, n_points, bound, nparams = PrimeField(p), _point_count(arch), expected_dim(arch), param_count(arch)
     few = min(n_points, ceil(bound / (arch.dL + 1)) + SPARE_POINTS)
     t0 = time.monotonic()
 
     def rank_at(t: int) -> int:
-        draws = iter(gf.randoms(random.Random(seed + 104729 * t), param_count(arch) + n_points * arch.d0))
+        draws = iter(gf.randoms(random.Random(seed + 104729 * t), nparams + n_points * arch.d0))
         mats = [[[next(draws) for _ in range(cols)] for _ in range(rows)]
                 for rows, cols in arch.shapes()]
         points = [[next(draws) for _ in range(arch.d0)] for _ in range(n_points)]
@@ -257,7 +257,7 @@ def jacobian_rank_mod_p(arch, seed: int = 0, p: int = DEFAULT_PRIME,
         ranks.append(rank_at(t))
         if ranks[-1] == bound:  # proven: no sample ranks above the bound
             break
-    return DimensionReport(arch.dims, max(ranks), ambient_dim(arch), param_count(arch),
+    return DimensionReport(arch.dims, max(ranks), ambient_dim(arch), nparams,
                            bound, fiber_upper_bound(arch), p, seed,
                            time.monotonic() - t0, tuple(ranks))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .fields import ComplexField, ScalarField, field_from_name, checked_number, PrimeField
@@ -105,8 +105,10 @@ class DegreeProfile:
     parity: int
 
 
+@lru_cache(maxsize=1024)
 def degrees(arch: Architecture) -> DegreeProfile:
-    """Output degrees from the alternating assembly, as sums of degrees."""
+    """Output degrees from the alternating assembly, as sums of degrees;
+    computed once per architecture, since a rank or a shape test asks again."""
     L = arch.layers
     n, m = layer_degrees(arch)
     (num,), den = assemble([n[L]], m, operator.add, 0)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL
 from ratnets import factor
-from ratnets.factor import (FactorFailure, FactorReport, NonConvergenceError, _PencilReader,
-                            build_H, factor_binary_form, factor_multilinear,
+from ratnets.factor import (FactorFailure, FactorReport, LinearFactorization, NonConvergenceError,
+                            _PencilReader, _checked_split, build_H, factor_binary_form, factor_multilinear,
                             factor_quadratic_explicit, h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
 from ratnets.poly import HomPoly, monomials, product
@@ -464,3 +464,81 @@ class TestOutcomes:
                 assert isinstance(factor_multilinear(q), FactorReport)
             except ValueError:
                 pass
+
+
+def on_model_denominator(n, m, seed):
+    return forward_recursive(Weights.random(Architecture((n, m, 1)), COMPLEX, seed=seed)).denominator
+
+
+class TestRetryScreen:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_failing_retries_expand_nothing(self, monkeypatch, n):
+        # a random form with n >= 3 splits in no coordinates: attempt 0
+        # expands its split, and every retry fails on the screen instead
+        expanded, real = [], LinearFactorization.reassemble
+        monkeypatch.setattr(LinearFactorization, "reassemble",
+                            lambda self: expanded.append(1) or real(self))
+        for m in range(2, 6):
+            for seed in range(5):
+                expanded.clear()
+                report = factor_multilinear(random_form(np.random.default_rng(seed), n, m))
+                assert report.failure_reason is FactorFailure.VERIFICATION_FAIL
+                assert len(expanded) == 1
+
+    def test_attempt_zero_builds_no_reader(self, monkeypatch):
+        def refuse(Q):
+            raise AssertionError("a split verified at attempt 0 paid for a pencil reader")
+
+        monkeypatch.setattr(factor, "_PencilReader", refuse)
+        for n, m in itertools.product((2, 3, 4), (2, 3, 4, 5)):
+            for seed in range(3):
+                assert factor_multilinear(on_model_denominator(n, m, seed)).decomposable
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 4), m=st.integers(2, 5), seed=st.integers(0, 2 ** 31 - 1),
+           size=st.floats(-1, 1), tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+           k=st.just(0), scale=st.just(1 + 0j))
+    @example(n=3, m=4, seed=7, size=0.3, tol=1e-8, k=997, scale=1 + 0j)  # coefficients near 1e300
+    @example(n=3, m=4, seed=7, size=0.3, tol=1e-8, k=-997, scale=1 + 0j)  # near 1e-300
+    @example(n=4, m=3, seed=11, size=-0.5, tol=1e-8, k=0, scale=-3e3 + 4e3j)
+    @example(n=3, m=3, seed=5, size=0.0, tol=0.0, k=0, scale=1 + 0j)
+    def test_a_screened_split_misses_its_bound(self, n, m, seed, size, tol, k, scale):
+        # one coefficient moved by (tol or 1e-8) * 10**size of the largest,
+        # so the best split's residual lies near tol; whatever the screen
+        # rejects, the expansion it saves rejects too
+        Q = on_model_denominator(n, m, seed).scale(scale)
+        terms = dict(Q.terms)
+        e = sorted(terms)[seed % len(terms)]
+        terms[e] += Q.max_magnitude() * (tol or 1e-8) * 10 ** size
+        Q = HomPoly(COMPLEX, n, m, terms).scale(2.0 ** k)
+        maxmag, real = Q.max_magnitude(), _PencilReader.misses
+        screened = []
+
+        def checked(self, const, rows, tol):
+            missed = real(self, const, rows, tol)
+            if missed:
+                screened.append(_checked_split(self.unscale(const), rows, Q, maxmag).residual)
+            return missed
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(_PencilReader, "misses", checked)
+            warnings.simplefilter("error")
+            for attempt_seed in range(3):
+                factor_multilinear(Q, tol=tol, seed=attempt_seed)
+        assert all(r > tol for r in screened)
+
+    @pytest.mark.parametrize("k", [0, 997, -997])
+    def test_a_split_just_inside_tol_passes(self, k):
+        rng = np.random.default_rng(3)
+        rows = [tuple(rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(4)]
+        const = (0.6 - 0.8j) * 2.0 ** k
+        split = LinearFactorization(const, rows, 0.0).reassemble()
+        tol, terms = 1e-8, dict(split.terms)
+        terms[(2, 1, 1)] += 0.9 * tol * split.max_magnitude()
+        Q = HomPoly(COMPLEX, 3, 4, terms)
+        residual = _checked_split(const, rows, Q, Q.max_magnitude()).residual
+        assert 0.5 * tol < residual <= tol
+        reader = _PencilReader(Q)
+        scaled = complex(np.ldexp(const.real, -reader.e), np.ldexp(const.imag, -reader.e))
+        assert not reader.misses(scaled, rows, tol)
+        assert reader.misses(scaled, rows, tol / 100)  # and its residual is seen from the points
