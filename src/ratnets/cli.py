@@ -18,7 +18,7 @@ from .fields import COMPLEX, DEFAULT_PRIME, field_from_name
 from .poly import HomPoly
 from .network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                       forward_binary, forward_recursive, DomainError)
-from .factor import (FactorFailure, FactorReport, NonConvergenceError, build_H,
+from .factor import (REASSEMBLY_TOL, FactorFailure, FactorReport, NonConvergenceError, build_H,
                      factor_binary_form, factor_multilinear, h_slices)
 from .reconstruct import membership_binary_multioutput, reconstruct_auto
 from .geometry import (census, census_to_csv, enumerate_architectures,
@@ -267,7 +267,7 @@ def build_parser() -> _Parser:
     p = command("factor", cmd_factor, "factor a form into linear forms", "--seed", "--out")
     p.add_argument("--poly", required=True)
     p.add_argument("--binary", action="store_true", help="two-variable complete split")
-    p.add_argument("--tol", type=tolerance, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=REASSEMBLY_TOL)
 
     p = command("reconstruct", cmd_reconstruct, "recover weights from an output tuple",
                 "--tuple", "--layers", "--seed", "--out")

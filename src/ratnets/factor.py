@@ -21,13 +21,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, _as_complex, _pow2_scaled, deleted_products, product
+from .poly import HomPoly, _as_complex, _pow2_scaled, deleted_products, monomial_count, product
 from .network import RationalTuple, Weights
 
 ROOT_TOL = 1e-10
@@ -268,7 +267,7 @@ class _PencilReader:
         self.inverse_dft = np.exp(-2j * np.pi * (np.outer(k, k) % (m + 1)) / (m + 1)) / (m + 1)
         self.points = np.exp(2j * np.pi * np.random.default_rng(0).random((SCREEN_POINTS, n)))
         self.at = self.values(self.points)[:, 0]
-        self.mass, self.top, self.count = np.abs(coef).sum(), np.abs(coef).max(), comb(m + n - 1, m)
+        self.mass, self.top, self.count = np.abs(coef).sum(), np.abs(coef).max(), monomial_count(n, m)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row j: [Q, dQ/dx_1, ..., dQ/dx_n] of 2**-e Q at the point X[j]."""
@@ -345,15 +344,15 @@ def _factor_attempt(pure: Sequence[complex], ref: float, pencil
     rows = np.empty((m, n), dtype=complex)  # one factor per row, one variable per column
     rows[:, pivot] = 1.0
     rows[:, perm[1]] = second
-    # remaining columns: m x m elementary-symmetric systems, min-norm solve
+    # remaining columns: one m x m elementary-symmetric system each, one min-norm solve for all
     # (repeated roots give identical columns; equal weight split is the
     # correct assignment for genuinely repeated factors)
     # column i: coefficients of prod_{j != i} (1 + r_j y), ascending
     hats, _ = deleted_products([[1, r] for r in second], np.convolve, np.ones(1))
     M = np.array(hats, dtype=complex).T
-    for var in perm[2:]:
-        rhs = np.array([cross[t][var] / c0 for t in range(m)], dtype=complex)
-        rows[:, var] = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    rest = perm[2:]
+    rhs = np.array([[cross[t][var] / c0 for var in rest] for t in range(m)], dtype=complex)
+    rows[:, rest] = np.linalg.lstsq(M, rhs, rcond=None)[0]
     return c0, list(rows)
 
 

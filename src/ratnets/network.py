@@ -102,7 +102,6 @@ def layer_degrees(arch: Architecture) -> tuple[list[int], list[int]]:
 class DegreeProfile:
     numerator_degree: int
     denominator_degree: int
-    parity: int
 
 
 @lru_cache(maxsize=1024)
@@ -112,7 +111,7 @@ def degrees(arch: Architecture) -> DegreeProfile:
     L = arch.layers
     n, m = layer_degrees(arch)
     (num,), den = assemble([n[L]], m, operator.add, 0)
-    return DegreeProfile(num, den, L % 2)
+    return DegreeProfile(num, den)
 
 
 def shape_matches(t: RationalTuple, arch: Architecture) -> bool:

@@ -23,7 +23,7 @@ from .fields import COMPLEX
 from .poly import (HomPoly, NotDivisibleError, _as_complex, _pow2_scaled_forms, deleted_products,
                    max_or_nan, monomials)
 from .network import Architecture, Weights, RationalTuple, forward_recursive, shape_matches
-from .factor import NonConvergenceError, factor_binary_form, factor_multilinear
+from .factor import REASSEMBLY_TOL, NonConvergenceError, factor_binary_form, factor_multilinear
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PROPORTIONAL_TOL = 1e-7
@@ -114,9 +114,8 @@ def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0
     n, m, k = arch.dims
     if not shape_matches(t, arch):
         return _fail(Stage.DEGREE_TEST)
-    Q = _as_complex(t.denominator)
     try:
-        report = factor_multilinear(Q, tol=min(tol, 1e-8), seed=seed)
+        report = factor_multilinear(t.denominator, tol=min(tol, REASSEMBLY_TOL), seed=seed)
     except ValueError:  # the zero form, or coefficients that are not finite
         return _fail(Stage.FACTOR_TEST)
     if not report.decomposable or (require_real and not report.all_real):
@@ -231,10 +230,8 @@ def membership_binary_multioutput(t: RationalTuple, layers: int,
         return _fail(Stage.DEGREE_TEST, necessary_only=True)
     if t.denominator.is_zero():  # res(P, 0) = 0 would pass the screen below
         return _fail(Stage.FACTOR_TEST, necessary_only=True)
-    if layers == 2:  # exact: factor Q, solve for the output layer, measure the residual
-        return reconstruct_shallow(t, Architecture((2, 2, k)), tol)
-    if k == 1:  # exact: peel the tower; no pair of numerators to screen
-        return reconstruct_binary(t, layers, tol)
+    if layers == 2 or k == 1:  # exact: the one-hidden-layer shape or the single-output tower
+        return reconstruct_auto(t, Architecture((2,) * layers + (k,)), tol)
     # each numerator into range by an exact power of two, then to largest magnitude 1
     Ps = [_pow2_scaled_forms([p])[0] for p in t.numerators]
     scales = [p.max_magnitude() for p in Ps]

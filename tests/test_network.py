@@ -38,7 +38,6 @@ class TestDegrees:
     def test_binary_2221(self):
         prof = degrees(Architecture((2, 2, 2, 1)))
         assert (prof.numerator_degree, prof.denominator_degree) == (3, 2)
-        assert prof.parity == 1
 
     def test_3333_matches_expansion(self):
         w = Weights.random(Architecture((3, 3, 3, 3)), GF, seed=1)

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -356,6 +357,64 @@ class TestRoundTrip:
         w = random_complex_weights((2, 2, 3, 1), 5)
         with pytest.raises(ValueError):
             round_trip_residual(w)
+
+
+def well_conditioned(rng, size, complex_entries):
+    """A random size x size matrix with condition number below 10."""
+    while True:
+        A = rng.normal(size=(size, size))
+        if complex_entries:
+            A = A + 1j * rng.normal(size=(size, size))
+        if np.linalg.cond(A) < 10:
+            return A
+
+
+def moved(t, A, M):
+    """t over COMPLEX with every component composed with A (x <- A y) and
+    the numerators mixed by M (P_i <- sum_j M_ij P_j)."""
+    polys = [HomPoly(COMPLEX, p.nvars, p.degree, {e: complex(c) for e, c in p.terms.items()})
+             .compose_linear(A.tolist()) for p in t.all_polys()]
+    *ps, q = polys
+    mixed = [reduce(HomPoly.add, (p.scale(complex(c)) for c, p in zip(row, ps))) for row in M]
+    return RationalTuple(tuple(mixed), q)
+
+
+class TestMetamorphic:
+    @settings(max_examples=360, deadline=None, derandomize=True)
+    @given(case=st.one_of(
+               st.tuples(st.sampled_from([reconstruct_auto, rank_test_membership]),
+                         st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(1, 3))),
+               st.tuples(st.just(membership_binary_multioutput),
+                         st.builds(lambda layers, k: (2,) * layers + (k,),
+                                   st.integers(2, 4), st.integers(1, 3)))),
+           field=st.sampled_from([REAL, COMPLEX]), seed=st.integers(0, 2 ** 32 - 1),
+           move=st.sampled_from(["permute", "linear", "mix"]), complex_move=st.booleans())
+    def test_a_change_of_coordinates_keeps_the_verdict(self, case, field, seed, move,
+                                                       complex_move):
+        # permuting or mixing the inputs (x -> A x) maps the model to itself
+        # (W1 -> W1 A), and so does mixing a one-hidden-layer tuple's
+        # numerators (W2 -> M W2); the verdict on an on-model tuple must not move
+        screen, dims = case
+        arch = Architecture(dims)
+        t = forward_recursive(Weights.random(arch, field, seed=seed))
+        rng = np.random.default_rng(seed)
+        n, k = arch.d0, arch.dL
+        A, M = np.eye(n), np.eye(k)
+        if move == "permute":
+            A = A[rng.permutation(n)]
+        elif move == "linear" or not arch.is_shallow():
+            A = well_conditioned(rng, n, complex_move)
+        else:
+            M = well_conditioned(rng, k, complex_move)
+
+        def in_model(t):
+            if screen is rank_test_membership:
+                return rank_test_membership(t, arch).ok
+            if screen is reconstruct_auto:
+                return reconstruct_auto(t, arch).in_model
+            return membership_binary_multioutput(t, arch.layers).in_model
+
+        assert in_model(moved(t, A, M)) == in_model(t)
 
 
 class TestScale:

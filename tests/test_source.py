@@ -94,3 +94,32 @@ def test_every_definition_is_named_somewhere_else(module):
     path = SRC / module
     others = [text for p, text in CORPUS.items() if p != path]
     assert unnamed_definitions(CORPUS[path], others) == []
+
+
+def called_name(call: ast.Call) -> str | None:
+    """f for a call f(...) or m.f(...)."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def callers(tree: ast.Module, callees: set[str]) -> set[tuple[str, str]]:
+    """(function, callee) for each call, in a function or method at any
+    depth, to one of callees by name."""
+    return {(node.name, called_name(call)) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and called_name(call) in callees}
+
+
+def test_checker_sees_plain_and_dotted_calls_in_functions_and_methods():
+    tree = ast.parse("def a(): return b(1)\ndef b(x): return x\nb(3)\n"
+                     "class C:\n    def m(self): return mod.b(2)\n")
+    assert callers(tree, {"b"}) == {("a", "b"), ("m", "b")}
+
+
+def test_only_reconstruct_auto_picks_a_reconstruction():
+    # one dispatch: every other caller in the package goes through reconstruct_auto
+    procedures = {"reconstruct_shallow", "reconstruct_binary"}
+    found = {(module, *pair) for module in MODULES
+             for pair in callers(ast.parse(CORPUS[SRC / module]), procedures)}
+    assert found == {("reconstruct.py", "reconstruct_auto", "reconstruct_shallow"),
+                     ("reconstruct.py", "reconstruct_auto", "reconstruct_binary")}
