@@ -165,13 +165,14 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_membership(args) -> int:
     t = _load(args.tuple, lambda obj: RationalTuple.from_json(COMPLEX, obj))
+    tol = {} if args.tol is None else {"tol": args.tol}  # else each route's own default
     if args.binary:
-        verdict = membership_binary_multioutput(t, args.layers, tol=args.tol)
+        verdict = membership_binary_multioutput(t, args.layers, **tol)
         return _verdict(verdict.to_json(), verdict.in_model, args.out)
     if not args.arch:
         raise CliError("--arch is required unless --binary is given")
     arch = _parse_arch(args.arch)
-    res = rank_test_membership(t, arch, tol=args.tol)
+    res = rank_test_membership(t, arch, **tol)
     return _verdict({"in_model": res.ok, "moment_rank": res.rank,
                      "necessary_only": res.necessary_only}, res.ok, args.out)
 
@@ -280,7 +281,8 @@ def build_parser() -> _Parser:
                 "--tuple", "--layers", "--out")
     p.add_argument("--arch")
     p.add_argument("--binary", action="store_true")
-    p.add_argument("--tol", type=tolerance, default=1e-8)
+    p.add_argument("--tol", type=tolerance,
+                   help="default: the moment rank's or the --binary test's own")
 
     p = command("dim", cmd_dim, "variety dimension via finite-field Jacobian rank",
                 "--arch", "--prime", "--seed", "--samples", "--out")

@@ -116,23 +116,14 @@ class _FloatField(ScalarField):
     def from_int(self, n):
         return self.scalar(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)  # a == 0 for float and complex, NaN and -0.0 included
 
     def inv(self, a):
         return 1.0 / a
-
-    def is_zero(self, a):
-        return a == 0
 
     def magnitude(self, a):
         try:

@@ -2,8 +2,10 @@
 
 A polynomial is a mapping from exponent tuples (one entry per variable) to
 nonzero scalars: construction drops exact zeros only, so float coefficients
-are kept as computed, however small.  Every stored exponent tuple sums to the
-polynomial's degree; the zero polynomial keeps an explicit (nvars, degree)
+are kept as computed, however small.  Every stored exponent tuple has one
+whole number >= 0 per variable, summing to the polynomial's degree; each
+tuple is checked once per (nvars, degree), as construction remembers the
+tuples that passed.  The zero polynomial keeps an explicit (nvars, degree)
 signature so arithmetic stays well-typed.  The canonical term order is graded
 lexicographic, descending, which fixes serialization and the order of the
 monomial basis.
@@ -39,6 +41,22 @@ def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
 
 
+def _exponent_ok(e, nvars: int, degree: int) -> bool:
+    """e has nvars entries, each a whole number >= 0, that sum to degree.
+    Entries are read by value (1.0 counts as 1), so equal tuples get one
+    verdict."""
+    try:
+        whole = [int(abs(u)) for u in e]
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+        return False
+    return len(whole) == nvars and all(map(operator.eq, e, whole)) and sum(whole) == degree
+
+
+# The exponent tuples that have passed _exponent_ok, per (nvars, degree): a
+# form checks only the exponents its signature has not seen.
+_CHECKED: dict[tuple[int, int], set[Exponent]] = {}
+
+
 @dataclass(frozen=True)
 class HomPoly:
     """Homogeneous polynomial: immutable after construction."""
@@ -49,12 +67,18 @@ class HomPoly:
     terms: Mapping[Exponent, object] = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        is_zero = self.field.is_zero
-        cleaned = {e: c for e, c in self.terms.items() if not is_zero(c)}
+        terms, is_zero = self.terms, self.field.is_zero
+        if any(map(is_zero, terms.values())):
+            cleaned = {e: c for e, c in terms.items() if not is_zero(c)}
+        else:
+            cleaned = dict(terms)  # a copy all the same: the caller's mapping is never aliased
         n, d = self.nvars, self.degree
-        for e in cleaned:
-            if len(e) != n or min(e, default=0) < 0 or sum(e) != d:
-                raise ValueError(f"exponent {e} invalid for degree-{self.degree} form in {self.nvars} vars")
+        known = _CHECKED.get((n, d), set())
+        if not cleaned.keys() <= known:
+            for e in cleaned:
+                if e not in known and not _exponent_ok(e, n, d):
+                    raise ValueError(f"exponent {e} invalid for degree-{d} form in {n} vars")
+            _CHECKED.setdefault((n, d), set()).update(cleaned)
         object.__setattr__(self, "terms", cleaned)
 
     # -- constructors ------------------------------------------------------

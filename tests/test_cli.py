@@ -6,13 +6,15 @@ import warnings
 
 import pytest
 
-from ratnets import factor
+from ratnets import cli, factor
 from ratnets.cli import build_parser, main, tolerance
 from ratnets.factor import NonConvergenceError
 from ratnets.fields import COMPLEX, REAL, PrimeField
+from ratnets.geometry import rank_test_membership
 from ratnets.network import (Architecture, RationalTuple, Weights, degrees, eval_network,
                              forward_recursive)
 from ratnets.poly import HomPoly, monomials, product
+from ratnets.reconstruct import membership_binary_multioutput
 
 
 def run(capsys, *argv):
@@ -485,6 +487,40 @@ def test_membership_moment_rank_of_a_huge_coefficient_is_measured(tmp_path, caps
     assert code == 0 and json.loads(out)["in_model"] is True
 
 
+def test_membership_moment_rank_runs_at_the_library_tolerance(tmp_path, capsys):
+    # one numerator coefficient moved by 1e-9 of the largest lifts the moment
+    # rank to 3 at rank_test_membership's default tol; the CLI's own default
+    # of 1e-8 read rank 2 and accepted
+    arch = Architecture((3, 2, 1))
+    t = forward_recursive(Weights.random(arch, COMPLEX, seed=1))
+    terms = dict(t.numerators[0].terms)
+    terms[(0, 1, 0)] += 1e-9 * t.numerators[0].max_magnitude()
+    moved = RationalTuple((HomPoly(COMPLEX, 3, 1, terms),), t.denominator)
+    tfile = write_tuple(tmp_path / "t.json", moved)
+    code, out, err = run(capsys, "membership", "--arch", "3,2,1", "--tuple", tfile)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"in_model": False, "moment_rank": 3, "necessary_only": True}
+    assert rank_test_membership(moved, arch).rank == 3
+    code, out, _ = run(capsys, "membership", "--arch", "3,2,1", "--tuple", tfile, "--tol", "1e-8")
+    assert code == 0 and json.loads(out)["moment_rank"] == 2
+
+
+def test_membership_binary_runs_at_its_own_tolerance_unless_given(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def spy(t, layers, **kwargs):
+        seen.append(kwargs)
+        return membership_binary_multioutput(t, layers, **kwargs)
+
+    monkeypatch.setattr(cli, "membership_binary_multioutput", spy)
+    t = forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=7))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    for extra in ((), ("--tol", "1e-3")):
+        code, _, _ = run(capsys, "membership", "--binary", "--tuple", tfile, *extra)
+        assert code == 0
+    assert seen == [{}, {"tol": 1e-3}]
+
+
 @pytest.mark.parametrize("layers", [2, 3])
 def test_membership_binary_zero_denominator_is_not_in_model(tmp_path, capsys, layers):
     prof = degrees(Architecture((2,) * layers + (1,)))
@@ -814,7 +850,7 @@ OPTIONS = {
                     ("--real-only", "real_only", None, False, False, None, _FLAG), _OUT],
     "membership": [("--tuple", "tuple", None, None, True, None, _STORE),
                    ("--arch", "arch", None, None, False, None, _STORE), _BINARY, _LAYERS,
-                   ("--tol", "tol", tolerance, 1e-8, False, None, _STORE), _OUT],
+                   ("--tol", "tol", tolerance, None, False, None, _STORE), _OUT],
     "dim": [("--arch", "arch", None, None, True, None, _STORE), _PRIME, _SEED, _SAMPLES,
             ("--json", "json", None, False, False, None, _FLAG), _OUT],
     "census": [("--max-params", "max_params", int, 30, False, None, _STORE),

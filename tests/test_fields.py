@@ -76,6 +76,27 @@ def test_is_zero_is_the_fields_own_and_agrees_with_magnitude(field, value):
     assert field.is_zero(value) == (field.magnitude(value) == 0.0)
 
 
+EDGE = FLOATS + [-math.inf, 1.5]
+
+
+@pytest.mark.parametrize("field, values",
+                         [(REAL, EDGE),
+                          (COMPLEX, [complex(v) for v in EDGE]
+                           + [complex(-0.0, -0.0), complex(math.nan, 0), complex(0, 1.5),
+                              complex(1e308, 1e308)])],  # its modulus is beyond the float range
+                         ids=["real", "complex"])
+def test_float_field_ops_are_the_python_operators(field, values):
+    def same(x, y):
+        return repr(x) == repr(y)  # NaN equal to NaN, -0.0 unequal to 0.0
+
+    for a in values:
+        assert same(field.neg(a), -a) and field.is_zero(a) == (a == 0)
+        for b in values:
+            assert same(field.add(a, b), a + b)
+            assert same(field.sub(a, b), a - b)
+            assert same(field.mul(a, b), a * b)
+
+
 def test_dual_epsilon_squares_to_zero(dual_field):
     d = dual_field(REAL)
     eps = (0.0, 1.0)

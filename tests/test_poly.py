@@ -37,6 +37,34 @@ def gf_forms(draw, nvars, degree):
     return HomPoly(GF, nvars, degree, dict(zip(mons, coeffs)))
 
 
+def valid_exponent(e, nvars, degree):
+    """The constructor's rule, written out: nvars entries, each a whole
+    number >= 0, summing to degree."""
+    return (len(e) == nvars and all(u >= 0 and float(u).is_integer() for u in e)
+            and sum(map(int, e)) == degree)
+
+
+@st.composite
+def exponent_tuples(draw, nvars, degree):
+    """A monomial of the signature, some entries as floats, perhaps moved off
+    it: half a unit or one unit carried between two entries (the sum kept),
+    one entry raised or lowered by one, or an entry appended or dropped."""
+    e = list(draw(st.sampled_from(monomials(nvars, degree))))
+    move = draw(st.sampled_from(["none", "half", "unit", "bump", "append", "drop"]))
+    i, j = draw(st.integers(0, nvars - 1)), draw(st.integers(0, nvars - 1))
+    if move == "bump":
+        e[i] += draw(st.sampled_from([-1, 1]))
+    elif move in ("half", "unit"):
+        step = 0.5 if move == "half" else 1
+        e[i] += step
+        e[j] -= step
+    elif move == "append":
+        e.append(draw(st.integers(0, 1)))
+    elif move == "drop":
+        e.pop()
+    return tuple(float(u) if draw(st.booleans()) else u for u in e)
+
+
 def coeffs_close(p, q, tol=1e-12):
     f = p.field
     scale = max(p.max_magnitude(), q.max_magnitude(), 1.0)
@@ -282,6 +310,45 @@ class TestHousekeeping:
     def test_invariant_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
             HomPoly(REAL, 2, 2, {(1, 0): 1.0})
+
+    @pytest.mark.parametrize("terms", [{(1, 0): 1.0, (0, 1): 2.0},
+                                       {(1, 0): 1.0, (0, 1): 2.0, (1, 1): 0.0}],
+                             ids=["no-zero", "a-zero-dropped"])
+    def test_the_form_keeps_no_reference_to_the_callers_mapping(self, terms):
+        p = HomPoly(REAL, 2, 1, terms)
+        terms[(1, 0)] = 5.0
+        terms[(2, 0)] = 1.0
+        del terms[(0, 1)]
+        assert p.terms == {(1, 0): 1.0, (0, 1): 2.0} and list(p.terms) == [(1, 0), (0, 1)]
+
+    def test_fractional_exponents_are_rejected(self):
+        with pytest.raises(ValueError):
+            HomPoly(COMPLEX, 2, 2, {(1.5, 0.5): 1})
+        # an integral float is the whole number it equals, as an equal int tuple is
+        assert HomPoly(COMPLEX, 2, 2, {(1.0, 1): 1}).terms == {(1, 1): 1}
+
+    def test_checked_exponents_do_not_admit_other_tuples(self):
+        for e in monomials(3, 4):
+            HomPoly(REAL, 3, 4, {e: 1.0})
+        for bad in ({(1, 1, 1): 1.0}, {(5, -1, 0): 1.0}, {(2, 2): 1.0}):
+            with pytest.raises(ValueError):
+                HomPoly(REAL, 3, 4, bad)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data(), st.integers(1, 3))
+    def test_exponent_verdicts_do_not_depend_on_construction_order(self, data, n):
+        # each form is built after the ones drawn before it, so equal tuples
+        # of mixed types meet a signature's checked set in either order, and
+        # tuples checked at one degree are drawn again at another
+        for _ in range(data.draw(st.integers(1, 12))):
+            d = data.draw(st.integers(0, 3))
+            terms = dict.fromkeys(data.draw(st.lists(exponent_tuples(n, d), min_size=1,
+                                                     max_size=3)), 1.0)
+            if all(valid_exponent(e, n, d) for e in terms):
+                assert HomPoly(REAL, n, d, terms).terms == terms
+            else:
+                with pytest.raises(ValueError):
+                    HomPoly(REAL, n, d, terms)
 
     def test_grlex_serialization_order(self):
         p = HomPoly(REAL, 3, 2, {(0, 0, 2): 3.0, (2, 0, 0): 1.0, (1, 1, 0): 2.0})
