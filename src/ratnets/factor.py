@@ -12,8 +12,8 @@ A retry under a random change of variables A never expands Q∘A: the
 procedure reads only the pure powers of Q∘A and its coefficients on one
 pencil, and those come from Q and its gradient evaluated at roots of unity
 on that pencil, then interpolated (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 8 and 10); nor does a retry expand a split that Q's
-values at a few points prove too far off (`_PencilReader.misses`).
+Computer Algebra*, ch. 8 and 10).  A form whose well-conditioned direct
+attempt misses by more than FAR times the tolerance gets no retries.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, _as_complex, _pow2_scaled, deleted_products, monomial_count, product
+from .poly import HomPoly, _as_complex, _pow2_scaled, deleted_products, product
 from .network import RationalTuple, Weights
 
 ROOT_TOL = 1e-10
@@ -34,7 +34,11 @@ REASSEMBLY_TOL = 1e-8
 REALITY_TOL = 1e-7
 LEADING_TOL = 1e-10
 MAX_RETRIES = 5
-SCREEN_POINTS = 3  # a retry's split is screened at this many points exp(2πi u), u from default_rng(0)
+# attempt 0 ends the search when its elementary-symmetric solve has condition
+# number below WELL_CONDITIONED and its split misses by more than FAR * tol;
+# retries have mended attempt-0 misses of up to 2.4e5 * tol
+WELL_CONDITIONED = 1e6
+FAR = 1e6
 
 
 class NonConvergenceError(ArithmeticError):
@@ -161,13 +165,14 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     A direct attempt runs the univariate-roots procedure in the original
     coordinates; if it fails to verify (or no variable carries a pure m-th
     power), up to MAX_RETRIES seeded random linear changes of variables A are
-    tried and the recovered factors mapped back.  A retry reads the
-    coefficients of Q∘A it needs from Q and its gradient on a pencil
-    (`_PencilReader`), and its pivot test compares each pure power
-    Q(A e_i) with max_j |Q(A e_j)|, not with the largest coefficient of
-    Q∘A, which is never formed.  Soundness rests on the final expansion
-    check in the original coordinates, never on the intermediate solves; a
-    retry's split that `_PencilReader.misses` flags is rejected without it.
+    tried and the recovered factors mapped back.  There are no retries when
+    the direct attempt's elementary-symmetric solve has condition number
+    below WELL_CONDITIONED and its split misses Q by more than FAR * tol.
+    A retry reads the coefficients of Q∘A it needs from Q and its gradient
+    on a pencil (`_PencilReader`), and its pivot test compares each pure
+    power Q(A e_i) with max_j |Q(A e_j)|, not with the largest coefficient
+    of Q∘A, which is never formed.  Soundness rests on the final expansion
+    check in the original coordinates, never on the intermediate solves.
     """
     Q, maxmag = _guarded(Q)
     m, n = Q.degree, Q.nvars
@@ -193,20 +198,19 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
             continue
         if got is None:
             continue  # no pure m-th power in these coordinates
-        const, rows = got
+        const, rows, condition = got
         if change is not None:
             inv = np.linalg.inv(change)
             rows = [tuple(r @ inv) for r in rows]
         const, rows = _normalize_factors(const, rows)
         if change is not None:
-            if reader.misses(const, rows, tol):
-                failure = FactorFailure.VERIFICATION_FAIL
-                continue
             const = reader.unscale(const)  # last, so only unscale can overflow, silently
         fz = _checked_split(const, rows, Q, maxmag)
         if fz.residual <= tol:
             return FactorReport(True, fz, _factors_all_real(const, rows), None)
         failure = FactorFailure.VERIFICATION_FAIL
+        if change is None and condition < WELL_CONDITIONED and fz.residual > FAR * tol:
+            break
     return FactorReport(False, None, False, failure)
 
 
@@ -265,9 +269,6 @@ class _PencilReader:
         k = np.arange(m + 1)
         self.nodes = np.exp(2j * np.pi * k / (m + 1))
         self.inverse_dft = np.exp(-2j * np.pi * (np.outer(k, k) % (m + 1)) / (m + 1)) / (m + 1)
-        self.points = np.exp(2j * np.pi * np.random.default_rng(0).random((SCREEN_POINTS, n)))
-        self.at = self.values(self.points)[:, 0]
-        self.mass, self.top, self.count = np.abs(coef).sum(), np.abs(coef).max(), monomial_count(n, m)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row j: [Q, dQ/dx_1, ..., dQ/dx_n] of 2**-e Q at the point X[j]."""
@@ -287,31 +288,6 @@ class _PencilReader:
 
         return pure, pencil
 
-    def misses(self, const: complex, rows: list[tuple], tol: float) -> bool:
-        """Whether the split const * prod(rows), const on `read`'s 2**-e
-        scale, is sure to reassemble to Q with a residual above tol.
-
-        At x with every |x_i| = 1, |c prod(r_i . x) - Q(x)| is at most the sum
-        of the gaps between their M = C(m + n - 1, m) coefficients, so at most
-        M * residual * max|q_e|.  The split misses when the gap computed at
-        some point exceeds that with residual = tol plus a rounding margin,
-        16u(m + M)(|c| prod||r_i||_1 + sum|q_e| + M tol max|q_e|) for both
-        evaluations, the expansion `_checked_split` makes and its quotient
-        (u = 2**-53), and 2**(-1072 - e)(mnM + 1) prod||r_i||_1 for what
-        underflow in that expansion and in `unscale` can lose.  So a split
-        that misses has a `_checked_split` residual above tol, and a NaN or
-        inf gap misses nothing.  Costs m * n products per point.
-        """
-        r = np.array(rows)
-        norms = np.prod(np.abs(r).sum(axis=1))
-        with np.errstate(all="ignore"):
-            gap = np.abs(const * np.prod(self.points @ r.T, axis=1) - self.at)
-            allowed = self.count * tol * self.top
-            rounding = 2.0 ** -49 * (self.m + self.count) * (np.abs(const) * norms + self.mass + allowed)
-            underflow = np.ldexp((self.m * self.n * self.count + 1) * norms, -1072 - self.e)
-            bound = allowed + rounding + underflow
-        return bool(np.any(np.isfinite(gap) & (gap > bound)))
-
     def unscale(self, c: complex) -> complex:
         # an overflow to inf is what Python arithmetic on Q∘A gives, silently
         with np.errstate(over="ignore"):
@@ -319,14 +295,15 @@ class _PencilReader:
 
 
 def _factor_attempt(pure: Sequence[complex], ref: float, pencil
-                    ) -> tuple[complex, list[np.ndarray]] | None:
+                    ) -> tuple[complex, list[np.ndarray], float] | None:
     """One pass of the univariate-roots procedure on a degree-m form q in n
     variables, read through its coefficients: pure[i] is that of y_i**m, and
     pencil(p, b) gives (line, cross) with line[k] that of y_p**(m-k) y_b**k
     (k = 0..m) and cross[t][v] that of y_p**(m-1-t) y_b**t y_v (t = 0..m-1,
     v neither p nor b).
     The pivot is the first variable with |pure[i]| > LEADING_TOL * ref;
-    None if there is none."""
+    None if there is none.  Otherwise (c0, rows, condition), condition
+    being σmax/σmin of the elementary-symmetric matrix (inf if singular)."""
     n = len(pure)
     pivot = next((i for i in range(n) if abs(pure[i]) > LEADING_TOL * ref), None)
     if pivot is None:
@@ -352,8 +329,8 @@ def _factor_attempt(pure: Sequence[complex], ref: float, pencil
     M = np.array(hats, dtype=complex).T
     rest = perm[2:]
     rhs = np.array([[cross[t][var] / c0 for var in rest] for t in range(m)], dtype=complex)
-    rows[:, rest] = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return c0, list(rows)
+    rows[:, rest], _, _, sv = np.linalg.lstsq(M, rhs, rcond=None)
+    return c0, list(rows), sv[0] / sv[-1] if sv[-1] > 0 else np.inf
 
 
 def _normalize_factors(const: complex, rows: list[tuple]):

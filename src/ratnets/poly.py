@@ -3,12 +3,12 @@
 A polynomial is a mapping from exponent tuples (one entry per variable) to
 nonzero scalars: construction drops exact zeros only, so float coefficients
 are kept as computed, however small.  Every stored exponent tuple has one
-whole number >= 0 per variable, summing to the polynomial's degree; each
-tuple is checked once per (nvars, degree), as construction remembers the
-tuples that passed.  The zero polynomial keeps an explicit (nvars, degree)
-signature so arithmetic stays well-typed.  The canonical term order is graded
-lexicographic, descending, which fixes serialization and the order of the
-monomial basis.
+int >= 0 per variable, summing to the polynomial's degree; each tuple is
+checked once per (nvars, degree), as construction remembers the tuples that
+passed and their int form.  The zero polynomial keeps an explicit (nvars,
+degree) signature so arithmetic stays well-typed.  The canonical term order
+is graded lexicographic, descending, which fixes serialization and the order
+of the monomial basis.
 """
 
 from __future__ import annotations
@@ -41,20 +41,24 @@ def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
 
 
-def _exponent_ok(e, nvars: int, degree: int) -> bool:
-    """e has nvars entries, each a whole number >= 0, that sum to degree.
-    Entries are read by value (1.0 counts as 1), so equal tuples get one
-    verdict."""
+def _whole_exponent(e, nvars: int, degree: int) -> Exponent:
+    """e as a tuple of ints; ValueError unless it has nvars entries, each a
+    whole number >= 0, that sum to degree.  Entries are read by value (1.0
+    counts as 1), so equal tuples get one verdict and one int form."""
     try:
-        whole = [int(abs(u)) for u in e]
+        whole = tuple(int(abs(u)) for u in e)
+        ok = len(whole) == nvars and all(map(operator.eq, e, whole)) and sum(whole) == degree
     except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
-        return False
-    return len(whole) == nvars and all(map(operator.eq, e, whole)) and sum(whole) == degree
+        ok = False
+    if not ok:
+        raise ValueError(f"exponent {e} invalid for degree-{degree} form in {nvars} vars")
+    return whole
 
 
-# The exponent tuples that have passed _exponent_ok, per (nvars, degree): a
-# form checks only the exponents its signature has not seen.
-_CHECKED: dict[tuple[int, int], set[Exponent]] = {}
+# The exponent tuples that have passed _whole_exponent, per (nvars, degree),
+# each mapped to its int form: a form checks only the exponents its
+# signature has not seen, and stores every exponent as ints.
+_CHECKED: dict[tuple[int, int], dict[tuple, Exponent]] = {}
 
 
 @dataclass(frozen=True)
@@ -67,19 +71,17 @@ class HomPoly:
     terms: Mapping[Exponent, object] = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        terms, is_zero = self.terms, self.field.is_zero
-        if any(map(is_zero, terms.values())):
-            cleaned = {e: c for e, c in terms.items() if not is_zero(c)}
-        else:
-            cleaned = dict(terms)  # a copy all the same: the caller's mapping is never aliased
-        n, d = self.nvars, self.degree
-        known = _CHECKED.get((n, d), set())
-        if not cleaned.keys() <= known:
-            for e in cleaned:
-                if e not in known and not _exponent_ok(e, n, d):
-                    raise ValueError(f"exponent {e} invalid for degree-{d} form in {n} vars")
-            _CHECKED.setdefault((n, d), set()).update(cleaned)
-        object.__setattr__(self, "terms", cleaned)
+        n, d, is_zero = self.nvars, self.degree, self.field.is_zero
+        known = _CHECKED.setdefault((n, d), {})
+        # one pass drops the exact zeros and keys each term by its exponent's
+        # int form, into a new dict, so the caller's mapping is never aliased
+        try:
+            terms = {known[e]: c for e, c in self.terms.items() if not is_zero(c)}
+        except KeyError:  # an exponent this signature has not seen
+            known.update((e, _whole_exponent(e, n, d)) for e, c in self.terms.items()
+                         if not (is_zero(c) or e in known))
+            terms = {known[e]: c for e, c in self.terms.items() if not is_zero(c)}
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors ------------------------------------------------------
 

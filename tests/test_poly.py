@@ -1,6 +1,8 @@
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -326,6 +328,15 @@ class TestHousekeeping:
             HomPoly(COMPLEX, 2, 2, {(1.5, 0.5): 1})
         # an integral float is the whole number it equals, as an equal int tuple is
         assert HomPoly(COMPLEX, 2, 2, {(1.0, 1): 1}).terms == {(1, 1): 1}
+
+    @pytest.mark.parametrize("key", [(1.0, 1), (np.int64(1), 1.0), (True, 1)])
+    def test_integral_exponents_are_stored_as_ints(self, key):
+        p = HomPoly(REAL, 2, 2, {key: 2.0})
+        assert [type(u) for e in p.terms for u in e] == [int, int]
+        assert p.evaluate([2.0, 3.0]) == 12.0
+        assert [type(u) for e in p.mul(p).terms for u in e] == [int, int]
+        assert p.to_json()["terms"] == [{"exp": [1, 1], "re": 2.0}]
+        assert HomPoly.from_json(REAL, json.loads(json.dumps(p.to_json()))) == p
 
     def test_checked_exponents_do_not_admit_other_tuples(self):
         for e in monomials(3, 4):
