@@ -60,12 +60,13 @@ def tolerance(text: str) -> float:
 
 
 def _load(path: str, parse):
-    """parse(JSON object of the file); a wrongly shaped object is a CliError."""
+    """parse(JSON object of the file); a wrongly shaped or too deeply nested
+    object is a CliError."""
     with open(path) as f:
-        obj = json.load(f)
+        text = f.read()
     try:
-        return parse(obj)
-    except TypeError as ex:
+        return parse(json.loads(text))
+    except (TypeError, RecursionError) as ex:
         raise CliError(f"malformed {path}: {ex}") from ex
 
 
@@ -318,7 +319,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, OSError, ValueError, KeyError, ArithmeticError) as ex:
+    except (CliError, OSError, ValueError, KeyError, ArithmeticError, MemoryError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,13 @@ decomposable only when the reassembled product matches the input.
 
 A retry under a random change of variables A never expands Q∘A: the
 procedure reads only the pure powers of Q∘A and its coefficients on one
-pencil, and those come from Q and its gradient evaluated at roots of unity
-on that pencil, then interpolated (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 8 and 10).  A form whose well-conditioned direct
-attempt misses by more than FAR times the tolerance gets no retries.
+pencil, from Q and its gradient at the roots of unity on that pencil,
+interpolated by an FFT (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 8 and 10); both are read off the terms c x**u of Q, dQ/dx_i
+as sum(u_i c x**u) / x_i, and as 0 where x_i = 0, which a random A meets
+with probability zero and which can only spoil that retry's split.  A form
+whose well-conditioned direct attempt misses by more than FAR times the
+tolerance gets no retries.
 """
 
 from __future__ import annotations
@@ -237,9 +240,8 @@ class _PencilReader:
     so the coefficients of y_p**(m-k) y_q**k are those of t**k in Q(a + t b),
     and the coefficients of y_p**(m-1-t) y_q**t y_v are those of
     ∇Q(a + t b) . A e_v.  Both are polynomials in t of degree at most m:
-    Q and ∇Q are evaluated at the N = m + 1 roots of unity in one vectorised
-    pass and the coefficients recovered by one inverse DFT, an N x N matrix.
-    The pure powers are the values Q(A e_i).
+    Q and ∇Q are evaluated at the m + 1 roots of unity in one pass and the
+    coefficients recovered by one FFT; the pure powers are the values Q(A e_i).
 
     Q is scaled by an exact power of two 2**-e to a largest coefficient part
     in [0.5, 1) first, so coefficients near the top of the float range do not
@@ -248,42 +250,27 @@ class _PencilReader:
     """
 
     def __init__(self, Q: HomPoly):
-        n, m = Q.nvars, Q.degree
-        exps = np.array(list(Q.terms), dtype=np.intp).reshape(-1, n)
-        coef = np.array(list(Q.terms.values()), dtype=complex)
-        coef, self.e = _pow2_scaled(coef)
-        # one monomial table for Q and its partial derivatives: dQ/dx_i has
-        # the terms u_i c x**(u - e_i) over the terms with u_i >= 1
-        table, weights = [exps], [np.column_stack([coef, np.zeros((len(coef), n))])]
-        for i in range(n):
-            has = exps[:, i] > 0
-            d = exps[has].copy()
-            d[:, i] -= 1
-            w = np.zeros((len(d), n + 1), dtype=complex)
-            w[:, i + 1] = exps[has, i] * coef[has]
-            table.append(d)
-            weights.append(w)
-        self.table = np.vstack(table)
-        self.weights = np.vstack(weights)
-        self.n, self.m = n, m
-        k = np.arange(m + 1)
-        self.nodes = np.exp(2j * np.pi * k / (m + 1))
-        self.inverse_dft = np.exp(-2j * np.pi * (np.outer(k, k) % (m + 1)) / (m + 1)) / (m + 1)
+        self.n, self.m = Q.nvars, Q.degree
+        self.exps = np.array(list(Q.terms), dtype=np.intp).reshape(-1, self.n)
+        self.coef, self.e = _pow2_scaled(np.array(list(Q.terms.values()), dtype=complex))
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Row j: [Q, dQ/dx_1, ..., dQ/dx_n] of 2**-e Q at the point X[j]."""
+        """Row j: [Q, dQ/dx_1, ..., dQ/dx_n] of 2**-e Q at the point X[j], from each
+        term c x**u formed once: dQ/dx_i is sum(u_i c x**u) / x_i, 0 where x_i = 0."""
         powers = np.ones((len(X), self.n, self.m + 1), dtype=complex)
         powers[:, :, 1:] = np.cumprod(np.repeat(X[:, :, None], self.m, axis=2), axis=2)
-        monomials = powers[:, np.arange(self.n), self.table].prod(axis=2)
-        return monomials @ self.weights
+        terms = powers[:, np.arange(self.n), self.exps].prod(axis=2) * self.coef
+        grad = np.divide(terms @ self.exps, X, out=np.zeros(X.shape, dtype=complex), where=X != 0)
+        return np.column_stack([terms.sum(axis=1), grad])
 
     def read(self, A: np.ndarray):
         """(pure, pencil) of 2**-e Q∘A, in _factor_attempt's convention."""
         pure = self.values(A.T)[:, 0]
+        nodes = np.exp(2j * np.pi * np.arange(self.m + 1) / (self.m + 1))
 
         def pencil(p: int, b: int):
-            at = self.values(A[:, p] + self.nodes[:, None] * A[:, b])
-            coeffs = self.inverse_dft @ np.column_stack([at[:, 0], at[:, 1:] @ A])
+            at = self.values(A[:, p] + nodes[:, None] * A[:, b])
+            coeffs = np.fft.fft(np.column_stack([at[:, 0], at[:, 1:] @ A]), axis=0) / (self.m + 1)
             return coeffs[:, 0], coeffs[:self.m, 1:]
 
         return pure, pencil

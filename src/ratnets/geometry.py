@@ -411,6 +411,8 @@ def census(max_params: int = 30, max_layers: int = 5, p: int = DEFAULT_PRIME,
     """
     if samples < 1:  # checked here too: a bound may leave no architecture
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     archs = enumerate_architectures(max_params, max_layers, max_width)
     jobs = [(a, seed + 1000003 * idx, p, samples) for idx, a in enumerate(archs)]
     procs = min(workers, len(jobs))

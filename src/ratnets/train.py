@@ -372,9 +372,11 @@ def run_experiment(config: TrainConfig, n_inits: int, dataset: Dataset,
     """
     if n_inits < 1:
         raise ValueError("need at least one initialization")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if math.isnan(success_loss) or math.isnan(success_angle_deg):  # every run would fail
         raise ValueError("success thresholds must not be NaN")
-    chunks = np.array_split(np.arange(n_inits), min(max(workers, 1), n_inits))
+    chunks = np.array_split(np.arange(n_inits), min(workers, n_inits))
     jobs = [(config, dataset, chunk.tolist()) for chunk in chunks]
     if len(jobs) > 1:
         with Pool(len(jobs)) as pool:

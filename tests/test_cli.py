@@ -586,6 +586,32 @@ def test_samples_below_one_is_one_line_error(capsys, argv):
     _assert_one_line_error(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("argv", [("census", "--max-params", "6", "--max-layers", "2"),
+                                  ("train", "--inits", "2", "--epochs", "3")])
+def test_workers_below_one_is_one_line_error(capsys, argv, workers):
+    _assert_one_line_error(*run(capsys, *argv, "--workers", workers))
+
+
+def test_out_of_memory_is_one_line_error(capsys, monkeypatch):
+    # stands in for an input too large to allocate, such as a huge --epochs
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    _assert_one_line_error(*run(capsys, "train", "--inits", "1", "--epochs", "5"))
+
+
+@pytest.mark.parametrize("argv", [("factor", "--poly"), ("reconstruct", "--arch", "2,2,1", "--tuple"),
+                                  ("eval", "--x", "1,2", "--weights")])
+def test_deeply_nested_json_is_one_line_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, *argv, str(deep))
+    _assert_one_line_error(code, out, err)
+    assert err.startswith(f"error: malformed {deep}")
+
+
 def test_hpoly_slices(tmp_path, capsys):
     w = Weights.random(Architecture((2, 2, 1)), REAL, seed=2)
     wfile = tmp_path / "w.json"

@@ -388,6 +388,23 @@ class TestRetriesReadThePencil:
                     want = coefficient(q, (p, m - 1 - t), (b, t), (v, 1))
                     assert abs(cross[t][v] * scale - want) <= bound
 
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 4), (4, 2)])
+    def test_a_zero_coordinate_reads_without_warning(self, n, m):
+        # x_0 = 0 at the pure-power points A e_0, A e_1 and on the whole
+        # pencil (0, 1): the gradient divides by x_0 there, and must not
+        rng = np.random.default_rng(7)
+        Q = random_form(rng, n, m)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        A[0, 0] = A[0, 1] = 0
+        reader = _PencilReader(Q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pure, pencil = reader.read(A)
+            line, cross = pencil(0, 1)
+        assert all(np.isfinite(v).all() for v in (pure, line, cross))
+        want = [Q.scale(2.0 ** -reader.e).evaluate(A[:, i]) for i in range(n)]
+        np.testing.assert_allclose(pure, want, rtol=1e-12)
+
     def test_retries_expand_no_coordinate_change(self, monkeypatch):
         # a random ternary quartic without its pure powers is irreducible and
         # gives attempt 0 no pivot: every one of the six attempts runs, and
