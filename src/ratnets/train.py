@@ -11,7 +11,8 @@ The runs train as one stack: every weight matrix carries a leading run
 axis, shape (R, d_out, d_in), and each epoch is one loss-and-gradient pass
 and one in-place Adam update (`adam_step`) over all R runs.  The pass is
 built once per stack with all its temporaries, which every epoch overwrites
-(`forward_backward_stack` builds it for one call).  Each run masks its own
+(`forward_backward_stack` builds it for one call), and its caller enters
+the numpy state it runs in (`_pass_state`) once.  Each run masks its own
 pole points and keeps its own point count, loss, skip count and Adam step
 count; a run whose every point sits at a pole skips that epoch's update.  A
 single run is the R = 1 case (`train_run`, `forward_backward`).  Run i of
@@ -26,6 +27,7 @@ import csv
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -124,16 +126,30 @@ def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+@contextmanager
+def _pass_state(total: int):
+    """The numpy state _stack_pass runs in: a pole divides by zero and a
+    diverged run overflows, which its losses and weights record, and a ufunc
+    buffer no longer than a batch row of total points keeps numpy from
+    copying a broadcast operand into a buffer the size of the stack."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.setbufsize(16 * max(1, total // 16))  # a multiple of 16; errstate restores it
+        yield
+
+
 def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     """The loss-and-gradient pass of forward_backward_stack over these mats,
     built once.  Every temporary is allocated here; each call of the
     returned function reads mats afresh, overwrites the temporaries and
-    returns the same three (loss, grads, skipped) arrays."""
+    returns the same three (loss, grads, skipped) arrays, then the mask of
+    runs with a surviving point, or None when no point was masked.  The
+    caller holds _pass_state."""
     count, total = len(mats[0]), x.shape[1]
     shapes = [w.shape[1:] for w in mats]
     us = [np.empty((count, rows, total)) for rows, _ in shapes[:-1]]
     acts = [x] + [np.empty_like(u) for u in us]
     das = [np.empty_like(u) for u in us]  # |u| in the forward pass
+    negs = [np.empty((count, cols, rows)) for rows, cols in shapes[1:]]  # -wT
     r = np.empty((count, shapes[-1][0], total))
     square = np.empty_like(r)
     loss = np.empty(count)
@@ -141,19 +157,21 @@ def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     grads = np.empty((count, sum(rows * cols for rows, cols in shapes)))
     views = _flat_views(grads, shapes)
     skipped = np.zeros(count, dtype=int)
+    masked = False  # whether skipped holds the last masked epoch's counts
 
     def run():
+        nonlocal masked
         keep = None  # (R, B) surviving points; None while every point survives
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for w, u, a, a_in, m in zip(mats, us, acts[1:], acts, das):
-                np.matmul(w, a_in, out=u)
-                np.abs(u, out=m)
-                if not (m.size and m.min() >= POLE_GUARD and m.max() < np.inf):
-                    ok = ((m >= POLE_GUARD) & (m < np.inf)).all(axis=1)
-                    keep = ok if keep is None else keep & ok
-                np.divide(1.0, u, out=a)
-            np.matmul(mats[-1], acts[-1], out=r)
-            np.subtract(r, y, out=r)
+        for w, u, a, a_in, m in zip(mats, us, acts[1:], acts, das):
+            np.matmul(w, a_in, out=u)
+            np.abs(u, out=m)
+            if not (m.size and np.minimum.reduce(m, axis=None) >= POLE_GUARD
+                    and np.maximum.reduce(m, axis=None) < np.inf):
+                ok = ((m >= POLE_GUARD) & (m < np.inf)).all(axis=1)
+                keep = ok if keep is None else keep & ok
+            np.divide(1.0, u, out=a)
+        np.matmul(mats[-1], acts[-1], out=r)
+        np.subtract(r, y, out=r)
         b = total
         if keep is not None:
             kept = keep.sum(axis=1)
@@ -166,7 +184,7 @@ def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
                 a[hit] = np.where(cut, 0.0, a[hit])
             r[hit] = np.where(cut, 0.0, r[hit])
             b = np.maximum(kept, 1)[:, None, None]
-        np.sum(np.multiply(r, r, out=square), axis=(1, 2), keepdims=True, out=mse)
+        np.add.reduce(np.multiply(r, r, out=square), axis=(1, 2), keepdims=True, out=mse)
         np.divide(mse, b, out=mse)
         d = r
         d *= 2.0
@@ -175,18 +193,22 @@ def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
             np.matmul(d, acts[k].swapaxes(-1, -2), out=views[k])
             if k == 0:
                 break
-            # wT d; with one row in w each entry is one product, so broadcast
-            wt = mats[k].swapaxes(-1, -2)
+            # -(wT d) as (-wT) d, exact since negation commutes with rounding;
+            # with one row in w each entry is one product, so broadcast
+            wt = np.negative(mats[k].swapaxes(-1, -2), out=negs[k - 1])
             (np.multiply if wt.shape[2] == 1 else np.matmul)(wt, d, out=das[k - 1])
             d = das[k - 1]
             d /= np.square(us[k - 1], out=us[k - 1])
-            np.negative(d, out=d)
         if keep is None:
-            skipped.fill(0)
-        else:
-            loss[kept == 0] = np.inf
-            np.subtract(total, kept, out=skipped)
-        return loss, grads, skipped
+            if masked:
+                skipped.fill(0)
+                masked = False
+            return loss, grads, skipped, None
+        active = kept > 0
+        loss[~active] = np.inf
+        np.subtract(total, kept, out=skipped)
+        masked = True
+        return loss, grads, skipped, active
 
     return run
 
@@ -204,7 +226,8 @@ def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray)
     skipped (R,) ints.  Each run's results depend only on its own weights,
     not on the other runs of the stack.
     """
-    return _stack_pass(mats, x, y)()
+    with _pass_state(x.shape[1]):
+        return _stack_pass(mats, x, y)()[:3]
 
 
 def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
@@ -229,13 +252,14 @@ def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
 class AdamState:
     """Adam state of a stack of R runs: row r of params, m and v holds run
     r's weights and moments flattened in layer order, t[r] its step count.
-    The moments and step counts start at zero."""
+    The moments and step counts start at zero; scratch is adam_step's."""
     params: np.ndarray
 
     def __post_init__(self):
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.t = np.zeros(len(self.params), dtype=int)
+        self.scratch = np.empty((2, *self.params.shape))
 
 
 # 1 - beta ** t for t = 0, 1, ...: Python's pow, not numpy's, which differs
@@ -252,26 +276,31 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float,
     their weights, moments and step count.
     """
     global _BIAS_CORRECTIONS
-    every = active is None or active.all()
-    # a slice updates the all-active rows in place; an index array copies them
-    rows = slice(None) if every else np.flatnonzero(active)
-    g = grads[rows]
-    t, m, v, params = state.t[rows] + 1, state.m[rows], state.v[rows], state.params[rows]
-    top = int(t.max(initial=0))
-    if top >= _BIAS_CORRECTIONS.shape[1]:
-        n = max(2 * _BIAS_CORRECTIONS.shape[1], top + 1)
+    if active is None:
+        t, m, v, params, g = state.t, state.m, state.v, state.params, grads
+    else:  # the stepping rows, copied out and written back
+        rows = np.flatnonzero(active)
+        t, m, v, params, g = (a[rows] for a in (state.t, state.m, state.v, state.params, grads))
+    t += 1
+    try:
+        c1, c2 = _BIAS_CORRECTIONS[:, t, None]
+    except IndexError:
+        n = max(2 * _BIAS_CORRECTIONS.shape[1], int(t.max()) + 1)
         _BIAS_CORRECTIONS = np.array([[1 - beta ** s for s in range(n)]
                                       for beta in (ADAM_BETA1, ADAM_BETA2)])
+        c1, c2 = _BIAS_CORRECTIONS[:, t, None]
+    # params -= lr * (m / c1) / (sqrt(v / c2) + eps), each operation in that order
+    step, den = state.scratch[:, :len(t)]
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * g
+    m += np.multiply(g, 1 - ADAM_BETA1, out=step)
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * g * g
-    mhat = m / _BIAS_CORRECTIONS[0, t][:, None]
-    vhat = v / _BIAS_CORRECTIONS[1, t][:, None]
-    params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    state.t[rows] = t
-    if not every:
-        state.m[rows], state.v[rows], state.params[rows] = m, v, params
+    np.multiply(g, 1 - ADAM_BETA2, out=step)
+    v += np.multiply(step, g, out=step)
+    np.multiply(np.divide(m, c1, out=step), lr, out=step)
+    np.add(np.sqrt(np.divide(v, c2, out=den), out=den), ADAM_EPS, out=den)
+    params -= np.divide(step, den, out=step)
+    if active is not None:
+        state.t[rows], state.m[rows], state.v[rows], state.params[rows] = t, m, v, params
 
 
 def singularity_recovery_score(w1: np.ndarray) -> list[float]:
@@ -301,18 +330,17 @@ def train_stack(config: TrainConfig, dataset: Dataset,
     epoch's update while the rest of the stack trains on."""
     shapes = [m.shape[1:] for m in initial]
     count = len(initial[0])
-    state = AdamState(np.concatenate([np.asarray(m, dtype=float).reshape(count, -1)
-                                      for m in initial], axis=1))
+    state = AdamState(np.empty((count, sum(rows * cols for rows, cols in shapes))))
     mats = _flat_views(state.params, shapes)
+    for w, m in zip(mats, initial):
+        w[...] = m
     x = np.ascontiguousarray(dataset.inputs.T)
-    total = x.shape[1]
     step = _stack_pass(mats, x, dataset.targets)
     losses = np.empty((count, config.epochs))
     skipped = np.empty((count, config.epochs), dtype=int)
-    # a diverged run overflows to inf and NaN; its losses and weights record that
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _pass_state(x.shape[1]):
         for epoch in range(config.epochs):
-            loss, grads, n_skip = step()
+            loss, grads, n_skip, active = step()
             losses[:, epoch] = loss
             skipped[:, epoch] = n_skip
             if config.clip is not None:
@@ -320,7 +348,7 @@ def train_stack(config: TrainConfig, dataset: Dataset,
                 over = norm > config.clip
                 if over.any():
                     grads[over] *= (config.clip / norm[over])[:, None]
-            adam_step(state, grads, config.lr, n_skip < total)
+            adam_step(state, grads, config.lr, active)
     results = []
     for r in range(count):
         final = [m[r].copy() for m in mats]

@@ -123,3 +123,15 @@ def test_only_reconstruct_auto_picks_a_reconstruction():
              for pair in callers(ast.parse(CORPUS[SRC / module]), procedures)}
     assert found == {("reconstruct.py", "reconstruct_auto", "reconstruct_shallow"),
                      ("reconstruct.py", "reconstruct_auto", "reconstruct_binary")}
+
+
+def test_train_stack_steps_through_the_module_level_adam_step():
+    # the benchmark's tracer wraps the module binding train.adam_step, so an
+    # update inlined into the epoch loop would count no calls
+    tree = ast.parse(CORPUS[SRC / "train.py"])
+    train_stack = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "train_stack")
+    in_loops = {call.func.id for loop in ast.walk(train_stack) if isinstance(loop, ast.For)
+                for call in ast.walk(loop)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    assert "adam_step" in in_loops

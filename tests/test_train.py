@@ -1,16 +1,17 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from ratnets.network import Architecture, Weights, apply_symmetry
-from ratnets.train import (AdamState, AllPointsSkippedError, TrainConfig, adam_step,
-                           forward_backward, forward_backward_stack, interpolating_weights,
-                           run_experiment, sample_lattice, singularity_recovery_score,
-                           target_g, train_run, train_stack, write_aggregate_csv,
-                           xavier_init)
+from ratnets.train import (AdamState, AllPointsSkippedError, TrainConfig, _flat_views,
+                           _pass_state, _stack_pass, adam_step, forward_backward,
+                           forward_backward_stack, interpolating_weights, run_experiment,
+                           sample_lattice, singularity_recovery_score, target_g, train_run,
+                           train_stack, write_aggregate_csv, xavier_init)
 
 
 class TestLattice:
@@ -183,6 +184,30 @@ class TestForwardBackward:
             assert not np.shares_memory(first, second)
             assert first.tobytes() == second.tobytes()
 
+    def test_reused_pass_resets_its_skip_counts(self):
+        # the pass refills its skip counts only after an epoch that masked a point
+        ds = sample_lattice()
+        x, y = np.ascontiguousarray(ds.inputs.T), ds.targets
+        stack = [np.stack(layer) for layer in zip(*(xavier_init((2, 2, 1), s) for s in range(3)))]
+        stack[0][1, 0] = [1.0, 0.0]  # run 1 skips the 20 points with x = 0
+        step = _stack_pass(stack, x, y)
+        with _pass_state(x.shape[1]):
+            _, _, skipped, active = step()
+            assert skipped.tolist() == [0, 20, 0] and active.tolist() == [True] * 3
+            stack[0][1, 0] = [0.37, 0.81]
+            loss, grads, skipped, active = step()
+            fresh = _stack_pass(stack, x, y)()
+        assert active is None and fresh[3] is None and skipped.tolist() == [0, 0, 0]
+        for got, want in zip((loss, grads, skipped), fresh):
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_stack(self):
+        ds = sample_lattice()
+        empty = [np.zeros((0, 2, 2)), np.zeros((0, 1, 2))]
+        loss, grads, skipped = forward_backward_stack(empty, ds.inputs.T, ds.targets)
+        assert loss.shape == skipped.shape == (0,) and grads.shape == (0, 6)
+        assert train_stack(TrainConfig(epochs=3), ds, empty) == []
+
 
 class TestAdam:
     def test_zero_grads_leave_params(self):
@@ -247,6 +272,30 @@ class TestAdam:
         state = AdamState(np.ones((3, 4)))
         assert (state.m == 0).all() and (state.v == 0).all() and (state.t == 0).all()
         assert state.m.shape == state.v.shape == (3, 4) and state.t.shape == (3,)
+
+    def test_an_epoch_allocates_no_stack_sized_array(self):
+        # every array an epoch fills is allocated when the pass and the state are built
+        ds = sample_lattice()
+        runs = [xavier_init((2, 2, 1), s) for s in range(8)]
+        state = AdamState(np.stack([np.concatenate([m.ravel() for m in run]) for run in runs]))
+        step = _stack_pass(_flat_views(state.params, [(2, 2), (1, 2)]),
+                           np.ascontiguousarray(ds.inputs.T), ds.targets)
+
+        def epoch():
+            loss, grads, skipped, active = step()
+            adam_step(state, grads, 1e-3, active)
+
+        with _pass_state(len(ds.inputs)):
+            epoch()
+            tracemalloc.start()
+            try:
+                for _ in range(100):
+                    epoch()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert state.t.tolist() == [101] * 8
+        assert peak < np.empty((8, 2, 400)).nbytes
 
     def test_all_active_mask_is_the_default_step(self):
         # train_stack passes an all-True mask on every epoch with no pole hit
@@ -371,6 +420,25 @@ class TestTraining:
         dead = results[7]
         assert (dead.loss_curve == np.inf).all() and (dead.skipped == total).all()
         assert all((f == i).all() for f, i in zip(dead.final_weights, inits[7]))
+
+    def test_a_strict_errstate_sees_no_pole_or_dead_run(self):
+        # the pass divides by zero at a pole and in a dead run; forward_backward_stack
+        # and train_stack keep that from the caller's errstate and from their results
+        ds = sample_lattice()
+        runs = [xavier_init((2, 2, 1), s) for s in range(3)]
+        runs[1][0][0] = [1.0, 0.0]
+        runs[2][0][:] = 0.0
+        stack = [np.stack(layer) for layer in zip(*runs)]
+
+        def outputs():
+            out = list(forward_backward_stack(stack, ds.inputs.T, ds.targets))
+            for res in train_stack(TrainConfig(epochs=5), ds, stack):
+                out += [res.loss_curve, res.skipped, *res.final_weights]
+            return [a.tobytes() for a in out]
+
+        with np.errstate(all="raise"):
+            strict = outputs()
+        assert strict == outputs()
 
     def test_run_files_written(self, tmp_path):
         config = TrainConfig(epochs=20, seed=9)
