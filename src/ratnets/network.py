@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 from .fields import ComplexField, ScalarField, field_from_name, checked_number, PrimeField
-from .poly import HomPoly, deleted_products, monomial_count
+from .poly import HomPoly, combination, deleted_products, monomial_count
 
 POLE_GUARD = 1e-12
 
@@ -232,13 +232,7 @@ def forward_layers(w: Weights) -> tuple[list[HomPoly], list[HomPoly]]:
     for k in range(1, arch.layers):
         dels, full = deleted_products(p, HomPoly.mul, one)
         qs.append(full)
-        nxt = []
-        for i in range(dims[k + 1]):
-            acc = HomPoly.zero(f, d0, dels[0].degree)
-            for j in range(dims[k]):
-                acc = acc.add(dels[j].scale(w.mats[k][i][j]))
-            nxt.append(acc)
-        p = nxt
+        p = [combination(row, dels) for row in w.mats[k]]
     return p, qs
 
 

@@ -134,15 +134,20 @@ class HomPoly:
         return HomPoly(f, self.nvars, self.degree, out)
 
     def sub(self, other: "HomPoly") -> "HomPoly":
-        return self.add(other.neg())
-
-    def neg(self) -> "HomPoly":
+        """self - other in one pass: f.sub where both have a term, f.neg where
+        only other has one."""
+        self._check_compat(other)
+        if self.degree != other.degree:
+            raise ValueError("cannot add forms of different degree")
         f = self.field
-        return HomPoly(f, self.nvars, self.degree, {e: f.neg(c) for e, c in self.terms.items()})
+        sub, neg = f.sub, f.neg
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = sub(out[e], c) if e in out else neg(c)
+        return HomPoly(f, self.nvars, self.degree, out)
 
     def scale(self, scalar) -> "HomPoly":
-        f = self.field
-        return HomPoly(f, self.nvars, self.degree, {e: f.mul(scalar, c) for e, c in self.terms.items()})
+        return combination((scalar,), (self,))
 
     def mul(self, other: "HomPoly") -> "HomPoly":
         self._check_compat(other)
@@ -258,6 +263,30 @@ def max_or_nan(values: Iterable[float]) -> float:
         if v > best:
             best = v
     return best
+
+
+def combination(weights: Sequence, forms: Sequence[HomPoly]) -> HomPoly:
+    """sum(w_j * forms[j]) in one dict pass, term for term the fold that adds
+    each scaled form {e: w_j * c} (exact zeros dropped) to a zero form: a
+    product that is an exact zero is skipped, and a running sum that becomes
+    one is deleted at once, so a later term puts its key back at the end.
+    Every form has forms[0]'s signature; weights and forms have one length."""
+    first = forms[0]
+    f = first.field
+    add, mul, is_zero = f.add, f.mul, f.is_zero
+    out: dict = {}
+    for w, p in zip(weights, forms, strict=True):
+        for e, c in p.terms.items():
+            v = mul(w, c)
+            if is_zero(v):
+                continue
+            if e in out:
+                v = add(out[e], v)
+                if is_zero(v):
+                    del out[e]
+                    continue
+            out[e] = v
+    return HomPoly(f, first.nvars, first.degree, out)
 
 
 def _pow2_scaled(c: np.ndarray) -> tuple[np.ndarray, int]:

@@ -62,33 +62,53 @@ class ReconstructionError(RuntimeError):
         self.verdict = verdict
 
 
-def projective_normalize(t: RationalTuple) -> RationalTuple:
-    """Scale the tuple so the denominator's grlex-leading coefficient is 1,
-    falling back to its largest-magnitude coefficient when that slot is
-    (numerically) empty."""
+def _normalizing(t: RationalTuple) -> tuple[list[HomPoly], complex]:
+    """t's forms over COMPLEX, numerators then denominator, and the scale
+    s = 1/pivot that makes the pivot 1: the denominator's grlex-leading
+    coefficient, or its largest-magnitude one when the leading magnitude is
+    not above 1e-12 times the largest (an empty slot, or NaN anywhere)."""
     q = _as_complex(t.denominator)
     if q.is_zero():
         raise ValueError("denominator is identically zero")
     mag = q.field.magnitude
     pivot = q.coefficient((q.degree,) + (0,) * (q.nvars - 1))
-    if mag(pivot) <= 1e-12 * q.max_magnitude():
+    if not mag(pivot) > 1e-12 * q.max_magnitude():
         pivot = max(q.terms.values(), key=mag)
-    s = 1.0 / pivot
-    return RationalTuple(tuple(_as_complex(p).scale(s) for p in t.numerators), q.scale(s))
+    return [*map(_as_complex, t.numerators), q], 1.0 / pivot
+
+
+def projective_normalize(t: RationalTuple) -> RationalTuple:
+    """The tuple scaled so the denominator's pivot (see _normalizing) is 1."""
+    forms, s = _normalizing(t)
+    return RationalTuple(tuple(p.scale(s) for p in forms[:-1]), forms[-1].scale(s))
 
 
 def projective_mismatch(a: RationalTuple, b: RationalTuple) -> float:
-    """Max coefficient deviation between the normalized tuples, relative to
-    the first tuple's largest coefficient magnitude; NaN when that is not
-    finite, since a finite deviation relative to it would read as 0."""
-    a, b = projective_normalize(a), projective_normalize(b)
-    if len(a.numerators) != len(b.numerators):
+    """Max over the coefficients of |a_e s_a - b_e s_b|, with a missing term
+    read as 0 and (s_a, s_b) the normalizing scales, relative to the largest
+    |a_e s_a|; NaN when that is not finite, since a finite deviation relative
+    to it would read as 0.  Read from the terms: no scaled form is built."""
+    fa, sa = _normalizing(a)
+    fb, sb = _normalizing(b)
+    if len(fa) != len(fb):
         raise ValueError("tuples have different output counts")
-    scale = max_or_nan(p.max_magnitude() for p in a.all_polys())
+    mag = COMPLEX.magnitude
+    scale = max_or_nan(mag(sa * c) for p in fa for c in p.terms.values())
     if not math.isfinite(scale):
         return math.nan
-    err = max_or_nan(pa.sub(pb).max_magnitude() for pa, pb in zip(a.all_polys(), b.all_polys()))
+    err = max_or_nan(_deviation(pa, sa, pb, sb) for pa, pb in zip(fa, fb))
     return err / scale if scale else err
+
+
+def _deviation(pa: HomPoly, sa: complex, pb: HomPoly, sb: complex) -> float:
+    """max |a_e sa - b_e sb| over the terms of two forms of one signature."""
+    if pa.nvars != pb.nvars:
+        raise ValueError(f"variable count mismatch: {pa.nvars} vs {pb.nvars}")
+    if pa.degree != pb.degree:
+        raise ValueError("cannot compare forms of different degree")
+    mag, ta, tb = COMPLEX.magnitude, pa.terms, pb.terms
+    return max_or_nan([*(mag(sa * c - sb * tb[e]) if e in tb else mag(sa * c) for e, c in ta.items()),
+                       *(mag(sb * c) for e, c in tb.items() if e not in ta)])
 
 
 def _fail(stage: Stage, residual: float = float("inf"),
@@ -150,13 +170,16 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
     """Recover (2, ..., 2, 1) weights from a single-output binary tuple: one
     peel per layer from depth L down to 2, each factoring the denominator
     (even depth) or the numerator (odd depth); the last matrix is the linear
-    numerator left over the constant denominator."""
+    numerator left over the constant denominator.  P and Q are read scaled by
+    one power of two (poly._pow2_scaled_forms), which leaves their ratios and
+    so the weights unchanged, and keeps the peel's forms within the float range
+    however far t's scale is from 1."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
     arch = Architecture((2,) * layers + (1,))
     if not shape_matches(t, arch):
         return _fail(Stage.DEGREE_TEST)
-    P, Q = _as_complex(t.numerators[0]), _as_complex(t.denominator)
+    P, Q = _pow2_scaled_forms([t.numerators[0], t.denominator])
     mats = []
     for depth in range(layers, 1, -1):
         even = depth % 2 == 0

@@ -271,7 +271,7 @@ def test_binary_peel_of_an_overflowing_form_is_a_verdict(tmp_path, capsys, seed)
                                                      "4", "--tuple", tfile)
     assert (code, err, caught) == (2, "", [])
     verdict = _strict_json(out)
-    assert (verdict["stage_failed"], verdict["residual"]) == ("FactorTest", None)
+    assert (verdict["stage_failed"], verdict["residual"]) == ("RepeatedFactors", None)
 
 
 @pytest.mark.parametrize("route", [("--binary", "--layers", "3"), ("--arch", "2,2,2,1")],

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratnets.fields import COMPLEX, REAL, PrimeField
-from ratnets.poly import (HomPoly, NotDivisibleError, deleted_products,
+from ratnets.fields import COMPLEX, REAL, FieldMismatchError, PrimeField
+from ratnets.poly import (HomPoly, NotDivisibleError, combination, deleted_products,
                           monomials, product, sym_contract)
 
 GF = PrimeField(2147483647)
@@ -72,6 +73,86 @@ def coeffs_close(p, q, tol=1e-12):
     scale = max(p.max_magnitude(), q.max_magnitude(), 1.0)
     return all(f.magnitude(f.sub(p.coefficient(e), q.coefficient(e))) <= tol * scale
                for e in set(p.terms) | set(q.terms))
+
+
+def term_bits(p, nan_sign=True):
+    """p's terms in stored order, each float part as its bit pattern (so -0.0
+    is not 0.0); with nan_sign False every NaN reads as one pattern."""
+    def bits(v):
+        if isinstance(v, complex):
+            return bits(v.real), bits(v.imag)
+        if isinstance(v, float):
+            return "nan" if v != v and not nan_sign else struct.pack("<d", v).hex()
+        return v
+    return [(e, bits(c)) for e, c in p.terms.items()]
+
+
+# Coefficients and weights that meet: small integers and +-1 that cancel
+# exactly, pairs whose products underflow to 0 (1e-200 * 1e-200), infinities
+# whose products and sums are NaN, and signed zeros.
+FLOAT_POOL = [1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e-200, -1e-200, 1e-170, math.inf, -math.inf,
+              0.0, -0.0]
+GF7 = PrimeField(7)
+
+
+@st.composite
+def scalars(draw, field):
+    if field is GF7:
+        return draw(st.integers(0, 13))  # residues and their aliases, 0 and 7 included
+    re = draw(st.sampled_from(FLOAT_POOL))
+    if field is REAL:
+        return re
+    return complex(re, draw(st.sampled_from(FLOAT_POOL)))
+
+
+@st.composite
+def pool_forms(draw, field, nvars, degree):
+    """A form on a few of the signature's monomials, so that terms collide."""
+    mons = monomials(nvars, degree)[:3]
+    keys = draw(st.lists(st.sampled_from(mons), max_size=3, unique=True))
+    return HomPoly(field, nvars, degree, {e: draw(scalars(field)) for e in keys})
+
+
+class TestCombination:
+    @staticmethod
+    def fold(weights, forms):
+        """The fold combination replaces: zero, then one add per scaled form,
+        each scale a form of its own (f.mul(w, c), exact zeros dropped)."""
+        f, n, d = forms[0].field, forms[0].nvars, forms[0].degree
+        acc = HomPoly.zero(f, n, d)
+        for w, p in zip(weights, forms):
+            acc = acc.add(HomPoly(f, n, d, {e: f.mul(w, c) for e, c in p.terms.items()}))
+        return acc
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data(), st.sampled_from([REAL, COMPLEX, GF7]), st.integers(1, 3), st.integers(0, 3))
+    def test_combination_is_the_scale_and_add_fold_bit_for_bit(self, data, field, n, d):
+        # same terms, same key order (a sum that cancels exactly leaves the
+        # dict, and a later term puts its key back at the end), same bits;
+        # half the weights are +-1, so that sums cancel often
+        forms = data.draw(st.lists(pool_forms(field, n, d), min_size=1, max_size=5))
+        unit = st.sampled_from([field.one(), field.neg(field.one())])
+        weights = [data.draw(unit if data.draw(st.booleans()) else scalars(field)) for _ in forms]
+        assert term_bits(combination(weights, forms)) == term_bits(self.fold(weights, forms))
+        assert term_bits(forms[0].scale(weights[0])) == term_bits(self.fold(weights[:1], forms[:1]))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data(), st.sampled_from([REAL, COMPLEX, GF7]), st.integers(1, 3), st.integers(0, 3))
+    def test_sub_is_add_of_the_negation(self, data, field, n, d):
+        # a - NaN keeps the NaN's sign bit and a + (-NaN) flips it, so NaNs
+        # compare as one pattern; every other bit and the key order must agree
+        a = data.draw(pool_forms(field, n, d))
+        b = data.draw(pool_forms(field, n, d))
+        neg_b = HomPoly(field, n, d, {e: field.neg(c) for e, c in b.terms.items()})
+        assert term_bits(a.sub(b), nan_sign=False) == term_bits(a.add(neg_b), nan_sign=False)
+
+    def test_sub_keeps_its_checks_in_order(self):
+        with pytest.raises(ValueError, match="variable count"):
+            x(REAL, 2, 0).sub(HomPoly.one(COMPLEX, 3))
+        with pytest.raises(FieldMismatchError):
+            x(REAL, 2, 0).sub(x(COMPLEX, 2, 0))
+        with pytest.raises(ValueError, match="different degree"):
+            x(REAL, 2, 0).sub(HomPoly.one(REAL, 2))
 
 
 class TestMul:

@@ -5,12 +5,12 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ratnets.fields import COMPLEX, REAL
+from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.geometry import rank_test_membership
 from ratnets.network import Architecture, RationalTuple, Weights, degrees, forward_recursive
-from ratnets.poly import HomPoly, monomials, product
+from ratnets.poly import HomPoly, max_or_nan, monomials, product
 from ratnets.reconstruct import (ReconstructionError, Stage, _verified,
                                  membership_binary_multioutput, projective_mismatch,
                                  projective_normalize, reconstruct_auto,
@@ -81,6 +81,80 @@ class TestProjective:
         w = random_complex_weights((2, 2, 1), 2)
         t = projective_normalize(forward_recursive(w))
         assert abs(t.denominator.coefficient((2, 0)) - 1) < 1e-14
+
+    def test_a_nan_denominator_with_an_empty_leading_slot_is_no_match(self):
+        # Q = x1 x2 + NaN x2^2: the leading slot x1^2 is empty, but
+        # 0 <= 1e-12 * NaN is false, so the zero pivot was kept and both
+        # functions raised ZeroDivisionError
+        P = lin(1, 2)
+        bad = RationalTuple((P,), HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j, (0, 2): complex(math.nan)}))
+        good = RationalTuple((P,), HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j, (0, 2): 1 + 0j}))
+        assert math.isnan(projective_normalize(bad).denominator.max_magnitude())
+        for a, b in [(bad, good), (good, bad), (bad, bad)]:
+            assert math.isnan(projective_mismatch(a, b))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 2), n=st.integers(2, 3), d=st.integers(1, 2))
+    def test_mismatch_is_the_normalize_sub_max_formula(self, data, k, n, d):
+        # coefficients with (now and then) NaN and inf, tiny ones whose scaled
+        # products underflow and drop out, and tuples that share some terms
+        pool = [1.0, -1.0, 2.0, 0.5, 1e-300, 3e-310, 1e300, 1e-12, 0.0]
+
+        def part():
+            special = data.draw(st.integers(0, 19))
+            return [math.inf, math.nan][special] if special < 2 else data.draw(st.sampled_from(pool))
+
+        def form(degree):
+            mons = monomials(n, degree)
+            keys = data.draw(st.lists(st.sampled_from(mons), min_size=1, unique=True))
+            return HomPoly(COMPLEX, n, degree, {e: complex(part(), part()) for e in keys})
+
+        def tuple_():
+            return RationalTuple(tuple(form(d) for _ in range(k)), form(d + 1))
+
+        a = tuple_()
+        b = tuple_() if data.draw(st.booleans()) else RationalTuple(
+            tuple(p.scale(complex(part(), part())) for p in a.numerators),
+            a.denominator)
+
+        def oracle(a, b):
+            # the formula before the mismatch read the terms: normalize both,
+            # subtract as an add of the negation, take the maxima
+            a, b = projective_normalize(a), projective_normalize(b)
+            scale = max_or_nan(p.max_magnitude() for p in a.all_polys())
+            if not math.isfinite(scale):
+                return math.nan
+            err = max_or_nan(pa.add(HomPoly(COMPLEX, n, pb.degree, {e: -c for e, c in pb.terms.items()}))
+                             .max_magnitude() for pa, pb in zip(a.all_polys(), b.all_polys()))
+            return err / scale if scale else err
+
+        def outcome(f, a, b):
+            try:
+                return repr(f(a, b))
+            except ValueError as ex:  # a denominator whose terms all dropped
+                return type(ex).__name__
+
+        assert outcome(projective_mismatch, a, b) == outcome(oracle, a, b)
+        assert outcome(projective_mismatch, b, a) == outcome(oracle, b, a)
+
+    def test_mismatch_errors_come_in_argument_order(self):
+        # a's denominator, a's numerators, b's, then the output counts
+        gf = PrimeField(7)
+        good = RationalTuple((lin(1, 2),), lin(1, 1).mul(lin(1, -1)))
+        zero_den = RationalTuple((lin(1, 2),), HomPoly.zero(COMPLEX, 2, 2))
+        gf_num = RationalTuple((HomPoly.linear(gf, [1, 2]),), good.denominator)
+        gf_den = RationalTuple((lin(1, 2),), HomPoly(gf, 2, 2, {(2, 0): 1}))
+        one_more = RationalTuple((lin(1, 2), lin(1, 3)), good.denominator)
+        with pytest.raises(TypeError):
+            projective_mismatch(gf_den, zero_den)
+        with pytest.raises(ValueError, match="identically zero"):
+            projective_mismatch(zero_den, gf_num)
+        with pytest.raises(TypeError):
+            projective_mismatch(gf_num, zero_den)
+        with pytest.raises(ValueError, match="identically zero"):
+            projective_mismatch(one_more, zero_den)
+        with pytest.raises(ValueError, match="output counts"):
+            projective_mismatch(one_more, good)
 
 
 class TestReconstructShallow:
@@ -418,6 +492,27 @@ class TestMetamorphic:
 
 
 class TestScale:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(field=st.sampled_from([REAL, COMPLEX]), depth=st.integers(2, 6), seed=st.integers(0, 29),
+           k=st.sampled_from([-1000, -960, 960, 1000, 1010, 1015]) | st.integers(-1000, 1000))
+    @example(field=REAL, depth=3, seed=1, k=1010)
+    @example(field=REAL, depth=2, seed=1, k=1015)
+    @example(field=REAL, depth=3, seed=1, k=-1000)
+    def test_binary_reconstruction_ignores_a_power_of_two_scale(self, field, depth, seed, k):
+        # reconstruct_binary reads P and Q scaled by one power of two, so an
+        # exact scale 2**k of the tuple gives the same verdict and weights;
+        # the residual is measured against the scaled tuple itself, whose
+        # normalizing scale 2**-k/pivot can lose bits near the float limit
+        t = forward_recursive(Weights.random(Architecture((2,) * depth + (1,)), field, seed=seed))
+        s = 2.0 ** k
+        scaled = RationalTuple(tuple(p.scale(s) for p in t.numerators), t.denominator.scale(s))
+        assume(all(p.scale(1 / s).terms == q.terms for p, q in zip(scaled.all_polys(), t.all_polys())))
+        base, got = reconstruct_binary(t, depth), reconstruct_binary(scaled, depth)
+        assert (got.in_model, got.stage_failed, got.weights) == \
+            (base.in_model, base.stage_failed, base.weights)
+        if abs(k) <= 1000:
+            assert repr(got.residual) == repr(base.residual)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dims=st.sampled_from([(2, 2, 1), (2, 3, 1), (2, 5, 1), (3, 4, 2), (2, 2, 2, 1),
                                  (2, 2, 2, 2, 1)]),
