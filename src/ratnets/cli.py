@@ -61,11 +61,13 @@ def tolerance(text: str) -> float:
 
 def _load(path: str, parse):
     """parse(JSON object of the file); a wrongly shaped or too deeply nested
-    object is a CliError."""
+    object, or one without a key parse reads, is a CliError."""
     with open(path) as f:
         text = f.read()
     try:
         return parse(json.loads(text))
+    except KeyError as ex:
+        raise CliError(f"malformed {path}: missing key {ex}") from ex
     except (TypeError, RecursionError) as ex:
         raise CliError(f"malformed {path}: {ex}") from ex
 

@@ -5,16 +5,21 @@ nonzero scalars: construction drops exact zeros only, so float coefficients
 are kept as computed, however small.  Every stored exponent tuple has one
 int >= 0 per variable, summing to the polynomial's degree; each tuple is
 checked once per (nvars, degree), as construction remembers the tuples that
-passed and their int form.  The zero polynomial keeps an explicit (nvars,
-degree) signature so arithmetic stays well-typed.  The canonical term order
-is graded lexicographic, descending, which fixes serialization and the order
-of the monomial basis.
+passed and their int form.  Every product runs one kernel, _mul_terms, which
+adds exponents packed into ints (one field per variable, as wide as the
+product degree's bit length) and multiplies a constant factor into the other
+factor's terms; linear forms are keyed by cached unit exponents.  Neither
+changes a product's terms, their order or a coefficient bit.  The zero
+polynomial keeps an explicit (nvars, degree) signature so arithmetic stays
+well-typed.  The canonical term order is graded lexicographic, descending,
+which fixes serialization and the order of the monomial basis.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -39,6 +44,12 @@ def monomials(nvars: int, degree: int) -> list[Exponent]:
 
 def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[Exponent, ...]:
+    """The n unit exponents in n variables, x_0 first."""
+    return tuple(monomials(n, 1))
 
 
 def _whole_exponent(e, nvars: int, degree: int) -> Exponent:
@@ -100,9 +111,7 @@ class HomPoly:
     @classmethod
     def linear(cls, field: ScalarField, coeffs: Sequence) -> "HomPoly":
         """The degree-1 form sum(coeffs[j] * x_j): one variable per entry."""
-        n = len(coeffs)
-        return cls(field, n, 1, {tuple(1 if t == j else 0 for t in range(n)): c
-                                 for j, c in enumerate(coeffs)})
+        return cls(field, len(coeffs), 1, dict(zip(_units(len(coeffs)), coeffs)))
 
     # -- inspection --------------------------------------------------------
 
@@ -306,16 +315,61 @@ def _pow2_scaled_forms(polys: Sequence[HomPoly]) -> list[HomPoly]:
     return [HomPoly(COMPLEX, p.nvars, p.degree, {e: next(it) for e in p.terms}) for p in polys]
 
 
+# Packed exponents, per field width bits: _PACKED[bits] maps a tuple to the
+# int whose i-th bits-wide field is entry i, and _UNPACKED[nvars, bits] maps
+# such an int back to its tuple.  Both grow with the distinct exponents seen.
+_PACKED: dict[int, dict[Exponent, int]] = {}
+_UNPACKED: dict[tuple[int, int], dict[int, Exponent]] = {}
+
+
+def _packed(keys, bits: int) -> list[int]:
+    """Each exponent as its int at field width bits."""
+    known = _PACKED.setdefault(bits, {})
+    try:
+        return [known[e] for e in keys]
+    except KeyError:  # an exponent this width has not seen
+        known.update((e, sum(u << bits * i for i, u in enumerate(e)))
+                     for e in keys if e not in known)
+        return [known[e] for e in keys]
+
+
 def _mul_terms(field: ScalarField, a: Mapping, b: Mapping) -> dict:
-    """Product of two term mappings; exact zeros are kept."""
-    add, mul = field.add, field.mul
+    """Product of two homogeneous term mappings; exact zeros are kept.
+
+    Each exponent is packed into an int with one field of the product
+    degree's bit length per variable: every entry of either factor and of the
+    product is at most that degree, so an exponent sum is one int addition
+    that no field carries out of.  A constant factor takes one multiply per
+    term of the other.  Keys, key order and every multiply and add are those
+    of adding the exponent tuples entry by entry."""
+    if not (a and b):
+        return {}
+    mul = field.mul
+    ea, eb = next(iter(a)), next(iter(b))
+    if not any(ea):  # a is the one constant term
+        (c1,) = a.values()
+        return {e: mul(c1, c) for e, c in b.items()}
+    if not any(eb):
+        (c2,) = b.values()
+        return {e: mul(c, c2) for e, c in a.items()}
+    bits = (sum(ea) + sum(eb)).bit_length()
+    add = field.add
+    right = list(zip(_packed(b, bits), b.values()))
     out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(operator.add, e1, e2))
+    for k1, c1 in zip(_packed(a, bits), a.values()):
+        for k2, c2 in right:
+            k = k1 + k2
             v = mul(c1, c2)
-            out[e] = add(out[e], v) if e in out else v
-    return out
+            out[k] = add(out[k], v) if k in out else v
+    n = len(ea)
+    known = _UNPACKED.setdefault((n, bits), {})
+    try:
+        return {known[k]: v for k, v in out.items()}
+    except KeyError:  # a product exponent this signature has not seen
+        mask = (1 << bits) - 1
+        known.update((k, tuple(k >> bits * i & mask for i in range(n)))
+                     for k in out if k not in known)
+        return {known[k]: v for k, v in out.items()}
 
 
 def _as_complex(p: HomPoly) -> HomPoly:

@@ -612,6 +612,38 @@ def test_deeply_nested_json_is_one_line_error(tmp_path, capsys, argv):
     assert err.startswith(f"error: malformed {deep}")
 
 
+def _without(obj, *path):
+    """obj with the key at the end of path deleted (list indices on the way)."""
+    inner = obj
+    for step in path[:-1]:
+        inner = inner[step]
+    del inner[path[-1]]
+    return obj
+
+
+def _tuple_json():
+    return forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=1)).to_json()
+
+
+@pytest.mark.parametrize("argv, obj, key", [
+    (("factor", "--poly"), lambda: _without(lin(1, 2).to_json(), "terms", 0, "exp"), "exp"),
+    (("factor", "--poly"), lambda: _without(lin(1, 2).to_json(), "terms", 1, "re"), "re"),
+    (("factor", "--poly"), lambda: _without(lin(1, 2).to_json(), "terms"), "terms"),
+    (("reconstruct", "--arch", "2,2,1", "--tuple"),
+     lambda: _without(_tuple_json(), "denominator"), "denominator"),
+    (("eval", "--x", "1,2", "--weights"),
+     lambda: _without(Weights.random(Architecture((2, 2, 1)), REAL, seed=1).to_json(), "mats"),
+     "mats"),
+], ids=["form-without-exp", "form-without-re", "form-without-terms",
+        "tuple-without-denominator", "weights-without-mats"])
+def test_missing_key_is_one_line_error(tmp_path, capsys, argv, obj, key):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj()))
+    code, out, err = run(capsys, *argv, str(f))
+    _assert_one_line_error(code, out, err)
+    assert err == f"error: malformed {f}: missing key '{key}'\n"
+
+
 def test_hpoly_slices(tmp_path, capsys):
     w = Weights.random(Architecture((2, 2, 1)), REAL, seed=2)
     wfile = tmp_path / "w.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 import struct
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratnets.fields import COMPLEX, REAL, FieldMismatchError, PrimeField
-from ratnets.poly import (HomPoly, NotDivisibleError, combination, deleted_products,
-                          monomials, product, sym_contract)
+from ratnets.poly import (HomPoly, NotDivisibleError, _mul_terms, combination,
+                          deleted_products, monomials, product, sym_contract)
 
 GF = PrimeField(2147483647)
 
@@ -75,16 +76,19 @@ def coeffs_close(p, q, tol=1e-12):
                for e in set(p.terms) | set(q.terms))
 
 
+def scalar_bits(v, nan_sign=True):
+    """Each float part of v as its bit pattern (so -0.0 is not 0.0); with
+    nan_sign False every NaN reads as one pattern."""
+    if isinstance(v, complex):
+        return scalar_bits(v.real, nan_sign), scalar_bits(v.imag, nan_sign)
+    if isinstance(v, float):
+        return "nan" if v != v and not nan_sign else struct.pack("<d", v).hex()
+    return v
+
+
 def term_bits(p, nan_sign=True):
-    """p's terms in stored order, each float part as its bit pattern (so -0.0
-    is not 0.0); with nan_sign False every NaN reads as one pattern."""
-    def bits(v):
-        if isinstance(v, complex):
-            return bits(v.real), bits(v.imag)
-        if isinstance(v, float):
-            return "nan" if v != v and not nan_sign else struct.pack("<d", v).hex()
-        return v
-    return [(e, bits(c)) for e, c in p.terms.items()]
+    """p's terms in stored order, each coefficient by scalar_bits."""
+    return [(e, scalar_bits(c, nan_sign)) for e, c in p.terms.items()]
 
 
 # Coefficients and weights that meet: small integers and +-1 that cancel
@@ -236,6 +240,121 @@ class TestComposeLinear:
         p = random_poly(REAL, 3, 2, random.Random(0))
         with pytest.raises(ValueError):
             p.compose_linear([[1.0, 0.0], [0.0, 1.0]])
+
+
+def tuple_product(field, a, b):
+    """The product fold that _mul_terms packs: each exponent sum a new tuple,
+    entry by entry; exact zeros kept."""
+    add, mul = field.add, field.mul
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            v = mul(c1, c2)
+            out[e] = add(out[e], v) if e in out else v
+    return out
+
+
+def tuple_compose(p, rows):
+    """compose_linear on tuple_product, each row's form keyed by a unit tuple
+    built per entry."""
+    f, nout = p.field, len(rows[0]) if rows else 0
+    forms = [HomPoly(f, nout, 1, {tuple(1 if t == j else 0 for t in range(nout)): c
+                                  for j, c in enumerate(r)}).terms for r in rows]
+    powers = [[{(0,) * nout: f.one()}] for _ in range(p.nvars)]
+    out = {}
+    for e, c in p.terms.items():
+        term = {(0,) * nout: c}
+        for i, u in enumerate(e):
+            if u:
+                while len(powers[i]) <= u:
+                    powers[i].append(tuple_product(f, powers[i][-1], forms[i]))
+                term = tuple_product(f, term, powers[i][u])
+        for et, v in term.items():
+            out[et] = f.add(out[et], v) if et in out else v
+    return HomPoly(f, nout, p.degree, out)
+
+
+def shown(terms):
+    """Keys in stored order with each coefficient's repr and, for floats,
+    bit pattern (so the sign of a zero or a NaN counts)."""
+    return [(e, repr(c), scalar_bits(c)) for e, c in terms.items()]
+
+
+PACK_FIELDS = [REAL, COMPLEX, GF7, GF]
+# every float part below meets every other: signed zeros, infinities, NaN
+PACK_POOL = FLOAT_POOL + [math.nan]
+
+
+@st.composite
+def pack_scalars(draw, field):
+    if field.exact:
+        return draw(st.sampled_from([0, 1, field.p - 1]) | st.integers(0, field.p - 1))
+    re = draw(st.sampled_from(PACK_POOL))
+    return re if field is REAL else complex(re, draw(st.sampled_from(PACK_POOL)))
+
+
+@st.composite
+def pack_terms(draw, field, nvars, degree, scale):
+    """A raw term mapping (exact zeros kept) on a few monomials of the
+    signature with every entry multiplied by scale, so entries reach 2**20
+    and 2**70 while products still collide; a constant is often the field's
+    one (1 + 0j over COMPLEX)."""
+    mons = [tuple(u * scale for u in e) for e in monomials(nvars, degree)[:4]]
+    keys = draw(st.lists(st.sampled_from(mons), max_size=4, unique=True))
+    one = st.just(field.one()) if degree == 0 else st.nothing()
+    return {e: draw(one | pack_scalars(field)) for e in keys}
+
+
+class TestPackedProduct:
+    """_mul_terms adds packed exponents as ints and multiplies a constant
+    factor term by term; neither may change a key, its order or a bit."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.data(), st.sampled_from(PACK_FIELDS), st.integers(0, 3),
+           st.sampled_from([0, 1, 2, 3]), st.sampled_from([0, 1, 2, 3]),
+           st.sampled_from([1, 2**20, 2**70]), st.sampled_from([1, 2**20, 2**70]))
+    def test_mul_is_the_tuple_fold_bit_for_bit(self, data, field, n, da, db, sa, sb):
+        if n == 0:
+            da = db = 0
+        a = data.draw(pack_terms(field, n, da, sa))
+        b = data.draw(pack_terms(field, n, db, sb))
+        assert shown(_mul_terms(field, a, b)) == shown(tuple_product(field, a, b))
+        pa, pb = HomPoly(field, n, da * sa, a), HomPoly(field, n, db * sb, b)
+        expected = HomPoly(field, n, da * sa + db * sb, tuple_product(field, pa.terms, pb.terms))
+        assert shown(pa.mul(pb).terms) == shown(expected.terms)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data(), st.sampled_from(PACK_FIELDS), st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 3))
+    def test_compose_linear_is_the_tuple_fold_bit_for_bit(self, data, field, n, nout, d):
+        if n == 0:
+            d = 0
+        p = HomPoly(field, n, d, data.draw(pack_terms(field, n, d, 1)))
+        rows = [[data.draw(pack_scalars(field)) for _ in range(nout)] for _ in range(n)]
+        assert shown(p.compose_linear(rows).terms) == shown(tuple_compose(p, rows).terms)
+
+    @pytest.mark.parametrize("field", PACK_FIELDS, ids=["real", "complex", "gf7", "gf"])
+    def test_a_product_by_one_is_a_multiply(self, field):
+        # over COMPLEX, (1 + 0j) * (-0.0 - 1j) is 0j and (1 + 0j) * (inf + 1j)
+        # has a NaN part: the constant path must multiply, not copy
+        vals = ([complex(-0.0, -1.0), complex(math.inf, 1.0), complex(1.0, math.nan)]
+                if field is COMPLEX else [field.from_int(3), field.from_int(5), field.one()])
+        other = dict(zip([(2, 0), (1, 1), (0, 2)], vals))
+        one = {(0, 0): field.one()}
+        for a, b in [(one, other), (other, one)]:
+            assert shown(_mul_terms(field, a, b)) == shown(tuple_product(field, a, b))
+        if field is COMPLEX:
+            assert shown(_mul_terms(field, one, other)) != shown(other)
+
+    def test_one_exponent_at_several_widths(self):
+        # x0*x1 meets factors whose degrees give product widths of 71, 2, 21, 3,
+        # 4, 71 and 2 bits in turn, a constant and empty factors among them
+        p = {(1, 1): 2.0, (2, 0): -1.0}
+        for d in [2**70, 1, 2**20, 2, 6, 2**70, 1, 0]:
+            q = {(d, 0): 3.0, (d - 1, 1): 0.5} if d else {(0, 0): -0.0}
+            for a, b in [(p, q), (q, p), (p, {}), ({}, q)]:
+                assert shown(_mul_terms(REAL, a, b)) == shown(tuple_product(REAL, a, b))
 
 
 class TestExactDivide:

@@ -135,3 +135,41 @@ def test_train_stack_steps_through_the_module_level_adam_step():
                 for call in ast.walk(loop)
                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
     assert "adam_step" in in_loops
+
+
+# The exponent arithmetic and its caches: poly.py is their one home, so no
+# module keeps a private copy of polynomial products or exponent checks.
+EXPONENT_ARITHMETIC = {"_mul_terms", "_PACKED", "_UNPACKED", "_CHECKED"}
+
+
+def named(tree: ast.AST) -> set[str]:
+    """Every identifier the module names: read, bound, defined, imported, taken
+    as an attribute or spelled as a string constant (for getattr)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name.rpartition(".")[2], node.asname})
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names - {None}
+
+
+def test_checker_sees_imports_attributes_definitions_and_strings():
+    tree = ast.parse("from .poly import _mul_terms as m\nx = poly._CHECKED\n"
+                     "def _PACKED(): pass\ny = getattr(poly, '_UNPACKED')\n")
+    assert named(tree) & EXPONENT_ARITHMETIC == EXPONENT_ARITHMETIC
+
+
+def test_exponent_arithmetic_has_one_home():
+    assert EXPONENT_ARITHMETIC <= named(ast.parse(CORPUS[SRC / "poly.py"]))
+    found = {(path.name, name) for path in SRC.glob("*.py") if path.name != "poly.py"
+             for name in named(ast.parse(CORPUS[path])) & EXPONENT_ARITHMETIC}
+    assert found == set()
