@@ -2,12 +2,12 @@
 
 Shallow route: factor the denominator into linear forms (rows of the first
 matrix), then solve one least-squares system per numerator for the second
-matrix.  Deep binary route: peel one layer at a time by factoring the
-appropriate binary form, substituting the two chosen factor directions to
-canonical coordinates and dividing them out, down to a linear numerator over
-a constant denominator.  Recovered weights are only ever compared through the
-forward map, never entrywise, since permutation and diagonal
-reparametrizations leave the function unchanged.
+matrix.  Deep binary route: split the numerator and the denominator once
+into linear factor rows, then peel one layer at a time by taking the two most
+independent rows of the appropriate form, carried through the substitutions
+so far, down to one numerator row over a constant.  Recovered weights are only
+ever compared through the forward map, never entrywise, since permutation and
+diagonal reparametrizations leave the function unchanged.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import (HomPoly, NotDivisibleError, _as_complex, _pow2_scaled_forms, deleted_products,
-                   max_or_nan, monomials)
+from .poly import HomPoly, _as_complex, _pow2_scaled_forms, deleted_products, max_or_nan, monomials
 from .network import Architecture, Weights, RationalTuple, forward_recursive, shape_matches
 from .factor import REASSEMBLY_TOL, NonConvergenceError, factor_binary_form, factor_multilinear
 
@@ -167,59 +166,59 @@ def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0
 
 
 def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> MembershipVerdict:
-    """Recover (2, ..., 2, 1) weights from a single-output binary tuple: one
-    peel per layer from depth L down to 2, each factoring the denominator
-    (even depth) or the numerator (odd depth); the last matrix is the linear
-    numerator left over the constant denominator.  P and Q are read scaled by
-    one power of two (poly._pow2_scaled_forms), which leaves their ratios and
-    so the weights unchanged, and keeps the peel's forms within the float range
-    however far t's scale is from 1."""
+    """Recover (2, ..., 2, 1) weights from a single-output binary tuple.  P and
+    Q are each split once into a constant and factor rows; every factor a
+    deeper layer's form has is one of those rows carried through the
+    substitutions x = M y made so far.  So the peel works on the rows alone:
+    from depth L down to 2 it takes the most independent pair of Q's rows
+    (even depth) or P's rows (odd depth) times M, moves their norms into that
+    form's constant, drops them and maps them to the swapped coordinates.  The
+    last matrix is P's last row times M over the constant Q that is left.  P
+    and Q are read scaled by one power of two (poly._pow2_scaled_forms),
+    which leaves their ratios and so the weights unchanged."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
     arch = Architecture((2,) * layers + (1,))
     if not shape_matches(t, arch):
         return _fail(Stage.DEGREE_TEST)
-    P, Q = _pow2_scaled_forms([t.numerators[0], t.denominator])
-    mats = []
+    try:  # Q's split at index 0, P's at 1: depth % 2 picks the form to peel
+        splits = [factor_binary_form(f) for f in _pow2_scaled_forms([t.denominator, t.numerators[0]])]
+    except (NonConvergenceError, ValueError):
+        return _fail(Stage.FACTOR_TEST)
+    consts = [fz.constant for fz in splits]
+    rows = [np.array(fz.factors, dtype=complex) for fz in splits]
+    M, mats = np.eye(2, dtype=complex), []
     for depth in range(layers, 1, -1):
-        even = depth % 2 == 0
-        try:
-            fz = factor_binary_form(Q if even else P)
-        except (NonConvergenceError, ValueError):
-            return _fail(Stage.FACTOR_TEST)
-        pair = _most_independent_pair([np.asarray(f, dtype=complex) for f in fz.factors])
+        f = depth % 2
+        pair = _most_independent_pair(rows[f] @ M)
         if pair is None:
             return _fail(Stage.REPEATED_FACTORS)
-        W1 = np.array(pair, dtype=complex)
+        i, j, W1, norm = pair
+        consts[f] *= norm
+        rows[f] = np.delete(rows[f], [i, j], axis=0)
         # the peeled subnetwork sees coordinates composed with one swap
-        rows = np.linalg.inv(SWAP @ W1).tolist()
-        P, Q = P.compose_linear(rows), Q.compose_linear(rows)
-        try:
-            if even:
-                Q = Q.exact_divide(0, tol).exact_divide(1, tol)
-            else:
-                P = P.exact_divide(0, tol).exact_divide(1, tol)
-        except NotDivisibleError:
-            return _fail(Stage.VERIFICATION_FAIL)
+        M = M @ np.linalg.inv(SWAP @ W1)
         mats.append(W1.tolist())
-    c = complex(Q.coefficient((0, 0)))
-    mats.append([[complex(P.coefficient((1, 0))) / c, complex(P.coefficient((0, 1))) / c]])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mats.append([(np.complex128(consts[1]) / consts[0] * (rows[1][0] @ M)).tolist()])
     w = Weights(arch, COMPLEX, mats)
     return _verified(w, t, tol)
 
 
-def _most_independent_pair(vecs: list[np.ndarray]):
-    """The two direction vectors (of at least two) with the smallest
-    normalized inner product, the first such pair on a tie, each scaled to
-    unit norm; None when it is proportional within tolerance.  Unit rows keep
-    the peel's substitution balanced: scaling a hidden neuron leaves the
-    function unchanged, so the next form's factors should not see that scale."""
-    units = [v / np.linalg.norm(v) for v in vecs]
+def _most_independent_pair(vecs: np.ndarray):
+    """For rows of direction vectors (at least two): the indices i < j of the
+    pair with the smallest normalized inner product (the first such pair on a
+    tie), the pair scaled to unit norm, and the product of their norms; None
+    when the pair is proportional within tolerance.  Unit rows keep the
+    peel's substitution balanced: scaling a hidden neuron leaves the function
+    unchanged, so the next form's rows should not see that scale."""
+    norms = np.linalg.norm(vecs, axis=1)
+    units = vecs / norms[:, None]
     overlap, i, j = min((abs(np.vdot(units[i], units[j])), i, j)
                         for i, j in combinations(range(len(units)), 2))
     if 1.0 - overlap < PROPORTIONAL_TOL:
         return None
-    return units[i], units[j]
+    return i, j, units[[i, j]], float(norms[i] * norms[j])
 
 
 def resultant_binary(p: HomPoly, q: HomPoly) -> complex:

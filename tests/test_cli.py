@@ -261,8 +261,10 @@ def test_factor_root_finder_failure_is_reported_as_such(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("seed", [16, 17, 21])
 def test_binary_peel_of_an_overflowing_form_is_a_verdict(tmp_path, capsys, seed):
-    # the peel's compose_linear turns x1^3 = -1e308 into infinite coefficients:
-    # seed 16 ended in "absolute value too large", 17 and 21 in an IndexError
+    # x1^3 = -1e308 makes P a cube of x1 to within subnormal coefficients, so
+    # the depth-3 peel finds no independent pair among P's rows; substituting
+    # into P at every depth once ended seed 16 in "absolute value too large"
+    # and 17 and 21 in an IndexError
     t = forward_recursive(Weights.random(Architecture((2, 2, 2, 2, 1)), COMPLEX, seed=seed))
     P = t.numerators[0]
     t = RationalTuple((HomPoly(COMPLEX, 2, 3, {**P.terms, (3, 0): -1e308 + 0j}),), t.denominator)
@@ -1103,14 +1105,17 @@ def test_reconstruct_shallow_denominator_of_overflowing_magnitude_is_factor_test
 
 @pytest.mark.parametrize("tol, code, stage", [("0", 2, "VerificationFail"), ("1e-3", 0, "None")])
 def test_binary_peel_remainder_above_tol_is_verification_fail(tmp_path, capsys, tol, code, stage):
-    # at --tol 0 a peel's division by x1 leaves a rounding-size remainder:
-    # the division fails, and the verdict has no residual to report
+    # the forward-map check of the peeled weights leaves a rounding-size
+    # residual: above --tol 0, so the verdict is VerificationFail and reports
+    # that measured residual (the row peel divides nothing that could fail first)
     t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), COMPLEX, seed=1))
     got, out, err = run(capsys, "reconstruct", "--binary", "--layers", "3", "--tol", tol,
                         "--tuple", write_tuple(tmp_path / "t.json", t))
     verdict = _strict_json(out)
     assert (got, err, verdict["stage_failed"]) == (code, "", stage)
-    assert (verdict["residual"] is None) == (code == 2)
+    residual = verdict["residual"]
+    assert isinstance(residual, float) and math.isfinite(residual)
+    assert (residual > float(tol)) == (code == 2)
 
 
 @pytest.mark.parametrize("flags, code, stage", [((), 0, "None"), (("--real-only",), 2, "SpanTest")])
