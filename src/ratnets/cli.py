@@ -153,10 +153,8 @@ def cmd_factor(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     t = _load(args.tuple, lambda obj: RationalTuple.from_json(COMPLEX, obj))
-    if args.binary:
-        if len(t.numerators) != 1:
-            raise CliError("binary reconstruction expects a single numerator")
-        arch = Architecture((2,) * args.layers + (1,))
+    if args.binary:  # k outputs for k numerators; none makes no architecture
+        arch = Architecture((2,) * args.layers + (len(t.numerators),))
     elif args.arch:
         arch = _parse_arch(args.arch)
     else:
@@ -280,7 +278,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=tolerance, default=1e-6)
     p.add_argument("--real-only", action="store_true")
 
-    p = command("membership", cmd_membership, "membership screens (moment rank / resultants)",
+    p = command("membership", cmd_membership, "membership tests (moment rank / reconstruction)",
                 "--tuple", "--layers", "--out")
     p.add_argument("--arch")
     p.add_argument("--binary", action="store_true")

@@ -2,12 +2,12 @@
 
 Shallow route: factor the denominator into linear forms (rows of the first
 matrix), then solve one least-squares system per numerator for the second
-matrix.  Deep binary route: split the numerator and the denominator once
-into linear factor rows, then peel one layer at a time by taking the two most
-independent rows of the appropriate form, carried through the substitutions
-so far, down to one numerator row over a constant.  Recovered weights are only
-ever compared through the forward map, never entrywise, since permutation and
-diagonal reparametrizations leave the function unchanged.
+matrix.  Deep binary route: split the first numerator and the denominator
+once into linear factor rows, then peel one layer at a time by taking the two
+most independent rows of the appropriate form, carried through the
+substitutions so far, down to the last layer over a constant.  Recovered
+weights are only ever compared through the forward map, never entrywise,
+since permutation and diagonal reparametrizations leave the function unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import HomPoly, _as_complex, _pow2_scaled_forms, deleted_products, max_or_nan, monomials
+from .poly import (HomPoly, _as_complex, _pow2_scaled_forms, deleted_products, max_or_nan,
+                   monomials, product)
 from .network import Architecture, Weights, RationalTuple, forward_recursive, shape_matches
 from .factor import REASSEMBLY_TOL, NonConvergenceError, factor_binary_form, factor_multilinear
 
@@ -43,7 +44,7 @@ class MembershipVerdict:
     stage_failed: Stage
     weights: Weights | None
     residual: float
-    necessary_only: bool = False
+    necessary_only = False  # not a field: every route verifies its weights
 
     def to_json(self) -> dict:
         """A non-finite residual (no residual was measured) is written as null."""
@@ -110,9 +111,8 @@ def _deviation(pa: HomPoly, sa: complex, pb: HomPoly, sb: complex) -> float:
                        *(mag(sb * c) for e, c in tb.items() if e not in ta)])
 
 
-def _fail(stage: Stage, residual: float = float("inf"),
-          necessary_only: bool = False) -> MembershipVerdict:
-    return MembershipVerdict(False, stage, None, residual, necessary_only)
+def _fail(stage: Stage, residual: float = float("inf")) -> MembershipVerdict:
+    return MembershipVerdict(False, stage, None, residual)
 
 
 def _verified(w: Weights, target: RationalTuple, tol: float) -> MembershipVerdict:
@@ -166,27 +166,35 @@ def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0
 
 
 def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> MembershipVerdict:
-    """Recover (2, ..., 2, 1) weights from a single-output binary tuple.  P and
-    Q are each split once into a constant and factor rows; every factor a
-    deeper layer's form has is one of those rows carried through the
+    """Recover (2, ..., 2, k) weights from a binary tuple with k numerators.
+    Q and P1 are each split once into a constant and factor rows; every
+    factor a deeper layer's form has is one of those rows carried through the
     substitutions x = M y made so far.  So the peel works on the rows alone:
     from depth L down to 2 it takes the most independent pair of Q's rows
-    (even depth) or P's rows (odd depth) times M, moves their norms into that
+    (even depth) or P1's rows (odd depth) times M, moves their norms into that
     form's constant, drops them and maps them to the swapped coordinates.  The
-    last matrix is P's last row times M over the constant Q that is left.  P
-    and Q are read scaled by one power of two (poly._pow2_scaled_forms),
+    last matrix is P's last row times M over the constant Q that is left, or
+    with k > 1 each l_i times M, P1's private row set aside (_shared_split).
+    The forms are read scaled by one power of two (poly._pow2_scaled_forms),
     which leaves their ratios and so the weights unchanged."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
-    arch = Architecture((2,) * layers + (1,))
-    if not shape_matches(t, arch):
+    k = len(t.numerators)
+    if not k or not shape_matches(t, arch := Architecture((2,) * layers + (k,))):
         return _fail(Stage.DEGREE_TEST)
-    try:  # Q's split at index 0, P's at 1: depth % 2 picks the form to peel
-        splits = [factor_binary_form(f) for f in _pow2_scaled_forms([t.denominator, t.numerators[0]])]
+    try:  # Q's split at index 0, P1's at 1: depth % 2 picks the form to peel
+        Q, *Ps = _pow2_scaled_forms([t.denominator, *t.numerators])
+        splits = [factor_binary_form(f) for f in (Q, Ps[0])]
     except (NonConvergenceError, ValueError):
         return _fail(Stage.FACTOR_TEST)
     consts = [fz.constant for fz in splits]
     rows = [np.array(fz.factors, dtype=complex) for fz in splits]
+    if k > 1:  # the fitted rows l_i carry every numerator's scale
+        B = np.array([[p.coefficient(e) for p in Ps] for e in monomials(2, Ps[0].degree)])
+        if not np.isfinite(B).all():
+            return _fail(Stage.SPAN_TEST)
+        rows[1], lead = _shared_split(rows[1], B)
+        consts[1] = 1.0
     M, mats = np.eye(2, dtype=complex), []
     for depth in range(layers, 1, -1):
         f = depth % 2
@@ -200,9 +208,30 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
         M = M @ np.linalg.inv(SWAP @ W1)
         mats.append(W1.tolist())
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mats.append([(np.complex128(consts[1]) / consts[0] * (rows[1][0] @ M)).tolist()])
+        last = np.complex128(consts[1]) / consts[0] * ((rows[1] if k == 1 else lead) @ M)
+    mats.append(last.tolist())
     w = Weights(arch, COMPLEX, mats)
     return _verified(w, t, tol)
+
+
+def _shared_split(rows: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P1's factor rows less its private one, and the rows l_i of the fit
+    P_i = l_i(x) N, N the product of the rows kept (B's column i: P_i's
+    coefficients, x^d first).  The private row's zero gives the largest sum
+    of the other numerators' values relative to their largest coefficients
+    (a zero numerator adds nothing); every numerator vanishes on the rest."""
+    d = len(B) - 1
+    zeros = rows[:, ::-1] * [1, -1]  # (b, -a) is the zero of a x + b y
+    zeros /= np.linalg.norm(zeros, axis=1)[:, None]
+    powers = np.vander(zeros[:, 0], d + 1) * np.vander(zeros[:, 1], d + 1, increasing=True)
+    scales = np.max(np.abs(B[:, 1:]), axis=0)
+    values = np.abs(powers @ B[:, 1:])
+    rel = np.divide(values, scales, out=np.zeros_like(values), where=scales > 0)
+    shared = np.delete(rows, np.argmax(rel.sum(axis=1)), axis=0)
+    N = product([HomPoly.one(COMPLEX, 2), *(HomPoly.linear(COMPLEX, r) for r in shared)])
+    n = [N.coefficient((d - 1 - j, j)) for j in range(d)]
+    A = np.array([[*n, 0], [0, *n]], dtype=complex).T  # x N and y N
+    return shared, np.linalg.lstsq(A, B, rcond=None)[0].T
 
 
 def _most_independent_pair(vecs: np.ndarray):
@@ -221,50 +250,15 @@ def _most_independent_pair(vecs: np.ndarray):
     return i, j, units[[i, j]], float(norms[i] * norms[j])
 
 
-def resultant_binary(p: HomPoly, q: HomPoly) -> complex:
-    """Sylvester resultant of two binary forms (coefficient convention:
-    descending powers of the first variable)."""
-    if p.nvars != 2 or q.nvars != 2:
-        raise ValueError("resultant is defined here for binary forms")
-    dp, dq = p.degree, q.degree
-    a = [complex(p.coefficient((dp - k, k))) for k in range(dp + 1)]
-    b = [complex(q.coefficient((dq - k, k))) for k in range(dq + 1)]
-    n = dp + dq
-    S = np.zeros((n, n), dtype=complex)
-    for i in range(dq):
-        S[i, i:i + dp + 1] = a
-    for i in range(dp):
-        S[dq + i, i:i + dq + 1] = b
-    return complex(np.linalg.det(S))
-
-
 def membership_binary_multioutput(t: RationalTuple, layers: int,
                                   tol: float = 1e-8) -> MembershipVerdict:
-    """Membership for multi-output binary architectures.  Two layers are the
-    one-hidden-layer shape (2, 2, k), and one output is the single-output
-    tower: exact verdicts from the reconstruction `reconstruct_auto` takes.
-    Otherwise a necessary-condition screen: numerators must pairwise share
-    all but one linear factor, so every pairwise resultant vanishes."""
+    """Membership for (2, ..., 2, k), k the tuple's numerator count: the exact
+    verdict of the reconstruction `reconstruct_auto` takes for that shape."""
     if layers < 2:
         raise ValueError("need at least 2 layers")
-    k = len(t.numerators)
-    if not k or not shape_matches(t, Architecture((2,) * layers + (k,))):
-        return _fail(Stage.DEGREE_TEST, necessary_only=True)
-    if t.denominator.is_zero():  # res(P, 0) = 0 would pass the screen below
-        return _fail(Stage.FACTOR_TEST, necessary_only=True)
-    if layers == 2 or k == 1:  # exact: the one-hidden-layer shape or the single-output tower
-        return reconstruct_auto(t, Architecture((2,) * layers + (k,)), tol)
-    # each numerator into range by an exact power of two, then to largest magnitude 1
-    Ps = [_pow2_scaled_forms([p])[0] for p in t.numerators]
-    scales = [p.max_magnitude() for p in Ps]
-    if not all(s < float("inf") for s in scales):  # NaN too; scaling would make NaN determinants
-        return _fail(Stage.VERIFICATION_FAIL, necessary_only=True)
-    Ps = [p.scale(1.0 / s) if s else p for p, s in zip(Ps, scales)]
-    worst = max_or_nan(abs(resultant_binary(Ps[i], Ps[j]))
-                       for i in range(len(Ps)) for j in range(i + 1, len(Ps)))
-    if not worst <= tol:
-        return MembershipVerdict(False, Stage.VERIFICATION_FAIL, None, worst, True)
-    return MembershipVerdict(True, Stage.NONE, None, worst, True)
+    if not t.numerators:
+        return _fail(Stage.DEGREE_TEST)
+    return reconstruct_auto(t, Architecture((2,) * layers + (len(t.numerators),)), tol)
 
 
 def reconstruct_auto(t: RationalTuple, arch: Architecture, tol: float = 1e-6,
@@ -273,9 +267,11 @@ def reconstruct_auto(t: RationalTuple, arch: Architecture, tol: float = 1e-6,
     require_real is for the shallow one only (ValueError on a binary tower)."""
     if arch.is_shallow():
         return reconstruct_shallow(t, arch, tol=tol, seed=seed, require_real=require_real)
-    if arch.is_binary() and arch.dL == 1:
+    if arch.is_binary():
         if require_real:
             raise ValueError("real-only reconstruction needs a one-hidden-layer architecture")
+        if len(t.numerators) != arch.dL:  # reconstruct_binary reads k from the tuple
+            return _fail(Stage.DEGREE_TEST)
         return reconstruct_binary(t, arch.layers, tol=tol)
     raise ValueError(f"no reconstruction procedure for architecture {arch}")
 

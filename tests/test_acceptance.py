@@ -338,7 +338,7 @@ def test_criterion_12_property_suites(sym_contract_reference):
             for e in set(got.terms) | set(ref.terms):
                 assert abs(got.coefficient(e) - ref.coefficient(e)) < 1e-12
 
-        # resultant screen: shared-factor numerators pass, generic ones fail
+        # binary membership: shared-factor numerators pass, generic ones fail
         for seed in range(10):
             w = Weights.random(Architecture((2, 2, 2, 2)), COMPLEX, seed=seed)
             t = forward_recursive(w)

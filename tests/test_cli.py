@@ -296,7 +296,8 @@ def test_reconstruct_of_a_coefficient_at_the_float_limit_is_a_verdict(tmp_path, 
 
 def test_membership_binary_of_a_single_output_tuple_is_its_reconstruction(tmp_path, capsys):
     # the float-limit tuple above: with one numerator there is no pairwise
-    # resultant, and the screen read it in model with residual 0.0 (exit 0)
+    # resultant, and a resultant screen once read it in model with residual
+    # 0.0 (exit 0)
     t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), COMPLEX, seed=5))
     P = t.numerators[0]
     t = RationalTuple((HomPoly(COMPLEX, 2, 3, {**P.terms, (2, 1): 1e308 + 0j}),), t.denominator)
@@ -436,8 +437,8 @@ def test_membership_zero_denominator_is_not_in_model(tmp_path, capsys):
 @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["real", "complex"])
 @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 2), (2, 2, 3)])
 def test_membership_binary_depth_two_accepts_on_model_tuples(tmp_path, capsys, dims, field):
-    # two layers share no linear factors the resultant screen could test: the
-    # shallow reconstruction decides, as for the one-hidden-layer shape (2, 2, k)
+    # at two layers the binary test is the shallow reconstruction, as for
+    # the one-hidden-layer shape (2, 2, k)
     t = forward_recursive(Weights.random(Architecture(dims), field, seed=7))
     tfile = write_tuple(tmp_path / "t.json", t)
     for layers in ((), ("--layers", "2")):  # 2 is the default
@@ -537,7 +538,8 @@ def test_membership_binary_zero_denominator_is_not_in_model(tmp_path, capsys, la
         raise ValueError(f"non-standard JSON constant {name}")
 
     verdict = json.loads(out, parse_constant=reject)
-    assert verdict["in_model"] is False and verdict["necessary_only"] is True
+    # a zero denominator has no split: an exact verdict at either depth
+    assert verdict["in_model"] is False and verdict["necessary_only"] is False
     assert verdict["stage_failed"] == "FactorTest"
     assert verdict["residual"] is None
 
@@ -1042,12 +1044,20 @@ def test_tuple_command_without_arch_is_one_line_error(tmp_path, capsys, command)
     _assert_one_line_error(*run(capsys, command, "--tuple", write_tuple(tmp_path / "t.json", t)))
 
 
-def test_reconstruct_binary_with_two_numerators_is_one_line_error(tmp_path, capsys):
+def test_reconstruct_binary_takes_the_output_count_from_the_tuple(tmp_path, capsys):
+    # two numerators make a (2, 2, 2, 2) tower, once a one-line error: the
+    # verdict is membership's at the same tolerance; none is still an error
     t = forward_recursive(Weights.random(Architecture((2, 2, 2, 2)), COMPLEX, seed=1))
-    code, out, err = run(capsys, "reconstruct", "--binary", "--layers", "3",
-                         "--tuple", write_tuple(tmp_path / "t.json", t))
-    _assert_one_line_error(code, out, err)
-    assert "single numerator" in err
+    tfile = write_tuple(tmp_path / "t.json", t)
+    outs = []
+    for command in (("reconstruct",), ("membership", "--tol", "1e-6")):
+        code, out, err = run(capsys, *command, "--binary", "--layers", "3", "--tuple", tfile)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert _strict_json(outs[0])["in_model"] is True
+    empty = write_tuple(tmp_path / "empty.json", RationalTuple((), t.denominator))
+    _assert_one_line_error(*run(capsys, "reconstruct", "--binary", "--layers", "3", "--tuple", empty))
 
 
 @pytest.mark.parametrize("dims, rank, ambient, params", [
@@ -1074,15 +1084,17 @@ def _scaled_tuple(t, k):
 @pytest.mark.parametrize("k", [0, -1010])
 def test_membership_resultant_screen_of_a_tuple_scaled_by_2_to_minus_1010(tmp_path, capsys, k):
     # an off-model (2, 2, 2, 2) tuple; at 2^-1010 its coefficients are about
-    # 1e-304, below the old 1e-300 floor of the screen's scale, and its
-    # resultants shrank below the tolerance, so it passed (exit 0)
+    # 1e-304, below the old 1e-300 floor of a resultant screen's scale, and
+    # its resultants shrank below the tolerance, so it passed (exit 0); the
+    # row peel reads the forms scaled by a power of two, and its forward-map
+    # check measures the same residual at either scale
     t = _scaled_tuple(random_tuple(Architecture((2, 2, 2, 2)), 0), k)
     code, out, err = run(capsys, "membership", "--binary", "--layers", "3",
                          "--tuple", write_tuple(tmp_path / "t.json", t))
     assert (code, err) == (2, "")
     verdict = _strict_json(out)
     assert verdict["in_model"] is False and verdict["stage_failed"] == "VerificationFail"
-    assert verdict["residual"] == pytest.approx(0.9365, abs=1e-4)
+    assert verdict["residual"] == pytest.approx(0.2301, abs=1e-4)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 1), (3, 3, 2)])

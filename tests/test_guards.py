@@ -66,10 +66,8 @@ GUARDS = {
         ValueError),
     "reconstruct: binary route with one layer": (
         lambda: reconstruct.reconstruct_binary(shallow_tuple(), 1), ValueError),
-    "reconstruct: resultant of ternary forms": (
-        lambda: reconstruct.resultant_binary(lin(1.0, 2.0, 3.0, field=COMPLEX),
-                                             lin(1.0, 2.0, 3.0, field=COMPLEX)),
-        ValueError),
+    "reconstruct: binary membership with one layer": (
+        lambda: reconstruct.membership_binary_multioutput(shallow_tuple(), 1), ValueError),
     "train: no initialization": (
         lambda: train.run_experiment(train.TrainConfig(), 0, train.sample_lattice()), ValueError),
 }

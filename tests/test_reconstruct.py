@@ -14,7 +14,7 @@ from ratnets.poly import HomPoly, max_or_nan, monomials, product
 from ratnets.reconstruct import (ReconstructionError, Stage, _verified,
                                  membership_binary_multioutput, projective_mismatch,
                                  projective_normalize, reconstruct_auto,
-                                 reconstruct_binary, reconstruct_shallow, resultant_binary,
+                                 reconstruct_binary, reconstruct_shallow,
                                  round_trip_residual)
 
 
@@ -324,27 +324,16 @@ class TestReconstructBinary:
 
 
 class TestResultantScreen:
-    def test_resultant_matches_root_product_oracle(self):
-        rng = random.Random(81)
-        for _ in range(20):
-            ra = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-            rb = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-            p = product([lin(1, -r) for r in ra])
-            q = product([lin(1, -r) for r in rb])
-            # oracle: resultant of monic split forms is prod (ri - sj)
-            oracle = 1.0 + 0j
-            for x in ra:
-                for y in rb:
-                    oracle *= (x - y)
-            got = resultant_binary(p, q)
-            assert abs(got - oracle) < 1e-8 * max(1.0, abs(oracle))
+    """membership_binary_multioutput on (2, ..., 2, k) tuples: exact verdicts
+    from the row peel."""
 
     def test_on_model_numerators_pass(self):
         w = random_complex_weights((2, 2, 2, 2), 90)  # layers=3, two outputs
         t = forward_recursive(w)
         verdict = membership_binary_multioutput(t, 3)
-        assert verdict.in_model
-        assert verdict.necessary_only
+        assert verdict.in_model and verdict.weights is not None
+        assert not verdict.necessary_only
+        assert projective_mismatch(forward_recursive(verdict.weights), t) <= 1e-8
 
     def test_generic_numerators_rejected(self):
         rng = random.Random(91)
@@ -367,15 +356,17 @@ class TestResultantScreen:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_numerator_fails_the_screen(self, bad):
-        # max(0.0, nan) is 0.0: a NaN determinant passed with residual 0
+        # a resultant screen once passed a NaN determinant with residual 0;
+        # the peel's split of P1 and its span fit of the others refuse it
         t = forward_recursive(Weights.random(Architecture((2, 2, 2, 2)), COMPLEX, seed=1))
-        Ps = list(t.numerators)
-        Ps[0] = HomPoly(COMPLEX, 2, Ps[0].degree, {**Ps[0].terms, (Ps[0].degree, 0): bad})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            verdict = membership_binary_multioutput(RationalTuple(Ps, t.denominator), 3)
-        assert not verdict.in_model
-        assert verdict.stage_failed == Stage.VERIFICATION_FAIL
+        for i, stage in enumerate([Stage.FACTOR_TEST, Stage.SPAN_TEST]):
+            Ps = list(t.numerators)
+            Ps[i] = HomPoly(COMPLEX, 2, Ps[i].degree, {**Ps[i].terms, (Ps[i].degree, 0): bad})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = membership_binary_multioutput(RationalTuple(Ps, t.denominator), 3)
+            assert not verdict.in_model
+            assert verdict.stage_failed == stage
 
     def test_single_output_is_reconstructed(self):
         # one numerator has no pair to screen: the screen passed every tuple,
@@ -390,6 +381,50 @@ class TestResultantScreen:
             verdict = membership_binary_multioutput(t, layers)
             assert verdict.to_json() == reconstruct_binary(t, layers, 1e-8).to_json()
             assert verdict.in_model and verdict.weights is not None and not verdict.necessary_only
+
+
+def perturbed(t, eps):
+    """t with the first numerator's largest coefficient scaled by 1 + eps, a
+    move of eps relative to the tuple's scale."""
+    P = t.numerators[0]
+    e = max(P.terms, key=lambda e: abs(P.terms[e]))
+    return RationalTuple((HomPoly(P.field, 2, P.degree, {**P.terms, e: P.terms[e] * (1 + eps)}),
+                          *t.numerators[1:]), t.denominator)
+
+
+class TestMultiOutputTower:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("depth", [3, 4, 5, 6])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["real", "complex"])
+    def test_on_model_accepted_and_perturbed_rejected(self, field, depth, k):
+        # seeds 0-49 reject none; over 0-99 the one reject is real depth 5
+        # seed 56 (both k), at RepeatedFactors: two shared rows 2e-12 apart
+        arch = Architecture((2,) * depth + (k,))
+        rejected, accepted_off = [], []
+        for seed in range(50):
+            t = forward_recursive(Weights.random(arch, field, seed=seed))
+            verdict = reconstruct_auto(t, arch)
+            if not verdict.in_model:
+                rejected.append((seed, verdict.stage_failed.value, verdict.residual))
+            if membership_binary_multioutput(perturbed(t, 1e-3), depth).in_model:
+                accepted_off.append(seed)
+        assert len(rejected) <= (1 if field is REAL else 0), rejected
+        assert accepted_off == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("depth", [3, 6])
+    def test_a_zero_numerator_ends_as_a_verdict(self, depth, k):
+        # P2 = 0 has no largest coefficient to scale by, and gives no zero
+        # to tell P1's private row from its shared ones; a zero row of the
+        # last matrix is on the model
+        arch = Architecture((2,) * depth + (k,))
+        t = forward_recursive(random_complex_weights(arch.dims, depth + k))
+        Ps = list(t.numerators)
+        Ps[1] = HomPoly.zero(COMPLEX, 2, Ps[1].degree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = reconstruct_auto(RationalTuple(Ps, t.denominator), arch)
+        assert verdict.in_model and verdict.residual <= 1e-6
 
 
 class TestRoundTrip:

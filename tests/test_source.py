@@ -116,13 +116,29 @@ def test_checker_sees_plain_and_dotted_calls_in_functions_and_methods():
     assert callers(tree, {"b"}) == {("a", "b"), ("m", "b")}
 
 
+PROCEDURES = {"reconstruct_shallow", "reconstruct_binary"}
+
+
 def test_only_reconstruct_auto_picks_a_reconstruction():
     # one dispatch: every other caller in the package goes through reconstruct_auto
-    procedures = {"reconstruct_shallow", "reconstruct_binary"}
     found = {(module, *pair) for module in MODULES
-             for pair in callers(ast.parse(CORPUS[SRC / module]), procedures)}
+             for pair in callers(ast.parse(CORPUS[SRC / module]), PROCEDURES)}
     assert found == {("reconstruct.py", "reconstruct_auto", "reconstruct_shallow"),
                      ("reconstruct.py", "reconstruct_auto", "reconstruct_binary")}
+
+
+def test_cli_and_binary_membership_reconstruct_through_reconstruct_auto():
+    # the two CLI commands and the binary membership test reach a
+    # reconstruction by reconstruct_auto alone, so one tuple and shape get
+    # one verdict from each of them
+    entries = {"cmd_reconstruct", "cmd_membership", "membership_binary_multioutput"}
+    found = {pair for module in ("cli.py", "reconstruct.py")
+             for pair in callers(ast.parse(CORPUS[SRC / module]),
+                                 {"reconstruct_auto", "membership_binary_multioutput", *PROCEDURES})
+             if pair[0] in entries}
+    assert found == {("cmd_reconstruct", "reconstruct_auto"),
+                     ("cmd_membership", "membership_binary_multioutput"),
+                     ("membership_binary_multioutput", "reconstruct_auto")}
 
 
 def test_train_stack_steps_through_the_module_level_adam_step():
