@@ -1,13 +1,14 @@
 """Parameter recovery from output tuples, with membership verdicts.
 
 Shallow route: factor the denominator into linear forms (rows of the first
-matrix), then solve one least-squares system per numerator for the second
-matrix.  Deep binary route: split the first numerator and the denominator
-once into linear factor rows, then peel one layer at a time by taking the two
-most independent rows of the appropriate form, carried through the
-substitutions so far, down to the last layer over a constant.  Recovered
-weights are only ever compared through the forward map, never entrywise,
-since permutation and diagonal reparametrizations leave the function unchanged.
+matrix), solve one least-squares system per numerator over their deleted
+products for the second matrix, and verify from those same products.  Deep
+binary route: split the first numerator and the denominator once into linear
+factor rows, then peel one layer at a time by taking the two most
+independent rows of the appropriate form, carried through the substitutions
+so far, down to the last layer over a constant.  Recovered weights are only
+ever compared through the forward map, never entrywise, since permutation
+and diagonal reparametrizations leave the function unchanged.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from itertools import combinations
 import numpy as np
 
 from .fields import COMPLEX
-from .poly import (HomPoly, _as_complex, _pow2_scaled_forms, deleted_products, max_or_nan,
-                   monomials, product)
-from .network import Architecture, Weights, RationalTuple, forward_recursive, shape_matches
+from .poly import (HomPoly, _as_complex, _pow2_scaled_forms, combination, deleted_products,
+                   max_or_nan, monomials, product)
+from .network import (Architecture, Weights, RationalTuple, assemble, forward_recursive,
+                      shape_matches)
 from .factor import REASSEMBLY_TOL, NonConvergenceError, factor_binary_form, factor_multilinear
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -115,9 +117,10 @@ def _fail(stage: Stage, residual: float = float("inf")) -> MembershipVerdict:
     return MembershipVerdict(False, stage, None, residual)
 
 
-def _verified(w: Weights, target: RationalTuple, tol: float) -> MembershipVerdict:
-    """Accept w if its forward map is within tol of target (NaN is not)."""
-    mism = projective_mismatch(forward_recursive(w), target)
+def _verified(w: Weights, image: RationalTuple, target: RationalTuple, tol: float) -> MembershipVerdict:
+    """Accept w if its forward map, the caller's image (bit for bit
+    forward_recursive(w)), is within tol of target (NaN is not)."""
+    mism = projective_mismatch(image, target)
     if not mism <= tol:
         return _fail(Stage.VERIFICATION_FAIL, mism)
     return MembershipVerdict(True, Stage.NONE, w, mism)
@@ -125,7 +128,9 @@ def _verified(w: Weights, target: RationalTuple, tol: float) -> MembershipVerdic
 
 def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0,
                         require_real: bool = False) -> MembershipVerdict:
-    """Recover one-hidden-layer weights from a candidate output tuple."""
+    """Recover one-hidden-layer weights from a candidate output tuple.  The
+    forward map that verifies them is assembled from the span solve's deleted
+    and full products, as forward_recursive does it: the same tuple, bit for bit."""
     if not isinstance(arch, Architecture):
         arch = Architecture(tuple(arch))
     if not arch.is_shallow():
@@ -141,7 +146,8 @@ def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0
         return _fail(Stage.FACTOR_TEST, report.factorization.residual if report.factorization else float("inf"))
     rows = report.factorization.factors  # tuples of Python complex
     forms = [HomPoly.linear(COMPLEX, r) for r in rows]
-    hats, _ = deleted_products(forms, HomPoly.mul, HomPoly.one(COMPLEX, n))
+    one = HomPoly.one(COMPLEX, n)
+    hats, full = deleted_products(forms, HomPoly.mul, one)
     basis = monomials(n, m - 1)
     A = np.array([[complex(h.coefficient(e)) for h in hats] for e in basis])
     W2 = np.zeros((k, m), dtype=complex)
@@ -162,7 +168,8 @@ def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0
         return _fail(Stage.SPAN_TEST)
 
     w = Weights(arch, COMPLEX, (rows, W2.tolist()))
-    return _verified(w, t, tol)
+    nums, den = assemble([combination(r, hats) for r in w.mats[1]], [one, one, full], HomPoly.mul, one)
+    return _verified(w, RationalTuple(nums, den), t, tol)
 
 
 def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> MembershipVerdict:
@@ -211,7 +218,7 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
         last = np.complex128(consts[1]) / consts[0] * ((rows[1] if k == 1 else lead) @ M)
     mats.append(last.tolist())
     w = Weights(arch, COMPLEX, mats)
-    return _verified(w, t, tol)
+    return _verified(w, forward_recursive(w), t, tol)
 
 
 def _shared_split(rows: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

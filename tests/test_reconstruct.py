@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ratnets import reconstruct
 from ratnets.fields import COMPLEX, REAL, PrimeField
 from ratnets.geometry import rank_test_membership
 from ratnets.network import Architecture, RationalTuple, Weights, degrees, forward_recursive
@@ -65,7 +66,7 @@ class TestProjective:
                             t.denominator)
         assert math.isnan(projective_mismatch(t, bad))
         assert math.isnan(projective_mismatch(bad, t))
-        verdict = _verified(w, bad, 1e-6)
+        verdict = _verified(w, forward_recursive(w), bad, 1e-6)
         assert not verdict.in_model and verdict.stage_failed == Stage.VERIFICATION_FAIL
 
     def test_mismatch_over_a_scale_beyond_the_float_range_is_nan(self):
@@ -229,6 +230,46 @@ class TestReconstructShallow:
         bad = reconstruct_shallow(RationalTuple([P], Q), (2, 2, 1), require_real=True)
         assert not bad.in_model
         assert bad.stage_failed == Stage.FACTOR_TEST
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 4), m=st.integers(2, 5), k=st.integers(1, 3),
+           field=st.sampled_from([REAL, COMPLEX]), seed=st.integers(0, 99),
+           eps=st.sampled_from([0.0, 1e-7]))
+    def test_verification_image_is_the_forward_map(self, n, m, k, field, seed, eps):
+        # the route verifies against a tuple assembled from its span solve's
+        # products, which must be forward_recursive's tuple bit for bit
+        arch = Architecture((n, m, k))
+        t = forward_recursive(Weights.random(arch, field, seed=seed))
+        P = t.numerators[0]
+        e = max(P.terms, key=lambda e: abs(P.terms[e]))
+        t = RationalTuple((HomPoly(P.field, n, P.degree, {**P.terms, e: P.terms[e] * (1 + eps)}),
+                           *t.numerators[1:]), t.denominator)
+        verdict = reconstruct_auto(t, arch)
+        assert verdict.in_model or eps
+        if verdict.in_model:
+            assert repr(verdict.residual) == repr(projective_mismatch(forward_recursive(verdict.weights), t))
+
+    def test_products_formed_once(self, monkeypatch):
+        # a (4, 5, 2) candidate: 5 products reassemble the factors, the span
+        # solve's deleted-products scan takes 3 * 5 - 1, the assembly k + 1,
+        # and the forward map is not run again
+        arch = Architecture((4, 5, 2))
+        t = forward_recursive(random_complex_weights(arch.dims, 1))
+        calls = {"mul": 0, "forward": 0}
+        mul, forward = HomPoly.mul, reconstruct.forward_recursive
+
+        def counted_mul(a, b):
+            calls["mul"] += 1
+            return mul(a, b)
+
+        def counted_forward(w):
+            calls["forward"] += 1
+            return forward(w)
+
+        monkeypatch.setattr(HomPoly, "mul", counted_mul)
+        monkeypatch.setattr(reconstruct, "forward_recursive", counted_forward)
+        assert reconstruct_auto(t, arch).in_model
+        assert calls == {"mul": 22, "forward": 0}
 
 
 class TestReconstructBinary:
