@@ -9,16 +9,16 @@ when some first-layer row aligns with a true pole normal.
 
 The runs train as one stack: every weight matrix carries a leading run
 axis, shape (R, d_out, d_in), and each epoch is one loss-and-gradient pass
-and one in-place Adam update (`adam_step`) over all R runs.  The pass is
-built once per stack with all its temporaries, which every epoch overwrites
-(`forward_backward_stack` builds it for one call), and its caller enters
-the numpy state it runs in (`_pass_state`) once.  Each run masks its own
-pole points and keeps its own point count, loss, skip count and Adam step
-count; a run whose every point sits at a pole skips that epoch's update.  A
-single run is the R = 1 case (`train_run`, `forward_backward`).  Run i of
-an experiment draws its initialization from (seed, i) and its results
-depend on nothing else, so they are bit-identical however the runs are
-grouped into stacks or worker processes.
+and one in-place Adam update (`adam_step`) over all R runs.  The pass
+(`_stack_pass`) is a context manager entered once per stack: it allocates
+every temporary, which each epoch overwrites, and holds the numpy state the
+epochs run in.  Each run masks its own pole points and keeps its own point
+count, loss, skip count and Adam step count; a run whose every point sits
+at a pole skips that epoch's update.  A single run is the R = 1 case
+(`train_run`, `forward_backward`).  Run i of an experiment draws its
+initialization from (seed, i) and its results depend on nothing else, so
+they are bit-identical however the runs are grouped into stacks or worker
+processes.
 """
 
 from __future__ import annotations
@@ -127,23 +127,27 @@ def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 @contextmanager
-def _pass_state(total: int):
-    """The numpy state _stack_pass runs in: a pole divides by zero and a
-    diverged run overflows, which its losses and weights record, and a ufunc
-    buffer no longer than a batch row of total points keeps numpy from
-    copying a broadcast operand into a buffer the size of the stack."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.setbufsize(16 * max(1, total // 16))  # a multiple of 16; errstate restores it
-        yield
-
-
 def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
-    """The loss-and-gradient pass of forward_backward_stack over these mats,
-    built once.  Every temporary is allocated here; each call of the
-    returned function reads mats afresh, overwrites the temporaries and
-    returns the same three (loss, grads, skipped) arrays, then the mask of
-    runs with a surviving point, or None when no point was masked.  The
-    caller holds _pass_state."""
+    """Full-batch MSE losses and exact gradients of R runs at once, by
+    reverse accumulation, as a pass built once over these mats.
+
+    mats[k] has shape (R, d_{k+1}, d_k); x (d0, B) and y (B,) or (dL, B) are
+    shared by every run.  A point driving any intermediate coordinate of run
+    r below POLE_GUARD, or to a non-finite value, is masked out of run r's
+    loss and gradient for this step and counted.  Every temporary is
+    allocated on entry; each call of the yielded function reads mats afresh,
+    overwrites the temporaries and returns the same four arrays (loss,
+    grads, skipped, active): loss (R,), inf for a run with no surviving
+    point; grads (R, P), each run's gradient matrices flattened in layer
+    order, zero for such a run; skipped (R,) ints; active the mask of runs
+    with a surviving point, or None when no point was masked.  Each run's
+    results depend only on its own weights, not on the other runs of the
+    stack.  Inside the block a pole's division by zero and a diverged run's
+    overflow are ignored (the losses and weights record them), and the
+    ufunc buffer is no longer than a batch row, so numpy reads a broadcast
+    operand in place instead of copying it into a buffer the size of the
+    stack; leaving the block restores both.
+    """
     count, total = len(mats[0]), x.shape[1]
     shapes = [w.shape[1:] for w in mats]
     us = [np.empty((count, rows, total)) for rows, _ in shapes[:-1]]
@@ -210,29 +214,14 @@ def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
         masked = True
         return loss, grads, skipped, active
 
-    return run
-
-
-def forward_backward_stack(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
-    """Full-batch MSE losses and exact gradients of R runs at once, by
-    reverse accumulation.
-
-    mats[k] has shape (R, d_{k+1}, d_k); x (d0, B) and y (B,) or (dL, B) are
-    shared by every run.  A point driving any intermediate coordinate of run
-    r below POLE_GUARD, or to a non-finite value, is masked out of run r's
-    loss and gradient for this step and counted.  Returns (loss, grads, skipped):
-    loss (R,), inf for a run with no surviving point; grads (R, P), each
-    run's gradient matrices flattened in layer order, zero for such a run;
-    skipped (R,) ints.  Each run's results depend only on its own weights,
-    not on the other runs of the stack.
-    """
-    with _pass_state(x.shape[1]):
-        return _stack_pass(mats, x, y)()[:3]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.setbufsize(16 * max(1, total // 16))  # a multiple of 16; errstate restores it
+        yield run
 
 
 def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
-    """Full-batch MSE loss and exact gradients of one run: the R = 1 case
-    of forward_backward_stack.
+    """Full-batch MSE loss and exact gradients of one run: one step of
+    _stack_pass on a stack of one.
 
     x has shape (d0, B); points driving any intermediate coordinate below
     POLE_GUARD are skipped for this step and counted.  Returns (loss, grads,
@@ -240,7 +229,8 @@ def forward_backward(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     when nothing survives.
     """
     stack = [np.asarray(m, dtype=float)[None] for m in mats]
-    loss, grads, skipped = forward_backward_stack(stack, x, y)
+    with _stack_pass(stack, x, y) as step:
+        loss, grads, skipped, _ = step()
     total = x.shape[1]
     if skipped[0] == total:
         raise AllPointsSkippedError(f"all {total} points near a pole")
@@ -335,10 +325,9 @@ def train_stack(config: TrainConfig, dataset: Dataset,
     for w, m in zip(mats, initial):
         w[...] = m
     x = np.ascontiguousarray(dataset.inputs.T)
-    step = _stack_pass(mats, x, dataset.targets)
     losses = np.empty((count, config.epochs))
     skipped = np.empty((count, config.epochs), dtype=int)
-    with _pass_state(x.shape[1]):
+    with _stack_pass(mats, x, dataset.targets) as step:
         for epoch in range(config.epochs):
             loss, grads, n_skip, active = step()
             losses[:, epoch] = loss

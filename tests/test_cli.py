@@ -1038,6 +1038,16 @@ def test_eval_at_a_pole_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: pole hit:")
 
 
+def test_eval_non_finite_output_is_one_line_error(tmp_path, capsys):
+    # both hidden units read 1e-10 at (1e-10, 1e-10), so the output 2 * 1e300 * 1e10 overflows
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"arch": [2, 2, 1], "field": "real",
+                                 "mats": [[[1e-300, 1.0], [1.0, 1e-300]], [[1e300, 1e300]]]}))
+    code, out, err = run(capsys, "eval", "--weights", str(wfile), "--x", "1e-10,1e-10")
+    _assert_one_line_error(code, out, err)
+    assert "not JSON compliant" in err
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "membership"])
 def test_tuple_command_without_arch_is_one_line_error(tmp_path, capsys, command):
     t = forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=1))

@@ -8,10 +8,15 @@ import pytest
 
 from ratnets.network import Architecture, Weights, apply_symmetry
 from ratnets.train import (AdamState, AllPointsSkippedError, TrainConfig, _flat_views,
-                           _pass_state, _stack_pass, adam_step, forward_backward,
-                           forward_backward_stack, interpolating_weights, run_experiment,
-                           sample_lattice, singularity_recovery_score, target_g, train_run,
-                           train_stack, write_aggregate_csv, xavier_init)
+                           _stack_pass, adam_step, forward_backward, interpolating_weights,
+                           run_experiment, sample_lattice, singularity_recovery_score,
+                           target_g, train_run, train_stack, write_aggregate_csv, xavier_init)
+
+
+def stack_step(mats, x, y):
+    """(loss, grads, skipped) of one step of a fresh pass over a stack."""
+    with _stack_pass(mats, x, y) as step:
+        return step()[:3]
 
 
 class TestLattice:
@@ -148,7 +153,7 @@ class TestForwardBackward:
         x, y = ds.inputs.T, ds.targets
         runs = [xavier_init((2, 2, 1), s) for s in range(5)]
         runs[3] = [np.zeros((2, 2)), np.ones((1, 2))]
-        loss, grads, skipped = forward_backward_stack(
+        loss, grads, skipped = stack_step(
             [np.stack(layer) for layer in zip(*runs)], x, y)
         assert loss.shape == skipped.shape == (5,) and grads.shape == (5, 6)
         assert loss[3] == np.inf and skipped[3] == x.shape[1] and not grads[3].any()
@@ -167,7 +172,7 @@ class TestForwardBackward:
         runs = [xavier_init(arch, s) for s in range(4)]
         runs[1][0][0] = [1.0, 0.0]
         stack = [np.stack(layer) for layer in zip(*runs)]
-        loss, grads, skipped = forward_backward_stack(stack, x, y)
+        loss, grads, skipped = stack_step(stack, x, y)
         assert skipped[1] >= 20
         for r, mats in enumerate(runs):
             one_loss, one_grads, one_skipped = forward_backward(mats, x, y)
@@ -179,7 +184,7 @@ class TestForwardBackward:
             for g, w in zip(one_grads, want_grads):
                 assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
         # each call returns arrays of its own
-        again = forward_backward_stack(stack, x, y)
+        again = stack_step(stack, x, y)
         for first, second in zip((loss, grads, skipped), again):
             assert not np.shares_memory(first, second)
             assert first.tobytes() == second.tobytes()
@@ -190,13 +195,13 @@ class TestForwardBackward:
         x, y = np.ascontiguousarray(ds.inputs.T), ds.targets
         stack = [np.stack(layer) for layer in zip(*(xavier_init((2, 2, 1), s) for s in range(3)))]
         stack[0][1, 0] = [1.0, 0.0]  # run 1 skips the 20 points with x = 0
-        step = _stack_pass(stack, x, y)
-        with _pass_state(x.shape[1]):
+        with _stack_pass(stack, x, y) as step:
             _, _, skipped, active = step()
             assert skipped.tolist() == [0, 20, 0] and active.tolist() == [True] * 3
             stack[0][1, 0] = [0.37, 0.81]
             loss, grads, skipped, active = step()
-            fresh = _stack_pass(stack, x, y)()
+            with _stack_pass(stack, x, y) as fresh_step:
+                fresh = fresh_step()
         assert active is None and fresh[3] is None and skipped.tolist() == [0, 0, 0]
         for got, want in zip((loss, grads, skipped), fresh):
             assert got.tobytes() == want.tobytes()
@@ -204,7 +209,7 @@ class TestForwardBackward:
     def test_empty_stack(self):
         ds = sample_lattice()
         empty = [np.zeros((0, 2, 2)), np.zeros((0, 1, 2))]
-        loss, grads, skipped = forward_backward_stack(empty, ds.inputs.T, ds.targets)
+        loss, grads, skipped = stack_step(empty, ds.inputs.T, ds.targets)
         assert loss.shape == skipped.shape == (0,) and grads.shape == (0, 6)
         assert train_stack(TrainConfig(epochs=3), ds, empty) == []
 
@@ -278,14 +283,13 @@ class TestAdam:
         ds = sample_lattice()
         runs = [xavier_init((2, 2, 1), s) for s in range(8)]
         state = AdamState(np.stack([np.concatenate([m.ravel() for m in run]) for run in runs]))
-        step = _stack_pass(_flat_views(state.params, [(2, 2), (1, 2)]),
-                           np.ascontiguousarray(ds.inputs.T), ds.targets)
+        with _stack_pass(_flat_views(state.params, [(2, 2), (1, 2)]),
+                         np.ascontiguousarray(ds.inputs.T), ds.targets) as step:
 
-        def epoch():
-            loss, grads, skipped, active = step()
-            adam_step(state, grads, 1e-3, active)
+            def epoch():
+                loss, grads, skipped, active = step()
+                adam_step(state, grads, 1e-3, active)
 
-        with _pass_state(len(ds.inputs)):
             epoch()
             tracemalloc.start()
             try:
@@ -422,7 +426,7 @@ class TestTraining:
         assert all((f == i).all() for f, i in zip(dead.final_weights, inits[7]))
 
     def test_a_strict_errstate_sees_no_pole_or_dead_run(self):
-        # the pass divides by zero at a pole and in a dead run; forward_backward_stack
+        # the pass divides by zero at a pole and in a dead run; _stack_pass
         # and train_stack keep that from the caller's errstate and from their results
         ds = sample_lattice()
         runs = [xavier_init((2, 2, 1), s) for s in range(3)]
@@ -431,7 +435,7 @@ class TestTraining:
         stack = [np.stack(layer) for layer in zip(*runs)]
 
         def outputs():
-            out = list(forward_backward_stack(stack, ds.inputs.T, ds.targets))
+            out = list(stack_step(stack, ds.inputs.T, ds.targets))
             for res in train_stack(TrainConfig(epochs=5), ds, stack):
                 out += [res.loss_curve, res.skipped, *res.final_weights]
             return [a.tobytes() for a in out]
@@ -439,6 +443,33 @@ class TestTraining:
         with np.errstate(all="raise"):
             strict = outputs()
         assert strict == outputs()
+
+    def test_training_leaves_numpy_state_as_it_found_it(self):
+        # the pass ignores division errors and shortens the ufunc buffer only inside its block
+        ds = sample_lattice()
+        x, y = ds.inputs.T, ds.targets
+        runs = [xavier_init((2, 2, 1), s) for s in range(3)]
+        runs[1][0][0] = [1.0, 0.0]
+        runs[2][0][:] = 0.0
+        stack = [np.stack(layer) for layer in zip(*runs)]
+
+        def state():
+            return np.getbufsize(), np.geterr()
+
+        before = state()
+        forward_backward(runs[1], x, y)
+        assert state() == before
+        with pytest.raises(AllPointsSkippedError):
+            forward_backward(runs[2], x, y)
+        assert state() == before
+        train_stack(TrainConfig(epochs=3), ds, stack)
+        assert state() == before
+        with pytest.raises(KeyError):
+            with _stack_pass(stack, x, y) as step:
+                assert np.getbufsize() == len(ds.inputs) and np.geterr()["divide"] == "ignore"
+                step()
+                raise KeyError
+        assert state() == before
 
     def test_run_files_written(self, tmp_path):
         config = TrainConfig(epochs=20, seed=9)
