@@ -117,26 +117,30 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, add: np.ndarray | None = None
 
 def gf_rank(rows, p: int) -> int:
     """Rank over GF(p) of integer rows (a 2-D array or a list of rows), by
-    vectorized elimination along the shorter side."""
+    vectorized elimination on the wide side with row pivots: each row's first
+    nonzero entry, with no search or swap (a zero row adds no rank).  Below
+    2^31 a later row becomes itself times the pivot minus its entry times the
+    pivot row, a nonzero scale with terms below p^2: one int64 remainder and
+    no inverse.  uint64 and object rows, whose addend must be a residue, add
+    the pivot row times minus their entry over the pivot, in place from the
+    pivot's column on (the pivot row is zero before it)."""
     if len(rows) == 0:
         return 0
     a = _residues(rows, p)
-    if a.shape[0] < a.shape[1]:
-        a = a.T
+    if a.shape[0] > a.shape[1]:
+        a = a.T.copy()  # contiguous rows
     rank = 0
-    for col in range(a.shape[1]):
-        if not a[rank, col]:  # search below and swap only for a zero pivot entry
-            nonzero = a[rank:, col].nonzero()[0]
-            if nonzero.size == 0:
-                continue
-            a[rank], a[rank + nonzero[0]] = a[rank + nonzero[0]], a[rank].copy()
-        pivot_row, below = a[rank, col:], a[rank + 1:, col:]
-        rank += 1
-        if rank == a.shape[0]:
-            break
-        # each row below minus (its first entry / pivot) times the unnormalised pivot row
-        neg_inv = a.dtype.type(p - pow(int(pivot_row[0]), -1, p))
-        below[...] = _mul_mod(_mul_mod(below[:, :1], neg_inv, p), pivot_row, p, below)
+    while len(a):
+        row, a = a[0], a[1:]
+        nonzero = row.nonzero()[0]
+        if nonzero.size == 0:
+            continue
+        rank, col = rank + 1, nonzero[0]
+        if p < SMALL_PRIME_LIMIT:
+            a = _mul_mod(a[:, col, None], p - row, p, a * row[col])
+        else:
+            neg_inv = a.dtype.type(p - pow(int(row[col]), -1, p))
+            a[:, col:] = _mul_mod(_mul_mod(a[:, col, None], neg_inv, p), row[col:], p, a[:, col:])
     return rank
 
 

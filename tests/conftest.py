@@ -145,9 +145,10 @@ def dual_jacobian_rows():
 
 
 def gf_rank(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination rank over GF(p); mutates a local copy.  The
-    pure-Python elimination that ratnets.geometry.gf_rank vectorized, kept
-    unchanged as its oracle."""
+    """Gaussian elimination rank over GF(p); mutates a local copy.  Column
+    by column, with a search and swap for each pivot and normalized pivot
+    rows: an elimination independent of ratnets.geometry.gf_rank's row
+    pivots, kept unchanged as its oracle."""
     rows = [list(r) for r in rows]
     m = len(rows)
     if m == 0:

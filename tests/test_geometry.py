@@ -23,6 +23,8 @@ from ratnets.network import (Architecture, RationalTuple, Weights, ambient_dim, 
 from ratnets.poly import HomPoly, monomials
 from ratnets.reconstruct import reconstruct_shallow
 
+P61, P62_BELOW, P62_ABOVE = 2 ** 61 - 1, 2 ** 62 - 57, 2 ** 62 + 135
+
 
 class TestGfRank:
     def test_small_known_ranks(self):
@@ -41,7 +43,7 @@ class TestGfRank:
             assert gf_rank([[int(v) for v in row] for row in a], p) == np.linalg.matrix_rank(a)
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), p=st.sampled_from([2 ** 31 - 1, 2 ** 61 - 1]),
+    @given(data=st.data(), p=st.sampled_from([2 ** 31 - 1, 2 ** 61 - 1, P62_BELOW, P62_ABOVE]),
            m=st.integers(0, 7), n=st.integers(0, 7), inner=st.integers(0, 4))
     def test_matches_pure_python_oracle(self, gf_rank_oracle, data, p, m, n, inner):
         # entries from tiny to far beyond int64, and low-rank products
@@ -57,14 +59,48 @@ class TestGfRank:
 
     @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1, 2 ** 62 + 135])
     @pytest.mark.parametrize("rows,want", [
-        ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], 3),  # zero pivot entry: swap; rank reaches 3 rows
-        ([[1, 2, 3], [2, 4, 7], [3, 6, 1], [4, 8, 5]], 2),  # column 1 zero at and below rank 1
+        # a column elimination swapped here; row 0's pivot is in column 1, row 1's in column 0
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], 3),
+        # a column elimination found column 1 zero at and below rank 1; tall, so its
+        # columns are ranked as rows, and the second is twice the first
+        ([[1, 2, 3], [2, 4, 7], [3, 6, 1], [4, 8, 5]], 2),
         ([[1, 0, 0, 5, 6], [0, 1, 0, 7, 8], [0, 0, 1, 9, 1]], 3),  # wide: rank 3 before the last column
-    ], ids=["swap", "zero-column", "wide"])
+        ([[1, 2, 0, 0], [0, 1, 3, 0], [2, 5, 3, 0], [0, 0, 1, 7]], 3),  # row 2 zero after two pivots
+        ([[0, 0, 2, 3, 1], [0, 4, 5, 0, 6], [7, 0, 1, 0, 0]], 3),  # pivots in columns 2, then 1, then 0
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 4, 7], [0, 2, 2]], 2),  # tall, transposed, rank < columns
+        # int64's largest addend, (p - 1)(p - 1) + (p - 1)p, from p - 1 against a pivot row's 0
+        ([[-1, 0, 0, 0], [-1, -1, -1, -1], [-1, -1, -1, -1]], 2),
+        # the same addend where a wrapped sum would break row 2's dependence on row 1: rank 3
+        ([[-1, 0, 0], [-1, -1, 1], [0, 1, -1]], 2),
+    ], ids=["swap", "zero-column", "wide", "zero-partway", "unused-columns-first",
+            "tall-transposed", "int64-largest-addend", "int64-largest-addend-exact"])
     def test_pivot_branches_match_the_oracle(self, gf_rank_oracle, rows, want, p):
         for mat in (rows, [[-x % p for x in row] for row in rows]):  # and entries near p
             assert gf_rank(mat, p) == gf_rank_oracle(mat, p) == want
             assert gf_rank([list(c) for c in zip(*mat)], p) == want
+            arr = np.array(mat, dtype=np.int64)
+            for given_arr in (arr, arr.T):  # a caller's array, wide or tall, is left as it was
+                before = given_arr.copy()
+                assert gf_rank(given_arr, p) == want
+                assert np.array_equal(given_arr, before)
+
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, P61])
+    @pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 4, 3), (4, 3, 2, 2, 3)])
+    def test_census_jacobians_match_the_oracle(self, gf_rank_oracle, dims, p):
+        # full-size Jacobians of the paper's table, wide and transposed, and with
+        # two dependent rows appended; the fixed seed makes every case repeat
+        arch = Architecture(dims)
+        rng = random.Random(17)
+        mats = [[[rng.randrange(p) for _ in range(c)] for _ in range(r)] for r, c in arch.shapes()]
+        points = [[rng.randrange(p) for _ in range(arch.d0)] for _ in range(_point_count(arch))]
+        jac = _point_jacobian(arch, mats, points, p).tolist()
+        rank = gf_rank_oracle(jac, p)
+        assert rank == expected_dim(arch) < len(jac)
+        grown = jac + [[(x + 5 * y) % p for x, y in zip(jac[0], jac[-1])],
+                       [(p - 3) * x % p for x in jac[1]]]
+        for mat in (jac, grown):
+            assert gf_rank(mat, p) == gf_rank_oracle(mat, p) == rank
+            assert gf_rank([list(c) for c in zip(*mat)], p) == rank
 
 
 class TestExpectedDim:
@@ -202,7 +238,6 @@ class TestJacobianRank:
 
 
 ROW_ARCHS = [(2, 2, 1), (3, 3, 1), (2, 2, 2, 1), (2, 3, 2, 1)]
-P61, P62_BELOW, P62_ABOVE = 2 ** 61 - 1, 2 ** 62 - 57, 2 ** 62 + 135
 UINT64_BACKEND = geometry.LONG_DOUBLE_MANTISSA >= 63
 
 
