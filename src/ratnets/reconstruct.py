@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import COMPLEX
 from .poly import (HomPoly, _as_complex, _pow2_scaled_forms, combination, deleted_products,
-                   max_or_nan, monomials, product)
+                   max_or_nan, monomials)
 from .network import (Architecture, Weights, RationalTuple, assemble, forward_recursive,
                       shape_matches)
 from .factor import REASSEMBLY_TOL, NonConvergenceError, factor_binary_form, factor_multilinear
@@ -181,7 +181,8 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
     (even depth) or P1's rows (odd depth) times M, moves their norms into that
     form's constant, drops them and maps them to the swapped coordinates.  The
     last matrix is P's last row times M over the constant Q that is left, or
-    with k > 1 each l_i times M, P1's private row set aside (_shared_split).
+    with k > 1 each l_i times M, from the fit P_i = l_i(x) N with the least
+    residual over the choices of P1's private row (_shared_split).
     The forms are read scaled by one power of two (poly._pow2_scaled_forms),
     which leaves their ratios and so the weights unchanged."""
     if layers < 2:
@@ -224,21 +225,17 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
 def _shared_split(rows: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P1's factor rows less its private one, and the rows l_i of the fit
     P_i = l_i(x) N, N the product of the rows kept (B's column i: P_i's
-    coefficients, x^d first).  The private row's zero gives the largest sum
-    of the other numerators' values relative to their largest coefficients
-    (a zero numerator adds nothing); every numerator vanishes on the rest."""
-    d = len(B) - 1
-    zeros = rows[:, ::-1] * [1, -1]  # (b, -a) is the zero of a x + b y
-    zeros /= np.linalg.norm(zeros, axis=1)[:, None]
-    powers = np.vander(zeros[:, 0], d + 1) * np.vander(zeros[:, 1], d + 1, increasing=True)
-    scales = np.max(np.abs(B[:, 1:]), axis=0)
-    values = np.abs(powers @ B[:, 1:])
-    rel = np.divide(values, scales, out=np.zeros_like(values), where=scales > 0)
-    shared = np.delete(rows, np.argmax(rel.sum(axis=1)), axis=0)
-    N = product([HomPoly.one(COMPLEX, 2), *(HomPoly.linear(COMPLEX, r) for r in shared)])
-    n = [N.coefficient((d - 1 - j, j)) for j in range(d)]
-    A = np.array([[*n, 0], [0, *n]], dtype=complex).T  # x N and y N
-    return shared, np.linalg.lstsq(A, B, rcond=None)[0].T
+    coefficients, x^d first).  The private row is the one whose fit leaves
+    the smallest max |A L - B| (the first on a tie; a NaN never wins)."""
+    d, fits = len(B) - 1, []
+    forms = [HomPoly.linear(COMPLEX, r) for r in rows]
+    for N in deleted_products(forms, HomPoly.mul, HomPoly.one(COMPLEX, 2))[0]:
+        n = [N.coefficient((d - 1 - j, j)) for j in range(d)]
+        A = np.array([[*n, 0], [0, *n]], dtype=complex).T  # x N and y N
+        L = np.linalg.lstsq(A, B, rcond=None)[0]
+        fits.append((np.max(np.abs(A @ L - B)), L.T))
+    i = int(np.argmin(np.nan_to_num([res for res, _ in fits], nan=np.inf)))
+    return np.delete(rows, i, axis=0), fits[i][1]
 
 
 def _most_independent_pair(vecs: np.ndarray):

@@ -430,11 +430,10 @@ def write_aggregate_csv(summary: ExperimentSummary, fileobj) -> None:
 
 def _write_run_files(out_dir: str, idx: int, res: TrainResult, converged: bool) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    # csv.writer's bytes (no field needs quoting) in one write
+    rows = enumerate(zip(res.loss_curve.tolist(), res.skipped.tolist()))
     with open(os.path.join(out_dir, f"run{idx:04d}.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "loss", "skipped"])
-        for e, (l, s) in enumerate(zip(res.loss_curve, res.skipped)):
-            w.writerow([e, repr(float(l)), int(s)])
+        f.write("epoch,loss,skipped\r\n" + "".join(f"{e},{l!r},{s}\r\n" for e, (l, s) in rows))
 
     def strict(m):  # a non-finite weight is null: strict JSON has no NaN or Infinity
         return np.where(np.isfinite(m), m, None).tolist()

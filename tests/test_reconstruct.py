@@ -438,8 +438,8 @@ class TestMultiOutputTower:
     @pytest.mark.parametrize("depth", [3, 4, 5, 6])
     @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["real", "complex"])
     def test_on_model_accepted_and_perturbed_rejected(self, field, depth, k):
-        # seeds 0-49 reject none; over 0-99 the one reject is real depth 5
-        # seed 56 (both k), at RepeatedFactors: two shared rows 2e-12 apart
+        # seeds 0-99 reject none at depths 3-6, real depth 5 seed 56 (both
+        # k) included
         arch = Architecture((2,) * depth + (k,))
         rejected, accepted_off = [], []
         for seed in range(50):
@@ -451,6 +451,31 @@ class TestMultiOutputTower:
                 accepted_off.append(seed)
         assert len(rejected) <= (1 if field is REAL else 0), rejected
         assert accepted_off == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [23, 80])
+    def test_deep_real_towers_accepted(self, seed, k):
+        # every numerator's value at each row's zero sits at rounding level
+        # here, so only the last layer's fit tells P1's private row apart
+        arch = Architecture((2,) * 7 + (k,))
+        verdict = reconstruct_auto(forward_recursive(Weights.random(arch, REAL, seed=seed)), arch)
+        assert verdict.in_model, (verdict.stage_failed, verdict.residual)
+
+    def test_membership_keeps_its_tight_default_on_a_deep_real_tower(self):
+        # (2,)*7 read as six layers with k = 2
+        w = Weights.random(Architecture((2,) * 7), REAL, seed=36)
+        verdict = membership_binary_multioutput(forward_recursive(w), 6)
+        assert verdict.in_model, (verdict.stage_failed, verdict.residual)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_seven_layer_real_towers_have_no_reject(self, k):
+        arch = Architecture((2,) * 7 + (k,))
+        rejected = []
+        for seed in range(100):
+            verdict = reconstruct_auto(forward_recursive(Weights.random(arch, REAL, seed=seed)), arch)
+            if not verdict.in_model:
+                rejected.append((seed, verdict.stage_failed.value, verdict.residual))
+        assert rejected == []
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("depth", [3, 6])

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import tracemalloc
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from ratnets.network import Architecture, Weights, apply_symmetry
-from ratnets.train import (AdamState, AllPointsSkippedError, TrainConfig, _flat_views,
-                           _stack_pass, adam_step, forward_backward, interpolating_weights,
-                           run_experiment, sample_lattice, singularity_recovery_score,
-                           target_g, train_run, train_stack, write_aggregate_csv, xavier_init)
+from ratnets.train import (AdamState, AllPointsSkippedError, TrainConfig, TrainResult,
+                           _flat_views, _stack_pass, _write_run_files, adam_step,
+                           forward_backward, interpolating_weights, run_experiment,
+                           sample_lattice, singularity_recovery_score, target_g, train_run,
+                           train_stack, write_aggregate_csv, xavier_init)
 
 
 def stack_step(mats, x, y):
@@ -479,6 +481,29 @@ class TestTraining:
         assert (tmp_path / "run0001_weights.json").exists()
         header = (tmp_path / "run0000.csv").read_text().splitlines()[0]
         assert header == "epoch,loss,skipped"
+
+    @staticmethod
+    def csv_writer_bytes(res):
+        out = io.StringIO(newline="")
+        w = csv.writer(out)
+        w.writerow(["epoch", "loss", "skipped"])
+        for e, (l, s) in enumerate(zip(res.loss_curve, res.skipped)):
+            w.writerow([e, repr(float(l)), int(s)])
+        return out.getvalue().encode()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_csv_matches_csv_writer_byte_for_byte(self, tmp_path, workers):
+        config, ds = TrainConfig(epochs=30, seed=4), sample_lattice()
+        run_experiment(config, 3, dataset=ds, workers=workers, out_dir=str(tmp_path))
+        for i in range(3):
+            want = self.csv_writer_bytes(train_run(config, ds, (config.seed, i)))
+            assert (tmp_path / f"run{i:04d}.csv").read_bytes() == want
+
+    def test_run_csv_writes_non_finite_and_extreme_losses_as_csv_writer_does(self, tmp_path):
+        loss = np.array([np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16])
+        res = TrainResult(loss, np.arange(7) * 1000, [np.eye(2)], [np.eye(2)], [0.0, 90.0])
+        _write_run_files(str(tmp_path), 0, res, False)
+        assert (tmp_path / "run0000.csv").read_bytes() == self.csv_writer_bytes(res)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
