@@ -46,51 +46,18 @@ class FieldMismatchError(ValueError):
 
 
 class ScalarField:
-    """Abstract scalar arithmetic. Instances are stateless and hashable."""
+    """Scalar arithmetic; instances are stateless and hashable.  A field
+    defines name, zero, one, from_int, add, sub, neg, mul, inv, magnitude and
+    random(rng), one scalar for randomized constructions (seeded upstream);
+    one stored in weights files adds json_name, coeff_to_json and
+    coeff_from_json.  This class supplies is_zero (from magnitude), ==,
+    hash, repr and exact = False."""
 
-    name: str = "abstract"
     json_name: str  # the "field" entry of a weights file
     exact: bool = False
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def is_zero(self, a) -> bool:
         return self.magnitude(a) == 0.0
-
-    def magnitude(self, a) -> float:
-        raise NotImplementedError
-
-    def random(self, rng: random.Random):
-        """Draw one scalar for randomized constructions (seeded upstream)."""
-        raise NotImplementedError
-
-    def coeff_to_json(self, a) -> dict:
-        raise NotImplementedError
-
-    def coeff_from_json(self, obj: dict):
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name

@@ -200,24 +200,12 @@ class HomPoly:
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, need {self.nvars}")
         f = self.field
-        maxu = [0] * self.nvars
-        for e in self.terms:
-            for i, u in enumerate(e):
-                if u > maxu[i]:
-                    maxu[i] = u
-        powers = []
-        for i in range(self.nvars):
-            row = [f.one()]
-            for _ in range(maxu[i]):
-                row.append(f.mul(row[-1], point[i]))
-            powers.append(row)
         acc = f.zero()
         for e, c in self.terms.items():
-            t = c
-            for i, u in enumerate(e):
-                if u:
-                    t = f.mul(t, powers[i][u])
-            acc = f.add(acc, t)
+            for x, u in zip(point, e):
+                for _ in range(u):
+                    c = f.mul(c, x)
+            acc = f.add(acc, c)
         return acc
 
     def exact_divide(self, var: int, tol: float = 1e-9) -> "HomPoly":

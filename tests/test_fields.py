@@ -97,6 +97,22 @@ def test_float_field_ops_are_the_python_operators(field, values):
             assert same(field.mul(a, b), a * b)
 
 
+ARITHMETIC = ("zero", "one", "from_int", "add", "sub", "neg", "mul", "inv", "magnitude", "random")
+JSON = ("coeff_to_json", "coeff_from_json", "json_name")
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, GF, "dual"], ids=["real", "complex", "gf", "dual"])
+def test_every_field_defines_the_field_contract(field, dual_field):
+    # ScalarField keeps no stubs, so a method no class below it defines is
+    # missing, found here rather than when something first calls it
+    stored = field != "dual"  # the tests' dual field is never written to a weights file
+    if not stored:
+        field = dual_field(REAL)
+    below = [vars(cls) for cls in type(field).__mro__ if cls not in (ScalarField, object)]
+    assert [n for n in ARITHMETIC + JSON * stored if not any(n in v for v in below)] == []
+    assert not any(hasattr(ScalarField, n) for n in ARITHMETIC + JSON)
+
+
 def test_dual_epsilon_squares_to_zero(dual_field):
     d = dual_field(REAL)
     eps = (0.0, 1.0)

@@ -189,3 +189,33 @@ def test_exponent_arithmetic_has_one_home():
     found = {(path.name, name) for path in SRC.glob("*.py") if path.name != "poly.py"
              for name in named(ast.parse(CORPUS[path])) & EXPONENT_ARITHMETIC}
     assert found == set()
+
+
+def stubs(tree: ast.AST) -> list[str]:
+    """Functions and methods whose body, after an optional docstring, is
+    only `raise NotImplementedError`, called or not."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) == 1 and isinstance(body[0], ast.Raise) and body[0].exc is not None:
+                exc = body[0].exc.func if isinstance(body[0].exc, ast.Call) else body[0].exc
+                if getattr(exc, "id", None) == "NotImplementedError":
+                    out.append(node.name)
+    return out
+
+
+def test_checker_sees_bare_called_and_documented_stubs():
+    tree = ast.parse("def a(): raise NotImplementedError\n"
+                     "class C:\n    def b(self):\n        'Doc.'\n        raise NotImplementedError\n"
+                     "    def c(self): raise NotImplementedError('c')\n"
+                     "    def d(self, x):\n        if x: raise NotImplementedError\n        return x\n"
+                     "def e(): raise ValueError\n")
+    assert stubs(tree) == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_is_only_a_not_implemented_stub(module):
+    # a field's contract is checked by tests/test_fields.py, not by stubs
+    # that fail only when called
+    assert stubs(ast.parse(CORPUS[SRC / module])) == []
