@@ -111,9 +111,13 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     """The deg roots (with multiplicity) of sum(coeffs[k] * y**k), or
     NonConvergenceError.
 
-    The roots are the companion-matrix eigenvalues, which np.roots finds
-    backward stably; every root r must satisfy
-    |p(r)| <= ROOT_TOL * max|coeffs| * max(1, |r|)**deg, with a finite left side.
+    The roots are the eigenvalues, found backward stably by
+    np.linalg.eigvals, of the companion matrix built here: ones on the
+    subdiagonal and first row -c[j]/c[deg] (j = deg-1 down to z) of the
+    coefficients c scaled by 2**-e, after the z zero low-order coefficients,
+    whose roots are exact zeros, listed last.  Every root r must satisfy
+    |p(r)| <= ROOT_TOL * max|coeffs| * max(1, |r|)**deg, with a finite left
+    side, p evaluated by Horner's rule from 0.
     """
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size == 0 or c[-1] == 0:
@@ -122,23 +126,30 @@ def roots_univariate(coeffs: Sequence[complex]) -> list[complex]:
     if deg == 0:
         return []
     c, e = _pow2_scaled(c)
-    scale = np.max(np.abs(c))
+    scale = np.abs(c).max()
     if not np.isfinite(scale):  # no root can meet the bound
         raise NonConvergenceError("coefficients are not finite")
-    if c[-1] == 0:  # np.roots would drop it and return fewer than deg roots
+    if c[-1] == 0:  # dropping it would leave fewer than deg roots
         raise NonConvergenceError("leading coefficient is below the float range of the largest")
+    z = next(j for j, a in enumerate(c.tolist()) if a)
+    roots = np.zeros(deg, dtype=complex)
     # an overflow or NaN on the way is left to the residual test, which it fails
     with np.errstate(all="ignore"):
-        try:
-            # complex even when np.roots finds only real roots (all-zero ones included)
-            roots = np.roots(c[::-1]).astype(complex)
-        except np.linalg.LinAlgError as ex:
-            raise NonConvergenceError(str(ex)) from ex
-        resid = np.abs(np.polyval(c[::-1], roots))
+        if z < deg:
+            companion = np.eye(deg - z, k=-1, dtype=complex)
+            companion[0] = -c[z:deg][::-1] / c[deg]
+            try:
+                roots[:deg - z] = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError as ex:
+                raise NonConvergenceError(str(ex)) from ex
+        resid = np.zeros(deg, dtype=complex)
+        for a in c[::-1]:
+            resid = resid * roots + a
+        resid = np.abs(resid)
         if not (np.isfinite(resid).all()
-                and np.all(resid <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg)):
+                and (resid <= ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg).all()):
             raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
-    return [complex(r) for r in roots]
+    return roots.tolist()
 
 
 def _guarded(q: HomPoly) -> tuple[HomPoly, float]:
@@ -181,8 +192,7 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
     m, n = Q.degree, Q.nvars
     if n < 2:
         raise ValueError("need at least 2 variables")
-    rng = np.random.default_rng(seed)
-    reader = None
+    rng = reader = None
     failure = FactorFailure.LEADING_COEFF_ZERO_UNFIXABLE
     for attempt in range(MAX_RETRIES + 1):
         if attempt == 0:
@@ -190,6 +200,7 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
             pure = [Q.coefficient(tuple(m if j == i else 0 for j in range(n))) for i in range(n)]
             ref, pencil = maxmag, partial(_coordinate_pencil, Q)
         else:
+            rng = rng or np.random.default_rng(seed)
             change = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             reader = reader or _PencilReader(Q)
             pure, pencil = reader.read(change)
@@ -204,7 +215,7 @@ def factor_multilinear(Q: HomPoly, tol: float = REASSEMBLY_TOL, seed: int = 0) -
         const, rows, condition = got
         if change is not None:
             inv = np.linalg.inv(change)
-            rows = [tuple(r @ inv) for r in rows]
+            rows = np.array([r @ inv for r in rows])
         const, rows = _normalize_factors(const, rows)
         if change is not None:
             const = reader.unscale(const)  # last, so only unscale can overflow, silently
@@ -282,15 +293,16 @@ class _PencilReader:
 
 
 def _factor_attempt(pure: Sequence[complex], ref: float, pencil
-                    ) -> tuple[complex, list[np.ndarray], float] | None:
+                    ) -> tuple[complex, np.ndarray, float] | None:
     """One pass of the univariate-roots procedure on a degree-m form q in n
     variables, read through its coefficients: pure[i] is that of y_i**m, and
     pencil(p, b) gives (line, cross) with line[k] that of y_p**(m-k) y_b**k
     (k = 0..m) and cross[t][v] that of y_p**(m-1-t) y_b**t y_v (t = 0..m-1,
     v neither p nor b).
     The pivot is the first variable with |pure[i]| > LEADING_TOL * ref;
-    None if there is none.  Otherwise (c0, rows, condition), condition
-    being σmax/σmin of the elementary-symmetric matrix (inf if singular)."""
+    None if there is none.  Otherwise (c0, rows, condition): rows the (m, n)
+    array of factor rows, condition σmax/σmin of the elementary-symmetric
+    matrix (inf if singular)."""
     n = len(pure)
     pivot = next((i for i in range(n) if abs(pure[i]) > LEADING_TOL * ref), None)
     if pivot is None:
@@ -317,18 +329,18 @@ def _factor_attempt(pure: Sequence[complex], ref: float, pencil
     rest = perm[2:]
     rhs = np.array([[cross[t][var] / c0 for var in rest] for t in range(m)], dtype=complex)
     rows[:, rest], _, _, sv = np.linalg.lstsq(M, rhs, rcond=None)
-    return c0, list(rows), sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    return c0, rows, sv[0] / sv[-1] if sv[-1] > 0 else np.inf
 
 
-def _normalize_factors(const: complex, rows: list[tuple]):
-    out = []
-    for r in rows:
-        r = np.asarray(r, dtype=complex)
-        mags = np.abs(r)
-        lead = r[np.argmax(mags > 1e-8 * max(mags.max(), 1e-300))]  # first above threshold
-        out.append(tuple((r / lead).tolist()))
+def _normalize_factors(const: complex, rows: np.ndarray):
+    """(const times every row's lead, the rows over their leads as tuples), a
+    row's lead being its first entry above 1e-8 times its largest magnitude."""
+    mags = np.abs(rows)
+    first = np.argmax(mags > 1e-8 * np.maximum(mags.max(axis=1), 1e-300)[:, None], axis=1)
+    leads = rows[np.arange(len(rows)), first]
+    for lead in leads:  # in row order, as the rows reassemble
         const *= lead
-    return complex(const), out
+    return complex(const), [tuple(r) for r in (rows / leads[:, None]).tolist()]
 
 
 def _factors_all_real(const: complex, rows: list[tuple]) -> bool:

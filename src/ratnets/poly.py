@@ -37,19 +37,19 @@ class NotDivisibleError(ArithmeticError):
 
 def monomials(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, grlex descending: each
-    multiset of variable indices, in lexicographic order, counted per variable."""
-    return [tuple(map(c.count, range(nvars)))
-            for c in combinations_with_replacement(range(nvars), degree)]
+    multiset of variable indices, in lexicographic order, counted per variable.
+    A fresh list each call, copied from the tuple built once per signature."""
+    return list(_monomial_basis(nvars, degree))
 
 
 def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
 
 
-@lru_cache(maxsize=None)
-def _units(n: int) -> tuple[Exponent, ...]:
-    """The n unit exponents in n variables, x_0 first."""
-    return tuple(monomials(n, 1))
+@lru_cache(maxsize=64)
+def _monomial_basis(nvars: int, degree: int) -> tuple[Exponent, ...]:
+    return tuple(tuple(map(c.count, range(nvars)))
+                 for c in combinations_with_replacement(range(nvars), degree))
 
 
 def _whole_exponent(e, nvars: int, degree: int) -> Exponent:
@@ -111,7 +111,7 @@ class HomPoly:
     @classmethod
     def linear(cls, field: ScalarField, coeffs: Sequence) -> "HomPoly":
         """The degree-1 form sum(coeffs[j] * x_j): one variable per entry."""
-        return cls(field, len(coeffs), 1, dict(zip(_units(len(coeffs)), coeffs)))
+        return cls(field, len(coeffs), 1, dict(zip(_monomial_basis(len(coeffs), 1), coeffs)))
 
     # -- inspection --------------------------------------------------------
 

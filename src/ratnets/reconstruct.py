@@ -1,14 +1,15 @@
 """Parameter recovery from output tuples, with membership verdicts.
 
 Shallow route: factor the denominator into linear forms (rows of the first
-matrix), solve one least-squares system per numerator over their deleted
-products for the second matrix, and verify from those same products.  Deep
-binary route: split the first numerator and the denominator once into linear
-factor rows, then peel one layer at a time by taking the two most
-independent rows of the appropriate form, carried through the substitutions
-so far, down to the last layer over a constant.  Recovered weights are only
-ever compared through the forward map, never entrywise, since permutation
-and diagonal reparametrizations leave the function unchanged.
+matrix), solve one least-squares system over their deleted products for
+every numerator's row of the second matrix, and verify from those same
+products.  Deep binary route: split the first numerator and the denominator
+once into linear factor rows, then peel one layer at a time by taking the
+two most independent rows of the appropriate form, carried through the
+substitutions so far, down to the last layer over a constant.  Recovered
+weights are only ever compared through the forward map, never entrywise,
+since permutation and diagonal reparametrizations leave the function
+unchanged.
 """
 
 from __future__ import annotations
@@ -149,21 +150,27 @@ def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0
     one = HomPoly.one(COMPLEX, n)
     hats, full = deleted_products(forms, HomPoly.mul, one)
     basis = monomials(n, m - 1)
-    A = np.array([[complex(h.coefficient(e)) for h in hats] for e in basis])
-    W2 = np.zeros((k, m), dtype=complex)
-    for i, p in enumerate(map(_as_complex, t.numerators)):
-        # Q is constant * prod(rows): dividing the numerator by it, not a row,
-        # keeps A's columns on one scale, so lstsq's cutoff drops none of them;
-        # past the float range there is no solution to measure (NaN fails too)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = np.array([complex(p.coefficient(e)) for e in basis]) / report.factorization.constant
-            if not np.isfinite(rhs).all():
-                return _fail(Stage.SPAN_TEST)
-            W2[i] = sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-            res = np.max(np.abs(A @ sol - rhs))
-        scale = max(np.max(np.abs(rhs)), 1e-300)
-        if not res <= tol * scale:
-            return _fail(Stage.SPAN_TEST, float(res / scale))
+    A = np.array([[h.terms.get(e, 0j) for h in hats] for e in basis], dtype=complex)
+    numerators = [_as_complex(p).terms for p in t.numerators]
+    # Q is constant * prod(rows): dividing the numerators by it, not a row,
+    # keeps A's columns on one scale, so lstsq's cutoff drops none of them;
+    # past the float range there is no solution to measure (NaN fails too),
+    # so one lstsq solves the numerators before the first non-finite one
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.array([[p.get(e, 0j) for p in numerators] for e in basis], dtype=complex)
+        B /= report.factorization.constant
+        finite = np.isfinite(B).all(axis=0)
+        solved = k if finite.all() else int(np.argmin(finite))
+        # contiguous rows, each multiplied by A alone as a one-numerator
+        # solve's was (A @ W2.T rounds differently)
+        W2 = np.linalg.lstsq(A, B[:, :solved], rcond=None)[0].T.copy()
+        for i in range(solved):  # in order: the first miss is the verdict
+            res = np.max(np.abs(A @ W2[i] - B[:, i]))
+            scale = max(np.max(np.abs(B[:, i])), 1e-300)
+            if not res <= tol * scale:
+                return _fail(Stage.SPAN_TEST, float(res / scale))
+    if solved < k:
+        return _fail(Stage.SPAN_TEST)
     if require_real and np.max(np.abs(W2.imag)) > tol * max(np.max(np.abs(W2)), 1e-300):
         return _fail(Stage.SPAN_TEST)
 

@@ -13,7 +13,7 @@ from ratnets.factor import (FactorFailure, FactorReport, LinearFactorization, No
                             _PencilReader, build_H, factor_binary_form, factor_multilinear,
                             factor_quadratic_explicit, h_slices, roots_univariate)
 from ratnets.network import Architecture, Weights, forward_recursive
-from ratnets.poly import HomPoly, monomials, product
+from ratnets.poly import HomPoly, _pow2_scaled, monomials, product
 
 EX37_COLUMN = [-0.8566, complex(-0.1500, -0.8974), complex(-0.1500, 0.8974),
                complex(1.0783, -0.4969), complex(1.0783, 0.4969)]
@@ -105,6 +105,65 @@ class TestRootsUnivariate:
         except NonConvergenceError:
             return
         assert len(roots) == len(coeffs) - 1
+
+
+def roots_by_np_roots(coeffs):
+    """roots_univariate as written on np.roots and np.polyval: the oracle
+    for the companion matrix and Horner residual it builds itself."""
+    c = np.asarray(list(coeffs), dtype=complex)
+    if c.size == 0 or c[-1] == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    deg = c.size - 1
+    if deg == 0:
+        return []
+    c, e = _pow2_scaled(c)
+    scale = np.max(np.abs(c))
+    if not np.isfinite(scale):
+        raise NonConvergenceError("coefficients are not finite")
+    if c[-1] == 0:
+        raise NonConvergenceError("leading coefficient is below the float range of the largest")
+    with np.errstate(all="ignore"):
+        try:
+            roots = np.roots(c[::-1]).astype(complex)
+        except np.linalg.LinAlgError as ex:
+            raise NonConvergenceError(str(ex)) from ex
+        resid = np.abs(np.polyval(c[::-1], roots))
+        if not (np.isfinite(resid).all()
+                and np.all(resid <= factor.ROOT_TOL * scale * np.maximum(1.0, np.abs(roots)) ** deg)):
+            raise NonConvergenceError(f"max residual {np.ldexp(resid.max(), e):.3e} above bound")
+    return [complex(r) for r in roots]
+
+
+def root_outcome(solve, coeffs):
+    """The roots as (real, imag) bit patterns, or the exception type raised."""
+    try:
+        return [(r.real.hex(), r.imag.hex()) for r in solve(coeffs)]
+    except (ValueError, NonConvergenceError) as ex:
+        return type(ex)
+
+
+@st.composite
+def spread_coefficients(draw):
+    """Degree 1-9 coefficients, real or complex, each part's magnitude
+    10**x for x in [-30, 30], the first z of them zero (z <= degree)."""
+    deg = draw(st.integers(1, 9))
+    zeros = draw(st.integers(0, deg))
+    kind = draw(st.sampled_from(["real", "complex"]))
+    part = st.builds(lambda s, x: s * 10.0 ** x, st.sampled_from([-1.0, 1.0]),
+                     st.floats(-30, 30))
+    coeffs = [0j] * zeros
+    for _ in range(deg + 1 - zeros):
+        coeffs.append(complex(draw(part), draw(part) if kind == "complex" else 0.0))
+    return coeffs
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(spread_coefficients())
+@example([0j, 0j, 1 + 0j])
+@example([1e-300, 0.0, 0.0, 1e300, 1e-300])
+@example([1e19, 0.0, 0.0, -1e24, -1e5])
+def test_companion_roots_match_np_roots_bit_for_bit(coeffs):
+    assert root_outcome(roots_univariate, coeffs) == root_outcome(roots_by_np_roots, coeffs)
 
 
 class TestFactorMultilinear:

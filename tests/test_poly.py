@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import operator
@@ -576,6 +577,19 @@ class TestHousekeeping:
         assert len(mons) == 6
         assert mons[0] == (2, 0, 0)
         assert mons == sorted(mons, reverse=True)
+
+    def test_monomials_are_a_fresh_list_of_every_exponent(self):
+        # the basis is built once per signature; each call hands out a copy
+        for n in range(5):
+            for d in range(6):
+                every = sorted((e for e in itertools.product(range(d + 1), repeat=n)
+                                if sum(e) == d), reverse=True)
+                first = monomials(n, d)
+                assert first == every
+                first.append((7,) * n)
+                first.reverse()
+                second = monomials(n, d)
+                assert second == every and second is not first
 
     def test_deleted_products_match_naive(self):
         rng = random.Random(6)

@@ -271,6 +271,41 @@ class TestReconstructShallow:
         assert reconstruct_auto(t, arch).in_model
         assert calls == {"mul": 22, "forward": 0}
 
+    def test_one_span_solve_and_no_generator(self, monkeypatch):
+        # an on-model (4, 5, 3) candidate: one lstsq in the factor's attempt 0,
+        # one for all three numerators, and no seeded generator, which only a
+        # factor retry draws from
+        arch = Architecture((4, 5, 3))
+        t = forward_recursive(random_complex_weights(arch.dims, 1))
+        calls = {"lstsq": 0, "default_rng": 0}
+        for module, name in ((np.linalg, "lstsq"), (np.random, "default_rng")):
+            def counted(*args, real=getattr(module, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert reconstruct_auto(t, arch).in_model
+        assert calls == {"lstsq": 2, "default_rng": 0}
+
+    def test_numerators_are_checked_in_order(self):
+        # numerator 2 misses the span: its residual is the verdict whether
+        # numerator 3 is finite or not; a non-finite numerator 1 is SpanTest
+        # with no residual measured
+        arch = Architecture((4, 5, 3))
+        t = forward_recursive(random_complex_weights(arch.dims, 1))
+        P1, P2, P3 = t.numerators
+        top = max(P2.terms, key=lambda e: abs(P2.terms[e]))
+        miss = HomPoly(COMPLEX, 4, 4, {**P2.terms, top: P2.terms[top] * (1 + 1e-3)})
+        bad = HomPoly(COMPLEX, 4, 4, {**P3.terms, (4, 0, 0, 0): complex(math.inf)})
+        finite = reconstruct_auto(RationalTuple((P1, miss, P3), t.denominator), arch)
+        assert finite.stage_failed is Stage.SPAN_TEST and 1e-5 < finite.residual < 1e-2
+        blocked = reconstruct_auto(RationalTuple((P1, miss, bad), t.denominator), arch)
+        assert blocked.to_json() == finite.to_json()
+        assert repr(blocked.residual) == repr(finite.residual)
+        first = reconstruct_auto(RationalTuple((bad, miss, P3), t.denominator), arch)
+        assert first.to_json() == {"in_model": False, "stage_failed": "SpanTest",
+                                   "residual": None, "necessary_only": False}
+
 
 class TestReconstructBinary:
     def test_depth_two_plain_pair(self):

@@ -219,3 +219,32 @@ def test_no_function_is_only_a_not_implemented_stub(module):
     # a field's contract is checked by tests/test_fields.py, not by stubs
     # that fail only when called
     assert stubs(ast.parse(CORPUS[SRC / module])) == []
+
+
+# The root rule has one copy: factor.roots_univariate builds its companion
+# matrix and evaluates its residual itself, so no module calls numpy's.
+NUMPY_ROOT_RULE = {"roots", "polyval"}
+
+
+def numpy_root_calls(tree: ast.AST) -> set[str]:
+    """The names in NUMPY_ROOT_RULE the module takes from numpy, as
+    np.<name> or numpy.<name> or by a `from numpy... import`."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_ROOT_RULE
+                and getattr(node.value, "id", None) in {"np", "numpy"}):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.update(a.name for a in node.names if a.name in NUMPY_ROOT_RULE)
+    return found
+
+
+def test_checker_sees_attribute_and_imported_root_rules():
+    tree = ast.parse("import numpy as np\nr = np.roots([1, 2])\n"
+                     "from numpy.lib.polynomial import polyval\nroots = [1]\n")
+    assert numpy_root_calls(tree) == {"roots", "polyval"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_takes_numpy_roots_or_polyval(module):
+    assert numpy_root_calls(ast.parse(CORPUS[SRC / module])) == set()
