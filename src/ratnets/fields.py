@@ -160,6 +160,7 @@ class PrimeField(ScalarField):
     json_name = "gfp"
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        p = operator.index(checked_number(p))  # 7.0 is no modulus: residues stay ints
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -127,13 +127,11 @@ def _verified(w: Weights, image: RationalTuple, target: RationalTuple, tol: floa
     return MembershipVerdict(True, Stage.NONE, w, mism)
 
 
-def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0,
+def reconstruct_shallow(t: RationalTuple, arch: Architecture, tol: float = 1e-6, seed: int = 0,
                         require_real: bool = False) -> MembershipVerdict:
     """Recover one-hidden-layer weights from a candidate output tuple.  The
     forward map that verifies them is assembled from the span solve's deleted
     and full products, as forward_recursive does it: the same tuple, bit for bit."""
-    if not isinstance(arch, Architecture):
-        arch = Architecture(tuple(arch))
     if not arch.is_shallow():
         raise ValueError("expected a one-hidden-layer architecture")
     n, m, k = arch.dims
@@ -179,8 +177,8 @@ def reconstruct_shallow(t: RationalTuple, arch, tol: float = 1e-6, seed: int = 0
     return _verified(w, RationalTuple(nums, den), t, tol)
 
 
-def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> MembershipVerdict:
-    """Recover (2, ..., 2, k) weights from a binary tuple with k numerators.
+def reconstruct_binary(t: RationalTuple, arch: Architecture, tol: float = 1e-6) -> MembershipVerdict:
+    """Recover the weights of arch, a (2, ..., 2, k) tower, from a binary tuple.
     Q and P1 are each split once into a constant and factor rows; every
     factor a deeper layer's form has is one of those rows carried through the
     substitutions x = M y made so far.  So the peel works on the rows alone:
@@ -192,11 +190,11 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
     residual over the choices of P1's private row (_shared_split).
     The forms are read scaled by one power of two (poly._pow2_scaled_forms),
     which leaves their ratios and so the weights unchanged."""
-    if layers < 2:
-        raise ValueError("need at least 2 layers")
-    k = len(t.numerators)
-    if not k or not shape_matches(t, arch := Architecture((2,) * layers + (k,))):
+    if not arch.is_binary() or arch.layers < 2:
+        raise ValueError("expected a binary tower of at least 2 layers")
+    if not shape_matches(t, arch):
         return _fail(Stage.DEGREE_TEST)
+    k = arch.dL
     try:  # Q's split at index 0, P1's at 1: depth % 2 picks the form to peel
         Q, *Ps = _pow2_scaled_forms([t.denominator, *t.numerators])
         splits = [factor_binary_form(f) for f in (Q, Ps[0])]
@@ -211,7 +209,7 @@ def reconstruct_binary(t: RationalTuple, layers: int, tol: float = 1e-6) -> Memb
         rows[1], lead = _shared_split(rows[1], B)
         consts[1] = 1.0
     M, mats = np.eye(2, dtype=complex), []
-    for depth in range(layers, 1, -1):
+    for depth in range(arch.layers, 1, -1):
         f = depth % 2
         pair = _most_independent_pair(rows[f] @ M)
         if pair is None:
@@ -281,9 +279,7 @@ def reconstruct_auto(t: RationalTuple, arch: Architecture, tol: float = 1e-6,
     if arch.is_binary():
         if require_real:
             raise ValueError("real-only reconstruction needs a one-hidden-layer architecture")
-        if len(t.numerators) != arch.dL:  # reconstruct_binary reads k from the tuple
-            return _fail(Stage.DEGREE_TEST)
-        return reconstruct_binary(t, arch.layers, tol=tol)
+        return reconstruct_binary(t, arch, tol=tol)
     raise ValueError(f"no reconstruction procedure for architecture {arch}")
 
 

@@ -161,10 +161,8 @@ def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     grads = np.empty((count, sum(rows * cols for rows, cols in shapes)))
     views = _flat_views(grads, shapes)
     skipped = np.zeros(count, dtype=int)
-    masked = False  # whether skipped holds the last masked epoch's counts
 
     def run():
-        nonlocal masked
         keep = None  # (R, B) surviving points; None while every point survives
         for w, u, a, a_in, m in zip(mats, us, acts[1:], acts, das):
             np.matmul(w, a_in, out=u)
@@ -204,14 +202,11 @@ def _stack_pass(mats: list[np.ndarray], x: np.ndarray, y: np.ndarray):
             d = das[k - 1]
             d /= np.square(us[k - 1], out=us[k - 1])
         if keep is None:
-            if masked:
-                skipped.fill(0)
-                masked = False
+            skipped.fill(0)
             return loss, grads, skipped, None
         active = kept > 0
         loss[~active] = np.inf
         np.subtract(total, kept, out=skipped)
-        masked = True
         return loss, grads, skipped, active
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -157,7 +157,7 @@ def test_criterion_06_binary_round_trip():
             for trial in range(100):
                 w = Weights.random(arch, COMPLEX, seed=trial * 1009 + layers)
                 t = forward_recursive(w)
-                verdict = reconstruct_binary(t, layers, tol=1e-6)
+                verdict = reconstruct_binary(t, arch, tol=1e-6)
                 if verdict.in_model and verdict.residual <= 1e-6:
                     ok += 1
             assert ok >= 95, (layers, ok)

@@ -781,6 +781,17 @@ def test_json_bools_strings_and_fractions_are_not_numbers(tmp_path, capsys, argv
     _assert_one_line_error(*run(capsys, *argv, str(f)))
 
 
+@pytest.mark.parametrize("argv", [("eval", "--x", "1,2"), ("hpoly",), ("forward", "--arch", "2,2,1")],
+                         ids=["eval", "hpoly", "forward"])
+def test_gfp_weights_with_a_float_modulus_is_one_line_error(tmp_path, capsys, argv):
+    # "p": 7.0 passed the primality test and built GF(7.0) with float
+    # residues: hpoly and forward exited 0, eval ended in a traceback
+    obj = Weights.random(Architecture((2, 2, 1)), PrimeField(7), seed=3).to_json()
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps({**obj, "p": 7.0}))
+    _assert_one_line_error(*run(capsys, *argv, "--weights", str(f)))
+
+
 @pytest.mark.parametrize("field", ["gfp", "real"])
 def test_eval_pair_entry_outside_complex_is_one_line_error(tmp_path, capsys, field):
     # only a complex entry is a [re, im] pair; gfp weights read [4, 7] as 4
@@ -1068,6 +1079,15 @@ def test_reconstruct_binary_takes_the_output_count_from_the_tuple(tmp_path, caps
     assert _strict_json(outs[0])["in_model"] is True
     empty = write_tuple(tmp_path / "empty.json", RationalTuple((), t.denominator))
     _assert_one_line_error(*run(capsys, "reconstruct", "--binary", "--layers", "3", "--tuple", empty))
+
+
+def test_reconstruct_one_layer_binary_arch_is_one_line_error(tmp_path, capsys):
+    # --arch 2,k names a one-layer tower, which no route reconstructs: with
+    # one numerator, --arch 2,2 was DegreeTest (exit 2) and --arch 2,1 an error
+    t = forward_recursive(Weights.random(Architecture((2, 2, 1)), COMPLEX, seed=1))
+    tfile = write_tuple(tmp_path / "t.json", t)
+    for arch in ("2,1", "2,2"):
+        _assert_one_line_error(*run(capsys, "reconstruct", "--arch", arch, "--tuple", tfile))
 
 
 @pytest.mark.parametrize("dims, rank, ambient, params", [

@@ -23,6 +23,16 @@ def test_prime_field_rejects_composite():
     assert not is_prime(1)
 
 
+def test_prime_field_modulus_is_an_integer():
+    # a whole float passed the primality test and built GF(7.0), whose
+    # residues were floats and whose inverse pow(a, -1, 7.0) raised
+    with pytest.raises(TypeError):
+        PrimeField(7.0)
+    gf = PrimeField(7)
+    assert type(gf.p) is int and gf.p == 7 and gf.name == "gf(7)"
+    assert [gf.inv(a) for a in range(1, 7)] == [1, 4, 5, 2, 3, 6]
+
+
 PRIMES = [2, 3, 37, 41, 1000003, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 62 - 57, 2 ** 62 + 135]
 COMPOSITES = [0, 1, 4, 561, 41041, 1000001, 3215031751, 2 ** 31, 2 ** 31 + 1, 2 ** 61 + 1]
 

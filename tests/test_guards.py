@@ -65,7 +65,7 @@ GUARDS = {
         lambda: reconstruct.reconstruct_shallow(shallow_tuple(), Architecture((2, 2, 2, 1))),
         ValueError),
     "reconstruct: binary route with one layer": (
-        lambda: reconstruct.reconstruct_binary(shallow_tuple(), 1), ValueError),
+        lambda: reconstruct.reconstruct_binary(shallow_tuple(), Architecture((2, 1))), ValueError),
     "reconstruct: binary membership with one layer": (
         lambda: reconstruct.membership_binary_multioutput(shallow_tuple(), 1), ValueError),
     "train: no initialization": (

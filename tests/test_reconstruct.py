@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import warnings
@@ -162,7 +163,7 @@ class TestReconstructShallow:
     def test_symmetric_example(self):
         P = HomPoly(COMPLEX, 3, 2, {(0, 1, 1): 1 + 0j, (1, 0, 1): 1 + 0j, (1, 1, 0): 1 + 0j})
         Q = HomPoly(COMPLEX, 3, 3, {(1, 1, 1): 1 + 0j})
-        verdict = reconstruct_shallow(RationalTuple([P], Q), (3, 3, 1), tol=1e-8)
+        verdict = reconstruct_shallow(RationalTuple([P], Q), Architecture((3, 3, 1)), tol=1e-8)
         assert verdict.in_model
         assert verdict.residual < 1e-8
         # rows must be coordinate directions up to scale/permutation
@@ -179,34 +180,34 @@ class TestReconstructShallow:
         m = 4
         Q = product([lin(1, 0), lin(1, 0), lin(1, 1), lin(1, -1)])
         P = HomPoly(COMPLEX, 2, m - 1, {(0, m - 1): 1 + 0j})
-        verdict = reconstruct_shallow(RationalTuple([P], Q), (2, m, 1), tol=1e-8)
+        verdict = reconstruct_shallow(RationalTuple([P], Q), Architecture((2, m, 1)), tol=1e-8)
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.SPAN_TEST
 
     def test_degree_gate(self):
         P = HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j})
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j})
-        verdict = reconstruct_shallow(RationalTuple([P], Q), (2, 3, 1))
+        verdict = reconstruct_shallow(RationalTuple([P], Q), Architecture((2, 3, 1)))
         assert verdict.stage_failed == Stage.DEGREE_TEST
 
     def test_factor_gate(self):
         # full-rank quadric denominator in 3 vars is not a product of forms
         Q = HomPoly(COMPLEX, 3, 2, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j})
         P = HomPoly(COMPLEX, 3, 1, {(1, 0, 0): 1 + 0j})
-        verdict = reconstruct_shallow(RationalTuple([P], Q), (3, 2, 1))
+        verdict = reconstruct_shallow(RationalTuple([P], Q), Architecture((3, 2, 1)))
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.FACTOR_TEST
 
     def test_zero_denominator_fails_factor_test(self):
         Q = HomPoly(COMPLEX, 2, 2, {})
-        verdict = reconstruct_shallow(RationalTuple([lin(1, 0)], Q), (2, 2, 1))
+        verdict = reconstruct_shallow(RationalTuple([lin(1, 0)], Q), Architecture((2, 2, 1)))
         assert verdict.stage_failed == Stage.FACTOR_TEST
 
     @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0), 1.5e308 + 1.5e308j])
     def test_denominator_the_factorizer_refuses_fails_factor_test(self, bad):
         # the factorizer's input guard, as for the binary peel
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): complex(bad), (0, 2): 1 + 0j})
-        verdict = reconstruct_shallow(RationalTuple([lin(1, 0)], Q), (2, 2, 1))
+        verdict = reconstruct_shallow(RationalTuple([lin(1, 0)], Q), Architecture((2, 2, 1)))
         assert (verdict.in_model, verdict.stage_failed) == (False, Stage.FACTOR_TEST)
 
     @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 3, 1), (4, 3, 3)])
@@ -214,7 +215,7 @@ class TestReconstructShallow:
         for seed in range(5):
             w = random_complex_weights(dims, 40 + seed)
             t = forward_recursive(w)
-            verdict = reconstruct_shallow(t, dims, tol=1e-6, seed=seed)
+            verdict = reconstruct_shallow(t, Architecture(dims), tol=1e-6, seed=seed)
             assert verdict.in_model
             assert verdict.residual <= 1e-6
 
@@ -222,12 +223,12 @@ class TestReconstructShallow:
         w = Weights(Architecture((2, 2, 1)), COMPLEX,
                     (((1 + 0j, 0j), (0j, 1 + 0j)), ((1 + 0j, 1 + 0j),)))
         t = forward_recursive(w)
-        ok = reconstruct_shallow(t, (2, 2, 1), require_real=True)
+        ok = reconstruct_shallow(t, Architecture((2, 2, 1)), require_real=True)
         assert ok.in_model
         # x^2 + y^2 denominator has no real split
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j, (0, 2): 1 + 0j})
         P = HomPoly(COMPLEX, 2, 1, {(1, 0): 1 + 0j})
-        bad = reconstruct_shallow(RationalTuple([P], Q), (2, 2, 1), require_real=True)
+        bad = reconstruct_shallow(RationalTuple([P], Q), Architecture((2, 2, 1)), require_real=True)
         assert not bad.in_model
         assert bad.stage_failed == Stage.FACTOR_TEST
 
@@ -311,7 +312,7 @@ class TestReconstructBinary:
     def test_depth_two_plain_pair(self):
         P = lin(1, 1)
         Q = lin(1, 0).mul(lin(0, 1))  # x1 x2
-        verdict = reconstruct_binary(RationalTuple([P], Q), 2, tol=1e-9)
+        verdict = reconstruct_binary(RationalTuple([P], Q), Architecture((2, 2, 1)), tol=1e-9)
         assert verdict.in_model
         assert verdict.residual < 1e-9
 
@@ -320,7 +321,7 @@ class TestReconstructBinary:
         for seed in range(5):
             w = random_complex_weights((2,) * layers + (1,), 60 + seed)
             t = forward_recursive(w)
-            verdict = reconstruct_binary(t, layers, tol=1e-6)
+            verdict = reconstruct_binary(t, w.arch, tol=1e-6)
             assert verdict.in_model, verdict.stage_failed
             assert verdict.residual <= 1e-6
 
@@ -328,14 +329,14 @@ class TestReconstructBinary:
         # a large scale on distinct factors is no sign of a repeated factor
         P = lin(1, 2)
         Q = lin(1, 1).mul(lin(1, -1)).scale(1e8)
-        verdict = reconstruct_binary(RationalTuple([P], Q), 2, tol=1e-9)
+        verdict = reconstruct_binary(RationalTuple([P], Q), Architecture((2, 2, 1)), tol=1e-9)
         assert verdict.in_model, verdict.stage_failed
         assert verdict.residual < 1e-9
 
     def test_depth_six_tower_with_unbalanced_last_peel(self):
         w = random_complex_weights((2,) * 6 + (1,), 11434421)
         t = forward_recursive(w)
-        verdict = reconstruct_binary(t, 6)
+        verdict = reconstruct_binary(t, w.arch)
         assert verdict.in_model, verdict.stage_failed
         assert verdict.residual <= 1e-6
 
@@ -345,7 +346,7 @@ class TestReconstructBinary:
         # substituting that unscaled row squeezed the next form's factors
         # into one direction, and the peel stopped at RepeatedFactors
         t = forward_recursive(Weights.random(Architecture((2, 2, 2, 1)), REAL, seed=seed))
-        verdict = reconstruct_binary(swapped_inputs(t), 3)
+        verdict = reconstruct_binary(swapped_inputs(t), Architecture((2, 2, 2, 1)))
         assert verdict.in_model, verdict.stage_failed
         assert verdict.residual <= 1e-6
 
@@ -360,7 +361,7 @@ class TestReconstructBinary:
         # x1 <-> x2 maps the model to itself (W1 -> W1 SWAP): both are members
         t = forward_recursive(Weights.random(Architecture((2,) * layers + (1,)), REAL, seed=seed))
         for u in (t, swapped_inputs(t)):
-            verdict = reconstruct_binary(u, layers)
+            verdict = reconstruct_binary(u, Architecture((2,) * layers + (1,)))
             assert verdict.in_model, (verdict.stage_failed, verdict.residual)
 
     @pytest.mark.parametrize("layers, seed", [
@@ -370,21 +371,22 @@ class TestReconstructBinary:
         # re-factoring each depth's substituted form ended these real towers
         # in VerificationFail; peeling the rows of P and Q's one split does not
         w = Weights.random(Architecture((2,) * layers + (1,)), REAL, seed=seed)
-        verdict = reconstruct_binary(forward_recursive(w), layers, tol=1e-6)
+        verdict = reconstruct_binary(forward_recursive(w), w.arch, tol=1e-6)
         assert verdict.in_model, (verdict.stage_failed, verdict.residual)
 
     def test_repeated_factor_rejected(self):
         # denominator a 4th power: every factor proportional
         Q = product([lin(1, 1)] * 4)
         P = HomPoly(COMPLEX, 2, 3, {(3, 0): 1 + 0j, (0, 3): 2 + 0j})
-        verdict = reconstruct_binary(RationalTuple([P], Q), 4)
+        verdict = reconstruct_binary(RationalTuple([P], Q), Architecture((2, 2, 2, 2, 1)))
         assert not verdict.in_model
         assert verdict.stage_failed == Stage.REPEATED_FACTORS
 
     def test_degree_gate(self):
         P = HomPoly(COMPLEX, 2, 2, {(1, 1): 1 + 0j})
         Q = HomPoly(COMPLEX, 2, 2, {(2, 0): 1 + 0j})
-        assert reconstruct_binary(RationalTuple([P], Q), 3).stage_failed == Stage.DEGREE_TEST
+        assert (reconstruct_binary(RationalTuple([P], Q), Architecture((2, 2, 2, 1))).stage_failed
+                == Stage.DEGREE_TEST)
 
     def test_generic_ambient_pair_is_reachable(self):
         # single-output towers fill their ambient space: a generic pair of
@@ -394,7 +396,7 @@ class TestReconstructBinary:
                                     for k in range(4)})
         Q = HomPoly(COMPLEX, 2, 4, {(4 - k, k): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                     for k in range(5)})
-        verdict = reconstruct_binary(RationalTuple([P], Q), 4, tol=1e-8)
+        verdict = reconstruct_binary(RationalTuple([P], Q), Architecture((2, 2, 2, 2, 1)), tol=1e-8)
         assert verdict.in_model
         assert verdict.residual <= 1e-8
 
@@ -455,7 +457,8 @@ class TestResultantScreen:
         for layers in (3, 4):
             t = forward_recursive(random_complex_weights((2,) * layers + (1,), 93))
             verdict = membership_binary_multioutput(t, layers)
-            assert verdict.to_json() == reconstruct_binary(t, layers, 1e-8).to_json()
+            assert verdict.to_json() == \
+                reconstruct_binary(t, Architecture((2,) * layers + (1,)), 1e-8).to_json()
             assert verdict.in_model and verdict.weights is not None and not verdict.necessary_only
 
 
@@ -585,6 +588,40 @@ class TestRoundTrip:
             round_trip_residual(w)
 
 
+class TestRouteContract:
+    """Both routes take reconstruct_auto's (t, arch, tol): shape_matches alone
+    decides DegreeTest, and the dispatch only picks a route."""
+
+    def test_routes_take_the_tuple_the_architecture_and_the_tolerance(self):
+        for route in (reconstruct_shallow, reconstruct_binary, reconstruct_auto):
+            params = list(inspect.signature(route).parameters.values())[:3]
+            assert [p.name for p in params] == ["t", "arch", "tol"]
+            assert params[1].annotation == "Architecture"
+
+    @pytest.mark.parametrize("layers, k", [(2, 1), (3, 1), (3, 2), (4, 3)])
+    def test_binary_route_rejects_another_output_count_itself(self, layers, k):
+        t = forward_recursive(random_complex_weights((2,) * layers + (k,), 8))
+        for wrong in (k + 1, k - 1 or k + 2):
+            verdict = reconstruct_binary(t, Architecture((2,) * layers + (wrong,)))
+            assert (verdict.in_model, verdict.stage_failed) == (False, Stage.DEGREE_TEST)
+
+    def test_binary_route_needs_a_binary_tower_of_two_layers(self):
+        t = forward_recursive(random_complex_weights((2, 2, 1), 8))
+        for dims in ((2, 1), (2, 3, 1), (3, 2, 1)):
+            with pytest.raises(ValueError, match="binary tower"):
+                reconstruct_binary(t, Architecture(dims))
+
+    def test_one_layer_binary_shape_is_an_error_whatever_the_count(self):
+        # a one-layer (2, k) tower has no reconstruction, whether or not the
+        # tuple has k numerators
+        t = forward_recursive(random_complex_weights((2, 2, 2, 3), 9))
+        for k in (1, 2, 3):
+            for count in (0, 1, 2, 3):
+                with pytest.raises(ValueError):
+                    reconstruct_auto(RationalTuple(t.numerators[:count], t.denominator),
+                                     Architecture((2, k)))
+
+
 def well_conditioned(rng, size, complex_entries):
     """A random size x size matrix with condition number below 10."""
     while True:
@@ -659,7 +696,8 @@ class TestScale:
         s = 2.0 ** k
         scaled = RationalTuple(tuple(p.scale(s) for p in t.numerators), t.denominator.scale(s))
         assume(all(p.scale(1 / s).terms == q.terms for p, q in zip(scaled.all_polys(), t.all_polys())))
-        base, got = reconstruct_binary(t, depth), reconstruct_binary(scaled, depth)
+        arch = Architecture((2,) * depth + (1,))
+        base, got = reconstruct_binary(t, arch), reconstruct_binary(scaled, arch)
         assert (got.in_model, got.stage_failed, got.weights) == \
             (base.in_model, base.stage_failed, base.weights)
         if abs(k) <= 1000:

@@ -141,6 +141,28 @@ def test_cli_and_binary_membership_reconstruct_through_reconstruct_auto():
                      ("membership_binary_multioutput", "reconstruct_auto")}
 
 
+def parameter_attributes(func: ast.FunctionDef) -> set[str]:
+    """The attributes func reads of its first parameter, at any depth."""
+    name = func.args.args[0].arg
+    return {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == name}
+
+
+def test_checker_sees_attributes_of_the_first_parameter_only():
+    tree = ast.parse("def f(t, arch):\n    if len(t.numerators) != arch.dL:\n"
+                     "        return [t.denominator for _ in arch.dims]\n    return g(t, arch)\n")
+    assert parameter_attributes(tree.body[0]) == {"numerators", "denominator"}
+
+
+def test_reconstruct_auto_reads_nothing_of_its_tuple():
+    # the dispatch only picks a route: each route's shape_matches decides
+    # DegreeTest, so no shape rule of one route sits in reconstruct_auto
+    tree = ast.parse(CORPUS[SRC / "reconstruct.py"])
+    auto = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "reconstruct_auto")
+    assert parameter_attributes(auto) == set()
+
+
 def test_train_stack_steps_through_the_module_level_adam_step():
     # the benchmark's tracer wraps the module binding train.adam_step, so an
     # update inlined into the epoch loop would count no calls

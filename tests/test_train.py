@@ -192,7 +192,7 @@ class TestForwardBackward:
             assert first.tobytes() == second.tobytes()
 
     def test_reused_pass_resets_its_skip_counts(self):
-        # the pass refills its skip counts only after an epoch that masked a point
+        # an epoch that masks no point zeroes the skip counts a masked epoch left
         ds = sample_lattice()
         x, y = np.ascontiguousarray(ds.inputs.T), ds.targets
         stack = [np.stack(layer) for layer in zip(*(xavier_init((2, 2, 1), s) for s in range(3)))]
